@@ -11,19 +11,9 @@ reference one- and two-count probabilities (0.0818, 0.0696).
 import argparse
 from pathlib import Path
 
-from photonstats import (
-    DetectorModel,
-    SourceSpec,
-    areas_to_probabilities,
-    detect_peaks,
-    eta_from_ratio,
-    fit_peaks,
-    gamma_significance,
-    parity_test,
-    simulate_gate_counts,
-    synthesize_histogram,
-)
+from photonstats import DetectorModel, SourceSpec, simulate_gate_counts, synthesize_histogram
 from photonstats.acquisition import default_pairs_per_uw
+from photonstats.cli import analyze_histogram
 from photonstats.ioutil import write_text_atomic
 
 OPERATING_POINTS = {
@@ -38,11 +28,8 @@ def run_point(eta, mean_pairs, n_gates, seed, out_dir):
     source = SourceSpec(kind="pdc_pairs", cutoff=14, mean=mean_pairs)
     gates = simulate_gate_counts(source, det, n_gates, seed)
     hist = synthesize_histogram(gates, det, 500, seed)
-    fit = fit_peaks(hist, detect_peaks(hist))
-    dist, counts = areas_to_probabilities(fit)
-    rep = gamma_significance(tuple(counts[1:4]))
-    parity = parity_test(dist)
-    eta_hat = eta_from_ratio(float(dist.probs[1]), float(dist.probs[2]))
+    result = analyze_histogram(hist)
+    dist, rep, parity = result.distribution, result.gamma_report, result.parity_report
 
     tag = f"eta{eta:.3f}"
     write_text_atomic(out_dir / f"histogram_{tag}.csv", hist.to_csv())
@@ -55,7 +42,7 @@ def run_point(eta, mean_pairs, n_gates, seed, out_dir):
     print(f"classical bound       = {rep.classical_bound:.4f}")
     print(f"sigmas above bound    = {rep.n_std_above_classical:.1f}  "
           f"(violated: {rep.violated})")
-    print(f"eta from P2/P1 ratio  = {eta_hat:.4f}")
+    print(f"eta from P2/P1 ratio  = {result.eta_estimate:.4f}")
     print(f"parity <(-1)^n>       = {parity.parity:.4f}  "
           f"(nonclassical by parity: {parity.nonclassical})")
 

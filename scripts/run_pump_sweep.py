@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from photonstats import DetectorModel, PumpModel, classical_gamma_bound, pump_sweep
+from photonstats import DetectorModel, PumpModel, classical_gamma_bound
+from photonstats.cli import pump_sweep, sweep_csv
 from photonstats.ioutil import write_text_atomic
 
 
@@ -33,15 +34,11 @@ def main():
     rows = pump_sweep(pump, det, args.gates, args.seed)
 
     bound = classical_gamma_bound()
-    lines = ["power_uW,gamma,std_error,n_std"]
     print(f"{'power_uW':>10}  {'gamma':>7}  {'+-':>6}  above bound ({bound:.4f})?")
     for power, rep in rows:
-        lines.append(
-            f"{power!r},{rep.gamma!r},{rep.std_error!r},{rep.n_std_above_classical!r}"
-        )
         marker = "yes" if rep.violated else "no"
         print(f"{power:10.4f}  {rep.gamma:7.4f}  {rep.std_error:6.4f}  {marker}")
-    write_text_atomic(args.out / "sweep.csv", "\n".join(lines) + "\n")
+    write_text_atomic(args.out / "sweep.csv", sweep_csv(rows))
     print(f"\nwrote {args.out / 'sweep.csv'}")
 
 

@@ -11,22 +11,9 @@ inversion picks up small negative entries at high odd photon numbers.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
-from photonstats import (
-    DetectorModel,
-    PhotonDistribution,
-    SourceSpec,
-    areas_to_probabilities,
-    detect_peaks,
-    detector_matrix,
-    fit_peaks,
-    invert_channel,
-    simulate_gate_counts,
-    synthesize_histogram,
-    truncation_diagnostics,
-)
+from photonstats import DetectorModel, SourceSpec, simulate_gate_counts, synthesize_histogram
 from photonstats.acquisition import default_pairs_per_uw
+from photonstats.cli import analyze_histogram, reconstruct
 from photonstats.ioutil import dumps_canonical, write_text_atomic
 
 RECON_CUTOFF = 10
@@ -38,16 +25,8 @@ def reconstruct_power(power_uw, kappa, det, n_gates, seed, out_dir):
     source = SourceSpec(kind="pdc_pairs", cutoff=TRUTH_CUTOFF, mean=mean_pairs)
     gates = simulate_gate_counts(source, det, n_gates, seed)
     hist = synthesize_histogram(gates, det, 500, seed)
-    fit = fit_peaks(hist, detect_peaks(hist))
-    dist, _ = areas_to_probabilities(fit)
-
-    padded = np.zeros(RECON_CUTOFF + 1)
-    k = min(padded.size, dist.probs.size)
-    padded[:k] = dist.probs[:k]
-    measured = PhotonDistribution(padded, normalized=False)
-    matrix = detector_matrix(det.eta, det.dark_mean, RECON_CUTOFF)
-    rec = invert_channel(matrix, measured)
-    diag = truncation_diagnostics(rec)
+    probs = analyze_histogram(hist).distribution.probs
+    measured, rec, diag = reconstruct(probs, det, RECON_CUTOFF)
 
     tag = f"{power_uw:g}uW"
     write_text_atomic(out_dir / f"measured_{tag}.csv", measured.to_csv())

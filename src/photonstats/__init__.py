@@ -3,6 +3,10 @@
 Simulation of the gated acquisition chain, pulse-area histogram fitting,
 a provable classicality bound on the two-photon fraction, and reconstruction
 of the pre-loss distribution by truncated inversion of the detector model.
+
+The pipeline that chains these layers (``analyze_histogram``, ``reconstruct``,
+``pump_sweep``, ``RunConfig``) and the command line live in
+:mod:`photonstats.cli`, which this package does not import.
 """
 
 from .distributions import (
@@ -42,7 +46,6 @@ from .acquisition import (
     DetectorModel,
     PumpModel,
     default_pairs_per_uw,
-    pump_sweep,
     simulate_gate_counts,
     synthesize_histogram,
 )
@@ -54,14 +57,12 @@ from .fitting import (
     detect_peaks,
     fit_peaks,
 )
-from .cli import RunConfig, ConfigError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AreaHistogram",
     "ConditionNumberWarning",
-    "ConfigError",
     "DetectorModel",
     "FittedPeak",
     "GammaReport",
@@ -71,7 +72,6 @@ __all__ = [
     "PeakOverlapWarning",
     "PhotonDistribution",
     "PumpModel",
-    "RunConfig",
     "SourceSpec",
     "TransferMatrix",
     "TruncationLossError",
@@ -96,7 +96,6 @@ __all__ = [
     "parity_expectation",
     "parity_test",
     "poisson_mixture_oracle",
-    "pump_sweep",
     "simulate_gate_counts",
     "synthesize_histogram",
     "truncation_diagnostics",

@@ -15,23 +15,22 @@ the same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .channel import DEFAULT_CUTOFF, detector_matrix, apply_channel
+from .channel import detector_matrix, apply_channel
 from .distributions import SourceSpec, make_distribution
-from .fitting import areas_to_probabilities, detect_peaks, fit_peaks
 from .ioutil import SCHEMA_VERSION
-from .nonclassical import GammaReport, gamma_significance
 
 GATE_BLOCK = 1 << 16
 _COUNT_STREAM = 0
 _AREA_STREAM = 1
-_SWEEP_STREAM = 2
+# Largest relative deviation of a sidecar-less CSV's center spacings from its first one.
+UNIFORM_BIN_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,16 +80,7 @@ class DetectorModel:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "dark_mean": self.dark_mean,
-            "gain": self.gain,
-            "offset": self.offset,
-            "sigma0": self.sigma0,
-            "sigma_per_photon": self.sigma_per_photon,
-            "adc_max": self.adc_max,
-            "dark_after_loss": self.dark_after_loss,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DetectorModel":
@@ -165,10 +155,15 @@ class AreaHistogram:
             edges = np.asarray(sidecar["bin_edges"], dtype=np.float64)
             return cls(edges, counts, n_gates=int(sidecar["n_gates"]),
                        overflow=int(sidecar.get("overflow", 0)))
-        # No sidecar (e.g. instrument data): assume uniform bins, no overflow.
+        # No sidecar (e.g. instrument data): require uniform bins, assume no overflow.
         if centers.size < 2:
             raise ValueError("cannot infer bin edges from fewer than two bins")
         width = centers[1] - centers[0]
+        if np.any(np.abs(np.diff(centers) - width) > UNIFORM_BIN_RTOL * abs(width)):
+            raise ValueError(
+                "bin centers are not evenly spaced; a CSV with non-uniform bins "
+                "needs a sidecar JSON with its bin_edges"
+            )
         edges = np.concatenate([centers - width / 2.0, [centers[-1] + width / 2.0]])
         return cls(edges, counts, n_gates=int(counts.sum()), overflow=0)
 
@@ -228,11 +223,7 @@ class PumpModel:
         return self.pairs_per_uW * power_uw
 
     def to_json_dict(self) -> dict:
-        return {
-            "powers": list(self.powers),
-            "pairs_per_uW": self.pairs_per_uW,
-            "pair_statistics": self.pair_statistics,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PumpModel":
@@ -330,43 +321,3 @@ def synthesize_histogram(
         kept = np.clip(areas[~over], low, det.adc_max)
         hist += np.histogram(kept, bins=edges)[0]
     return AreaHistogram(edges, hist, n_gates=int(counts.size), overflow=overflow)
-
-
-def histogram_to_probabilities(hist: AreaHistogram):
-    """Fit pipeline shorthand: detect peaks, fit, normalize areas."""
-    guesses = detect_peaks(hist)
-    fit = fit_peaks(hist, guesses)
-    dist, event_counts = areas_to_probabilities(fit)
-    return dist, event_counts, fit
-
-
-def pump_sweep(
-    pump: PumpModel,
-    det: DetectorModel,
-    n_gates: int,
-    seed: int,
-    *,
-    cutoff: int = DEFAULT_CUTOFF,
-    bins: int = 500,
-) -> list[tuple[float, GammaReport]]:
-    """Run the full simulate-fit-analyze pipeline at each pump power.
-
-    Returns one (power, GammaReport) row per entry of ``pump.powers``. Each
-    power gets an independent deterministic seed derived from (seed, index).
-    """
-    det.check_resolvable(cutoff)
-    rows: list[tuple[float, GammaReport]] = []
-    for i, power in enumerate(pump.powers):
-        sub = np.random.SeedSequence([seed, _SWEEP_STREAM, i]).generate_state(2)
-        source = SourceSpec(
-            kind="pdc_pairs",
-            cutoff=cutoff,
-            mean=pump.mean_pairs(power),
-            pair_statistics=pump.pair_statistics,
-        )
-        gates = simulate_gate_counts(source, det, n_gates, seed=int(sub[0]))
-        hist = synthesize_histogram(gates, det, bins, seed=int(sub[1]))
-        dist, event_counts, _ = histogram_to_probabilities(hist)
-        report = gamma_significance(tuple(event_counts[1:4]))
-        rows.append((power, report))
-    return rows

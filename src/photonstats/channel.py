@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from io import StringIO
 
 import numpy as np
@@ -237,12 +237,7 @@ class NegativityReport:
     sum_deviation: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "most_negative": self.most_negative,
-            "index": self.index,
-            "negative_mass": self.negative_mass,
-            "sum_deviation": self.sum_deviation,
-        }
+        return asdict(self)
 
 
 def truncation_diagnostics(p: PhotonDistribution) -> NegativityReport:

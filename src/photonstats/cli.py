@@ -4,6 +4,11 @@ Every command reads a JSON run config, takes ``--seed``/``--out`` overrides,
 and writes CSV data plus JSON reports. Outputs are deterministic for a fixed
 (config, seed) pair and all file writes are atomic.
 
+The analysis chain itself is written once here, as plain functions the
+commands, the experiment scripts and the tests share: ``analyze_histogram``
+(histogram -> peak fit -> P_n -> gamma, parity and eta), ``reconstruct``
+(measured P_n -> detector-matrix inversion) and ``pump_sweep``.
+
 Exit codes: 0 success, 2 config error, 3 fit failure, 4 numerical warning
 escalated by --strict.
 """
@@ -23,25 +28,40 @@ from .acquisition import (
     AreaHistogram,
     DetectorModel,
     PumpModel,
-    pump_sweep,
     simulate_gate_counts,
     synthesize_histogram,
 )
 from .channel import (
+    DEFAULT_CUTOFF,
     ConditionNumberWarning,
+    NegativityReport,
     detector_matrix,
     invert_channel,
     truncation_diagnostics,
 )
-from .distributions import PhotonDistribution, SourceSpec
-from .fitting import PeakOverlapWarning, areas_to_probabilities, detect_peaks, fit_peaks
+from .distributions import SUM_TOL, PhotonDistribution, SourceSpec
+from .fitting import (
+    PeakFitResult,
+    PeakOverlapWarning,
+    areas_to_probabilities,
+    detect_peaks,
+    fit_peaks,
+)
 from .ioutil import SCHEMA_VERSION, dumps_canonical, write_text_atomic
-from .nonclassical import eta_from_ratio, gamma_significance, parity_test
+from .nonclassical import (
+    GammaReport,
+    ParityReport,
+    eta_from_ratio,
+    gamma_significance,
+    parity_test,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FIT = 3
 EXIT_NUMERIC = 4
+
+_SWEEP_STREAM = 2
 
 
 class ConfigError(ValueError):
@@ -128,6 +148,109 @@ def _emit_error(exc: Exception, code: int) -> int:
     return code
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """What one pulse-area histogram yields.
+
+    Only ``fit`` is set when the peak fit did not converge; otherwise the
+    fitted areas are normalized into ``distribution`` and every report is
+    filled in.
+    """
+
+    fit: PeakFitResult
+    distribution: PhotonDistribution | None = None
+    event_counts: np.ndarray | None = None
+    gamma_report: GammaReport | None = None
+    parity_report: ParityReport | None = None
+    eta_estimate: float | None = None
+
+
+def analyze_histogram(hist: AreaHistogram) -> Analysis:
+    """Detect and fit the peaks, normalize their areas, and test classicality.
+
+    Gamma is taken from the rounded event counts of the one-, two- and
+    three-count peaks; the efficiency estimate is None when P1 is zero.
+    Warnings are left to the caller.
+    """
+    fit = fit_peaks(hist, detect_peaks(hist))
+    if not fit.converged:
+        return Analysis(fit)
+    dist, event_counts = areas_to_probabilities(fit)
+    p = dist.probs
+    return Analysis(
+        fit,
+        dist,
+        event_counts,
+        gamma_significance(tuple(event_counts[1:4])),
+        parity_test(dist),
+        eta_from_ratio(float(p[1]), float(p[2])) if p[1] > 0 else None,
+    )
+
+
+def reconstruct(
+    probs, det: DetectorModel, cutoff: int
+) -> tuple[PhotonDistribution, PhotonDistribution, NegativityReport]:
+    """Invert the detector matrix on measured probabilities.
+
+    ``probs`` is zero-padded (or cut) to photon numbers 0..cutoff. Returns the
+    padded measured distribution, the reconstruction and its negativity
+    diagnostics. Warnings are left to the caller.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    n = cutoff + 1
+    padded = np.zeros(n)
+    padded[: min(probs.size, n)] = probs[:n]
+    measured = PhotonDistribution(
+        padded, normalized=abs(padded.sum() - 1.0) <= SUM_TOL, signed=False
+    )
+    matrix = detector_matrix(
+        det.eta, det.dark_mean, cutoff, dark_after_loss=det.dark_after_loss
+    )
+    reconstructed = invert_channel(matrix, measured)
+    return measured, reconstructed, truncation_diagnostics(reconstructed)
+
+
+def pump_sweep(
+    pump: PumpModel,
+    det: DetectorModel,
+    n_gates: int,
+    seed: int,
+    *,
+    cutoff: int = DEFAULT_CUTOFF,
+    bins: int = 500,
+) -> list[tuple[float, GammaReport]]:
+    """Run the full simulate-fit-analyze pipeline at each pump power.
+
+    Returns one (power, GammaReport) row per entry of ``pump.powers``. Each
+    power gets an independent deterministic seed derived from (seed, index).
+    """
+    det.check_resolvable(cutoff)
+    rows: list[tuple[float, GammaReport]] = []
+    for i, power in enumerate(pump.powers):
+        sub = np.random.SeedSequence([seed, _SWEEP_STREAM, i]).generate_state(2)
+        source = SourceSpec(
+            kind="pdc_pairs",
+            cutoff=cutoff,
+            mean=pump.mean_pairs(power),
+            pair_statistics=pump.pair_statistics,
+        )
+        gates = simulate_gate_counts(source, det, n_gates, seed=int(sub[0]))
+        hist = synthesize_histogram(gates, det, bins, seed=int(sub[1]))
+        report = analyze_histogram(hist).gamma_report
+        if report is None:
+            raise ValueError(f"peak fit did not converge at {power!r} uW")
+        rows.append((power, report))
+    return rows
+
+
+def sweep_csv(rows: list[tuple[float, GammaReport]]) -> str:
+    """The plot-ready sweep table: power_uW, gamma, std_error, n_std."""
+    lines = ["power_uW,gamma,std_error,n_std"]
+    for power, rep in rows:
+        lines.append(f"{power!r},{rep.gamma!r},{rep.std_error!r},{rep.n_std_above_classical!r}")
+    return "\n".join(lines) + "\n"
+
+
 def cmd_simulate(config: RunConfig) -> int:
     """Simulate gates, synthesize the pulse-area histogram, write CSV + JSON."""
     gates = simulate_gate_counts(config.source, config.detector, config.n_gates, config.seed)
@@ -154,36 +277,31 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def cmd_analyze(histogram_csv: Path, out_dir: Path, strict: bool = False) -> int:
     """Fit the histogram, derive probabilities and classicality reports."""
-    sidecar_path = histogram_csv.with_suffix(".json")
-    hist = AreaHistogram.load(histogram_csv, sidecar_path)
-
+    hist = AreaHistogram.load(histogram_csv, histogram_csv.with_suffix(".json"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", PeakOverlapWarning)
-        guesses = detect_peaks(hist)
-        fit = fit_peaks(hist, guesses)
+        result = analyze_histogram(hist)
 
     report = {
         "schema_version": SCHEMA_VERSION,
         "histogram": str(histogram_csv),
         "n_gates": hist.n_gates,
         "overflow": hist.overflow,
-        "fit": fit.to_json_dict(),
+        "fit": result.fit.to_json_dict(),
         "warnings": [str(w.message) for w in caught],
     }
-    if not fit.converged:
+    if result.distribution is None:
         report["error"] = "peak fit did not converge"
         write_text_atomic(out_dir / "analysis.json", dumps_canonical(report))
         return EXIT_FIT
 
-    dist, event_counts = areas_to_probabilities(fit)
-    p = dist.probs
     report.update(
         {
-            "probabilities": [float(v) for v in p],
-            "event_counts": [int(c) for c in event_counts],
-            "gamma_report": gamma_significance(tuple(event_counts[1:4])).to_json_dict(),
-            "parity_report": parity_test(dist).to_json_dict(),
-            "eta_estimate": eta_from_ratio(float(p[1]), float(p[2])) if p[1] > 0 else None,
+            "probabilities": [float(v) for v in result.distribution.probs],
+            "event_counts": [int(c) for c in result.event_counts],
+            "gamma_report": result.gamma_report.to_json_dict(),
+            "parity_report": result.parity_report.to_json_dict(),
+            "eta_estimate": result.eta_estimate,
         }
     )
     write_text_atomic(out_dir / "analysis.json", dumps_canonical(report))
@@ -195,23 +313,10 @@ def cmd_analyze(histogram_csv: Path, out_dir: Path, strict: bool = False) -> int
 def cmd_reconstruct(analysis_json: Path, config: RunConfig, strict: bool = False) -> int:
     """Invert the detector matrix against measured probabilities."""
     analysis = json.loads(Path(analysis_json).read_text())
-    probs = np.asarray(analysis["probabilities"], dtype=np.float64)
-
-    n = config.cutoff + 1
-    padded = np.zeros(n)
-    padded[: min(probs.size, n)] = probs[:n]
-    measured = PhotonDistribution(
-        padded, normalized=abs(padded.sum() - 1.0) <= 1e-12, signed=False
-    )
-
     det = config.detector
-    matrix = detector_matrix(
-        det.eta, det.dark_mean, config.cutoff, dark_after_loss=det.dark_after_loss
-    )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConditionNumberWarning)
-        reconstructed = invert_channel(matrix, measured)
-    diag = truncation_diagnostics(reconstructed)
+        _, reconstructed, diag = reconstruct(analysis["probabilities"], det, config.cutoff)
 
     out = config.output_dir
     write_text_atomic(out / "reconstruction.csv", reconstructed.to_csv())
@@ -242,10 +347,7 @@ def cmd_sweep(config: RunConfig) -> int:
         cutoff=config.cutoff,
         bins=config.bins,
     )
-    lines = ["power_uW,gamma,std_error,n_std"]
-    for power, rep in rows:
-        lines.append(f"{power!r},{rep.gamma!r},{rep.std_error!r},{rep.n_std_above_classical!r}")
-    write_text_atomic(config.output_dir / "sweep.csv", "\n".join(lines) + "\n")
+    write_text_atomic(config.output_dir / "sweep.csv", sweep_csv(rows))
     return EXIT_OK
 
 

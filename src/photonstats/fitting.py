@@ -123,27 +123,6 @@ def _sum_of_gaussians(x: np.ndarray, params: np.ndarray) -> np.ndarray:
     return y
 
 
-def _fit_window(x, y, sigma, p0, lo, hi):
-    def residuals(params):
-        return (_sum_of_gaussians(x, params) - y) / sigma
-
-    return least_squares(
-        residuals,
-        np.clip(p0, lo, hi),
-        bounds=(lo, hi),
-        xtol=XTOL,
-        ftol=1e-12,
-        gtol=1e-12,
-        max_nfev=MAX_ITER * (p0.size + 1),
-    )
-
-
-def _bounds_for(n_peaks: int, x: np.ndarray, bin_width: float):
-    lo = np.tile([0.0, x[0] - bin_width, bin_width / 10.0], n_peaks)
-    hi = np.tile([np.inf, x[-1] + bin_width, x[-1] - x[0]], n_peaks)
-    return lo, hi
-
-
 def _area_uncertainties(result, params: np.ndarray, bin_width: float) -> np.ndarray:
     """Per-peak area standard errors from the curvature of the weighted objective."""
     n_peaks = params.size // 3
@@ -163,15 +142,15 @@ def _area_uncertainties(result, params: np.ndarray, bin_width: float) -> np.ndar
     return stds
 
 
-def fit_peaks(h, guesses, *, simultaneous: bool = True) -> PeakFitResult:
+def fit_peaks(h, guesses) -> PeakFitResult:
     """Weighted nonlinear least squares of a sum of Gaussians to the histogram.
+
+    All peaks are fitted jointly, so overlapping tails are shared between
+    neighbours.
 
     Args:
         h: AreaHistogram to fit.
         guesses: iterable of (center, width, height) initial guesses.
-        simultaneous: fit all peaks jointly (handles overlapping tails); when
-            False, each peak is fitted alone on the window between its
-            neighbors' midpoints.
 
     Returns:
         PeakFitResult with peak areas in event-count units. On
@@ -185,40 +164,24 @@ def fit_peaks(h, guesses, *, simultaneous: bool = True) -> PeakFitResult:
     sigma = np.sqrt(np.maximum(y, 1.0))
     bw = h.bin_width
 
-    if simultaneous:
-        p0 = np.array([v for (c, w, amp) in guesses for v in (amp, c, w)])
-        lo, hi = _bounds_for(len(guesses), x, bw)
-        result = _fit_window(x, y, sigma, p0, lo, hi)
-        params = result.x
-        converged = bool(result.status > 0)
-        residual_norm = float(np.linalg.norm(result.fun))
-        area_stds = _area_uncertainties(result, params, bw)
-        triples = [tuple(params[3 * k : 3 * k + 3]) for k in range(len(guesses))]
-    else:
-        centers_guess = [g[0] for g in guesses]
-        edges = [x[0] - bw]
-        edges += [0.5 * (a + b) for a, b in zip(centers_guess, centers_guess[1:])]
-        edges += [x[-1] + bw]
-        triples, area_stds_l, sq_norms = [], [], []
-        converged = True
-        for k, (c, w, amp) in enumerate(guesses):
-            mask = (x >= edges[k]) & (x < edges[k + 1])
-            if mask.sum() < 4:
-                mask = np.ones_like(mask)
-            p0 = np.array([amp, c, w])
-            lo, hi = _bounds_for(1, x[mask], bw)
-            result = _fit_window(x[mask], y[mask], sigma[mask], p0, lo, hi)
-            converged &= bool(result.status > 0)
-            triples.append(tuple(result.x))
-            area_stds_l.append(_area_uncertainties(result, result.x, bw)[0])
-            sq_norms.append(float(result.fun @ result.fun))
-        residual_norm = math.sqrt(math.fsum(sq_norms))
-        area_stds = np.asarray(area_stds_l)
+    p0 = np.array([v for (c, w, amp) in guesses for v in (amp, c, w)])
+    lo = np.tile([0.0, x[0] - bw, bw / 10.0], len(guesses))
+    hi = np.tile([np.inf, x[-1] + bw, x[-1] - x[0]], len(guesses))
+    result = least_squares(
+        lambda params: (_sum_of_gaussians(x, params) - y) / sigma,
+        np.clip(p0, lo, hi),
+        bounds=(lo, hi),
+        xtol=XTOL,
+        ftol=1e-12,
+        gtol=1e-12,
+        max_nfev=MAX_ITER * (p0.size + 1),
+    )
+    params = result.x
+    area_stds = _area_uncertainties(result, params, bw)
 
-    order = np.argsort([t[1] for t in triples])
     peaks = []
-    for rank, k in enumerate(order):
-        height, center, width = triples[k]
+    for rank, k in enumerate(np.argsort(params[1::3])):
+        height, center, width = params[3 * k : 3 * k + 3]
         width = abs(width)
         area = height * width * SQRT_2PI / bw
         std = max(area_stds[k], math.sqrt(max(area, 0.0)))
@@ -232,7 +195,11 @@ def fit_peaks(h, guesses, *, simultaneous: bool = True) -> PeakFitResult:
                 PeakOverlapWarning,
                 stacklevel=2,
             )
-    return PeakFitResult(tuple(peaks), residual_norm=residual_norm, converged=converged)
+    return PeakFitResult(
+        tuple(peaks),
+        residual_norm=float(np.linalg.norm(result.fun)),
+        converged=bool(result.status > 0),
+    )
 
 
 def areas_to_probabilities(fit: PeakFitResult):

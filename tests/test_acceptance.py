@@ -11,7 +11,6 @@ from conftest import random_physical_distribution
 from photonstats.acquisition import (
     DetectorModel,
     PumpModel,
-    pump_sweep,
     simulate_gate_counts,
     synthesize_histogram,
 )
@@ -21,9 +20,9 @@ from photonstats.channel import (
     invert_channel,
     truncation_diagnostics,
 )
-from photonstats.cli import main
+from photonstats.cli import analyze_histogram, main, pump_sweep, reconstruct
 from photonstats.distributions import PhotonDistribution, SourceSpec, make_distribution
-from photonstats.fitting import areas_to_probabilities, detect_peaks, fit_peaks
+from photonstats.fitting import fit_peaks
 from photonstats.nonclassical import (
     eta_from_ratio,
     gamma,
@@ -38,11 +37,9 @@ BOUND = 3.0 / (3.0 + 2.0 * SQRT6)
 
 def run_fit_pipeline(source, det, n_gates, seed, bins=500):
     gates = simulate_gate_counts(source, det, n_gates, seed)
-    hist = synthesize_histogram(gates, det, bins, seed)
-    fit = fit_peaks(hist, detect_peaks(hist))
-    assert fit.converged
-    dist, counts = areas_to_probabilities(fit)
-    return gates, dist, counts, fit
+    analysis = analyze_histogram(synthesize_histogram(gates, det, bins, seed))
+    assert analysis.fit.converged
+    return gates, analysis
 
 
 def test_criterion_1_gamma_arithmetic():
@@ -84,9 +81,8 @@ def test_criterion_3_loss_threshold():
     for eta, seed in ((0.50, 31), (0.85, 32)):
         det = DetectorModel(eta=eta, dark_mean=0.0)
         source = SourceSpec(kind="pdc_pairs", cutoff=20, mean=0.01)
-        _, _, counts, _ = run_fit_pipeline(source, det, 10_000_000, seed)
-        rep = gamma_significance(tuple(counts[1:4]))
-        results[eta] = rep
+        _, analysis = run_fit_pipeline(source, det, 10_000_000, seed)
+        results[eta] = analysis.gamma_report
     below, above = results[0.50], results[0.85]
     assert below.n_std_above_classical <= -5.0 and not below.violated
     assert above.n_std_above_classical >= 5.0 and above.violated
@@ -103,8 +99,8 @@ def test_criterion_4_efficiency_estimator_consistency():
         det = DetectorModel(eta=eta, dark_mean=0.0)
         source = SourceSpec(kind="pdc_pairs", cutoff=10, mean=1e-3)
         n_gates = 30_000_000 if eta == 0.3 else 10_000_000
-        _, dist, _, _ = run_fit_pipeline(source, det, n_gates, seed)
-        est = eta_from_ratio(float(dist.probs[1]), float(dist.probs[2]))
+        _, analysis = run_fit_pipeline(source, det, n_gates, seed)
+        est = analysis.eta_estimate
         assert est == pytest.approx(eta, abs=1e-2), f"eta={eta} estimated {est}"
         recovered[eta] = est
     # the reference probabilities give 0.630 through the estimator, not the
@@ -131,13 +127,8 @@ def test_criterion_5_round_trip_inversion():
 def _reconstruct_at_cutoff_10(mean_pairs, n_gates, seed):
     det = DetectorModel(eta=0.67, dark_mean=4e-4)
     source = SourceSpec(kind="pdc_pairs", cutoff=40, mean=mean_pairs)
-    _, dist, _, _ = run_fit_pipeline(source, det, n_gates, seed)
-    padded = np.zeros(11)
-    k = min(11, dist.probs.size)
-    padded[:k] = dist.probs[:k]
-    measured = PhotonDistribution(padded, normalized=False)
-    matrix = detector_matrix(0.67, 4e-4, 10)
-    return invert_channel(matrix, measured)
+    _, analysis = run_fit_pipeline(source, det, n_gates, seed)
+    return reconstruct(analysis.distribution.probs, det, 10)[1]
 
 
 def test_criterion_6_even_odd_reconstruction():
@@ -202,7 +193,8 @@ def test_criterion_8_fit_fidelity():
             source = SourceSpec(kind="poisson", cutoff=20, mean=0.5 + 0.02 * trial)
         else:
             source = SourceSpec(kind="pdc_pairs", cutoff=20, mean=0.1 + 0.01 * trial)
-        gates, dist, _, fit = run_fit_pipeline(source, det, n_gates, seed=800 + trial)
+        gates, analysis = run_fit_pipeline(source, det, n_gates, seed=800 + trial)
+        dist, fit = analysis.distribution, analysis.fit
         emp = np.bincount(gates, minlength=dist.probs.size) / gates.size
         total_area = sum(p.area for p in fit.peaks)
         for peak in fit.peaks:

@@ -10,11 +10,11 @@ from photonstats.acquisition import (
     DetectorModel,
     PumpModel,
     default_pairs_per_uw,
-    pump_sweep,
     simulate_gate_counts,
     synthesize_histogram,
 )
 from photonstats.channel import apply_channel, detector_matrix
+from photonstats.cli import pump_sweep
 from photonstats.distributions import SourceSpec, make_distribution
 from photonstats.nonclassical import classical_gamma_bound, gamma_under_loss
 
@@ -185,6 +185,15 @@ class TestAreaHistogramType:
         np.testing.assert_array_equal(restored.counts, h.counts)
         np.testing.assert_allclose(restored.bin_centers, h.bin_centers, rtol=1e-12)
         assert restored.n_gates == int(h.counts.sum())
+
+    def test_csv_without_sidecar_rejects_non_uniform_bins(self):
+        text = "bin_center,count\n0,5\n1,3\n3,2\n7,1\n"
+        with pytest.raises(ValueError, match="evenly spaced"):
+            AreaHistogram.from_csv(text)
+        # the same centers load when a sidecar gives the edges
+        edges = [-0.5, 0.5, 2.0, 5.0, 9.0]
+        h = AreaHistogram.from_csv(text, {"bin_edges": edges, "n_gates": 11})
+        np.testing.assert_array_equal(h.bin_edges, edges)
 
     def test_sidecar_echoes_detector(self):
         counts = np.zeros(30, dtype=int)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,3 +289,19 @@ class TestSweepCommand:
         first = (tmp_path / "out" / "sweep.csv").read_bytes()
         main(["sweep", "--config", str(cfg_path)])
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == first
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    # runpy warns when the package import has already loaded photonstats.cli
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "photonstats.cli", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "simulate" in proc.stdout

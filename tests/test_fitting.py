@@ -127,19 +127,6 @@ class TestFitPeaks:
         with pytest.warns(PeakOverlapWarning):
             fit_peaks(h, [(9.9, 2.0, 1000.0), (10.1, 2.0, 1000.0)])
 
-    def test_peak_by_peak_mode_close_to_simultaneous(self):
-        src = SourceSpec(kind="poisson", cutoff=16, mean=1.0)
-        det = DetectorModel(eta=1.0, dark_mean=0.0)
-        gates = simulate_gate_counts(src, det, 200_000, seed=24)
-        h = synthesize_histogram(gates, det, 400, seed=24)
-        guesses = detect_peaks(h)
-        joint = fit_peaks(h, guesses)
-        solo = fit_peaks(h, guesses, simultaneous=False)
-        assert joint.converged and solo.converged
-        a = np.array([p.area for p in joint.peaks])
-        b = np.array([p.area for p in solo.peaks])
-        np.testing.assert_allclose(a / a.sum(), b / b.sum(), atol=0.01)
-
     def test_affine_rescaling_invariance(self):
         # shifting and scaling the area axis must not change areas/probabilities
         src = SourceSpec(kind="poisson", cutoff=16, mean=1.2)
