@@ -26,8 +26,8 @@ OPERATING_POINTS = {
 def run_point(eta, mean_pairs, n_gates, seed, out_dir):
     det = DetectorModel(eta=eta, dark_mean=4e-4)
     source = SourceSpec(kind="pdc_pairs", cutoff=14, mean=mean_pairs)
-    gates = simulate_gate_counts(source, det, n_gates, seed)
-    hist = synthesize_histogram(gates, det, 500, seed)
+    frequencies = simulate_gate_counts(source, det, n_gates, seed)
+    hist = synthesize_histogram(frequencies, det, 500, seed)
     result = analyze_histogram(hist)
     dist, rep, parity = result.distribution, result.gamma_report, result.parity_report
 

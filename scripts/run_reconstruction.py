@@ -23,8 +23,8 @@ TRUTH_CUTOFF = 40
 def reconstruct_power(power_uw, kappa, det, n_gates, seed, out_dir):
     mean_pairs = kappa * power_uw
     source = SourceSpec(kind="pdc_pairs", cutoff=TRUTH_CUTOFF, mean=mean_pairs)
-    gates = simulate_gate_counts(source, det, n_gates, seed)
-    hist = synthesize_histogram(gates, det, 500, seed)
+    frequencies = simulate_gate_counts(source, det, n_gates, seed)
+    hist = synthesize_histogram(frequencies, det, 500, seed)
     probs = analyze_histogram(hist).distribution.probs
     measured, rec, diag = reconstruct(probs, det, RECON_CUTOFF)
 

@@ -1,34 +1,41 @@
-"""Monte Carlo model of the gated acquisition chain.
+"""Model of the gated acquisition chain, drawn from its sufficient statistics.
 
 Each laser gate draws a true photon number from the source, thins it through
-the detector efficiency, adds Poisson dark counts, and (optionally) turns the
-detected count into one pulse-area sample: a Gaussian centered at
-offset + k * gain whose width grows with k. Samples beyond the digitizer
-range are tallied as overflow rather than binned.
+the detector efficiency, adds Poisson dark counts, and turns the detected
+count into one pulse-area sample: a Gaussian centered at offset + k * gain
+whose width grows with k. Samples beyond the digitizer range are tallied as
+overflow rather than binned.
 
-Randomness is organized in fixed-size gate blocks, each with its own seeded
-stream derived from (seed, stream tag, block index). Outputs are therefore
-bit-reproducible and independent of how blocks might be distributed over
-workers; splitting a run into block-aligned shards and concatenating gives
-the same bytes.
+Gates are independent and identically distributed, so the gates themselves
+are never drawn. The detected-count frequencies are one multinomial draw over
+the detected-count law (the detector matrix applied to the source law), and
+the areas of the gates with k counts are one multinomial draw over the bins.
+The cost depends on the number of photon numbers and bins, not on the number
+of gates. Each of the two draws has its own stream seeded by (seed, stream
+tag), so outputs are bit-reproducible for a given seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from .channel import detector_matrix, apply_channel
 from .distributions import SourceSpec, make_distribution
 from .ioutil import SCHEMA_VERSION
 
-GATE_BLOCK = 1 << 16
 _COUNT_STREAM = 0
 _AREA_STREAM = 1
+# Photon-number windows tried, in order, for the detected-count law; the first
+# whose upper half holds less than _TAIL_MASS is used. They do not depend on
+# any run or reconstruction cutoff.
+_WINDOWS = (64, 128, 256, 512, 1024)
+_TAIL_MASS = 1e-15
 # Largest relative deviation of a sidecar-less CSV's center spacings from its first one.
 UNIFORM_BIN_RTOL = 1e-6
 
@@ -234,31 +241,25 @@ class PumpModel:
         )
 
 
-def _block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, stream, block]))
+def _with_cutoff(spec: SourceSpec, cutoff: int) -> SourceSpec:
+    components = tuple(_with_cutoff(c, cutoff) for c in spec.components or ()) or None
+    return replace(spec, cutoff=cutoff, components=components)
 
 
-def _draw_true_counts(spec: SourceSpec, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw per-gate true photon numbers from the (untruncated) source law."""
-    if spec.kind == "poisson":
-        return rng.poisson(spec.mean, size)
-    if spec.kind == "pdc_pairs":
-        if spec.pair_statistics == "poissonian":
-            pairs = rng.poisson(spec.mean, size)
-        else:
-            # Bose-Einstein pair number: geometric on {1, 2, ...} shifted to {0, 1, ...}
-            pairs = rng.geometric(1.0 / (1.0 + spec.mean), size) - 1
-        return 2 * pairs
-    if spec.kind == "fock":
-        return np.full(size, spec.n, dtype=np.int64)
-    # mixture: pick a component per gate, then draw each component's gates
-    idx = rng.choice(len(spec.weights), size=size, p=np.asarray(spec.weights))
-    out = np.zeros(size, dtype=np.int64)
-    for ci, comp in enumerate(spec.components):
-        mask = idx == ci
-        if mask.any():
-            out[mask] = _draw_true_counts(comp, int(mask.sum()), rng)
-    return out
+def _detected_count_law(source: SourceSpec, det: DetectorModel) -> np.ndarray:
+    """Probabilities of 0, 1, 2, ... detected counts in one gate: the detector
+    matrix applied to the source law on a window wide enough that the law is
+    effectively untruncated."""
+    for window in _WINDOWS:
+        try:
+            p = make_distribution(_with_cutoff(source, window))
+        except ValueError:  # a Fock number above the window, or mass lost beyond it
+            continue
+        m = detector_matrix(det.eta, det.dark_mean, window, dark_after_loss=det.dark_after_loss)
+        f = m.entries @ p.probs
+        if f[window // 2 :].sum() < _TAIL_MASS:
+            return f / f.sum()
+    raise ValueError(f"the detected-count law does not fit in {_WINDOWS[-1]} photons")
 
 
 def simulate_gate_counts(
@@ -267,57 +268,47 @@ def simulate_gate_counts(
     n_gates: int,
     seed: int,
 ) -> np.ndarray:
-    """Per-gate detected photon counts for ``n_gates`` gates.
+    """Detected-count frequencies over ``n_gates`` gates: entry k is the number
+    of gates with k detected counts, drawn as one multinomial.
 
-    Each photon survives independently with probability eta (exact binomial
-    thinning) and Poisson(dark_mean) dark counts are added per gate. With
-    ``dark_after_loss=False`` the dark counts are injected before thinning
-    instead.
+    Each photon survives independently with probability eta and Poisson(dark_mean)
+    dark counts are added per gate (before thinning if ``dark_after_loss=False``).
+    The source law is not truncated at ``source.cutoff``; the entries sum to
+    ``n_gates``.
     """
     if n_gates < 1:
         raise ValueError(f"n_gates must be >= 1, got {n_gates}")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    out = np.empty(n_gates, dtype=np.int64)
-    for block, start in enumerate(range(0, n_gates, GATE_BLOCK)):
-        size = min(GATE_BLOCK, n_gates - start)
-        rng = _block_rng(seed, _COUNT_STREAM, block)
-        true = _draw_true_counts(source, size, rng)
-        if det.dark_after_loss:
-            detected = rng.binomial(true, det.eta) + rng.poisson(det.dark_mean, size)
-        else:
-            detected = rng.binomial(true + rng.poisson(det.dark_mean, size), det.eta)
-        out[start : start + size] = detected
-    return out
+    rng = np.random.default_rng([seed, _COUNT_STREAM])
+    return rng.multinomial(n_gates, _detected_count_law(source, det))
 
 
 def synthesize_histogram(
-    counts: np.ndarray,
+    frequencies: np.ndarray,
     det: DetectorModel,
     bins: int,
     seed: int,
 ) -> AreaHistogram:
-    """One pulse-area sample per gate, binned over [offset - 5 sigma0, adc_max].
+    """Pulse areas binned over [offset - 5 sigma0, adc_max] for the gates whose
+    detected-count frequencies are given (entry k: gates with k counts).
 
-    Samples above adc_max are tallied as overflow; the rare sample below the
-    binning range is clipped into the first bin, so binned counts plus
-    overflow always equal the number of gates.
+    The gates with k counts split over the bins as one multinomial whose cell
+    probabilities are the Gaussian mass of each bin. Areas above adc_max are
+    tallied as overflow and the rare area below the range is clipped into the
+    first bin, so binned counts plus overflow always equal the number of gates.
     """
     if bins < 10:
         raise ValueError(f"need at least 10 bins, got {bins}")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    counts = np.asarray(counts)
-    low = det.offset - 5.0 * det.sigma0
-    edges = np.linspace(low, det.adc_max, bins + 1)
-    hist = np.zeros(bins, dtype=np.int64)
-    overflow = 0
-    for block, start in enumerate(range(0, counts.size, GATE_BLOCK)):
-        k = counts[start : start + GATE_BLOCK]
-        rng = _block_rng(seed, _AREA_STREAM, block)
-        areas = rng.normal(det.peak_center(k), det.peak_width(k))
-        over = areas > det.adc_max
-        overflow += int(over.sum())
-        kept = np.clip(areas[~over], low, det.adc_max)
-        hist += np.histogram(kept, bins=edges)[0]
-    return AreaHistogram(edges, hist, n_gates=int(counts.size), overflow=overflow)
+    frequencies = np.asarray(frequencies, dtype=np.int64)
+    edges = np.linspace(det.offset - 5.0 * det.sigma0, det.adc_max, bins + 1)
+    k = np.flatnonzero(frequencies)[:, None]
+    cdf = ndtr((edges - det.peak_center(k)) / det.peak_width(k))
+    cdf[:, 0] = 0.0  # areas below the range are clipped into the first bin
+    cells = np.diff(cdf, append=1.0)  # the last cell is the overflow above adc_max
+    rng = np.random.default_rng([seed, _AREA_STREAM])
+    draws = rng.multinomial(frequencies[k[:, 0]], cells).sum(axis=0)
+    return AreaHistogram(edges, draws[:-1], n_gates=int(frequencies.sum()),
+                         overflow=int(draws[-1]))

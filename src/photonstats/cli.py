@@ -234,8 +234,8 @@ def pump_sweep(
             mean=pump.mean_pairs(power),
             pair_statistics=pump.pair_statistics,
         )
-        gates = simulate_gate_counts(source, det, n_gates, seed=int(sub[0]))
-        hist = synthesize_histogram(gates, det, bins, seed=int(sub[1]))
+        frequencies = simulate_gate_counts(source, det, n_gates, seed=int(sub[0]))
+        hist = synthesize_histogram(frequencies, det, bins, seed=int(sub[1]))
         report = analyze_histogram(hist).gamma_report
         if report is None:
             raise ValueError(f"peak fit did not converge at {power!r} uW")
@@ -253,20 +253,19 @@ def sweep_csv(rows: list[tuple[float, GammaReport]]) -> str:
 
 def cmd_simulate(config: RunConfig) -> int:
     """Simulate gates, synthesize the pulse-area histogram, write CSV + JSON."""
-    gates = simulate_gate_counts(config.source, config.detector, config.n_gates, config.seed)
-    hist = synthesize_histogram(gates, config.detector, config.bins, config.seed)
+    frequencies = simulate_gate_counts(config.source, config.detector, config.n_gates, config.seed)
+    hist = synthesize_histogram(frequencies, config.detector, config.bins, config.seed)
 
     out = config.output_dir
     write_text_atomic(out / "histogram.csv", hist.to_csv())
     write_text_atomic(out / "histogram.json", dumps_canonical(hist.sidecar_dict(config.detector)))
 
-    observed = np.bincount(gates, minlength=config.cutoff + 1)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "n_gates": config.n_gates,
         "seed": config.seed,
         "detected_count_frequencies": {
-            str(k): int(n) for k, n in enumerate(observed) if n > 0
+            str(k): int(n) for k, n in enumerate(frequencies) if n > 0
         },
         "source": config.source.to_json_dict(),
         "detector": config.detector.to_json_dict(),

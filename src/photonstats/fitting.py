@@ -91,9 +91,11 @@ def detect_peaks(h) -> list[tuple[float, float, float]]:
     """Initial (center, width, height) guesses, ordered by center.
 
     Local-maxima scan on a 3-bin moving average, filtered by prominence so
-    counting noise on the flanks of tall peaks is rejected. Any histogram
-    with a nonzero bin yields at least one guess (falling back to the global
-    maximum).
+    counting noise on the flanks of tall peaks is rejected. Maxima closer
+    than twice the width of the tallest peak are one peak split by noise, and
+    only the taller is kept; resolvable peaks (gain above four widths) are
+    always farther apart. Any histogram with a nonzero bin yields at least
+    one guess (falling back to the global maximum).
     """
     counts = h.counts
     if counts.size == 0 or counts.sum() == 0:
@@ -102,7 +104,9 @@ def detect_peaks(h) -> list[tuple[float, float, float]]:
     centers = h.bin_centers
     bw = h.bin_width
 
-    idxs, props = find_peaks(smoothed, distance=2, prominence=0.0)
+    tallest_width = _half_max_width(smoothed, int(np.argmax(smoothed)), bw)
+    idxs, props = find_peaks(smoothed, distance=max(2.0, 2.0 * tallest_width / bw),
+                             prominence=0.0)
     keep = []
     for idx, prom in zip(idxs, props["prominences"]):
         if prom >= max(PROMINENCE_FLOOR, PROMINENCE_PER_SQRT * math.sqrt(smoothed[idx])):
@@ -116,11 +120,20 @@ def detect_peaks(h) -> list[tuple[float, float, float]]:
 
 
 def _sum_of_gaussians(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    y = np.zeros_like(x)
-    for k in range(params.size // 3):
-        height, center, width = params[3 * k : 3 * k + 3]
-        y = y + height * np.exp(-0.5 * ((x - center) / width) ** 2)
-    return y
+    height, center, width = params.reshape(-1, 3).T
+    return np.exp(-0.5 * ((x[:, None] - center) / width) ** 2) @ height
+
+
+def _gaussians_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """Derivatives of _sum_of_gaussians with respect to each (height, center, width)."""
+    height, center, width = params.reshape(-1, 3).T
+    z = (x[:, None] - center) / width
+    g = np.exp(-0.5 * z**2)
+    jac = np.empty((x.size, params.size))
+    jac[:, 0::3] = g
+    jac[:, 1::3] = height * g * z / width
+    jac[:, 2::3] = height * g * z**2 / width
+    return jac
 
 
 def _area_uncertainties(result, params: np.ndarray, bin_width: float) -> np.ndarray:
@@ -146,7 +159,8 @@ def fit_peaks(h, guesses) -> PeakFitResult:
     """Weighted nonlinear least squares of a sum of Gaussians to the histogram.
 
     All peaks are fitted jointly, so overlapping tails are shared between
-    neighbours.
+    neighbours. The solver gets the model's analytic Jacobian, which also
+    gives the area standard errors.
 
     Args:
         h: AreaHistogram to fit.
@@ -170,6 +184,7 @@ def fit_peaks(h, guesses) -> PeakFitResult:
     result = least_squares(
         lambda params: (_sum_of_gaussians(x, params) - y) / sigma,
         np.clip(p0, lo, hi),
+        jac=lambda params: _gaussians_jacobian(x, params) / sigma[:, None],
         bounds=(lo, hi),
         xtol=XTOL,
         ftol=1e-12,

@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
+from conftest import per_gate_counts, per_gate_histogram
 from photonstats.acquisition import (
-    GATE_BLOCK,
     AreaHistogram,
     DetectorModel,
     PumpModel,
@@ -15,7 +17,7 @@ from photonstats.acquisition import (
 )
 from photonstats.channel import apply_channel, detector_matrix
 from photonstats.cli import pump_sweep
-from photonstats.distributions import SourceSpec, make_distribution
+from photonstats.distributions import SourceSpec, TruncationLossError, make_distribution
 from photonstats.nonclassical import classical_gamma_bound, gamma_under_loss
 
 DET = DetectorModel(eta=0.67, dark_mean=4e-4)
@@ -49,27 +51,62 @@ class TestDetectorModel:
         assert DetectorModel.from_json_dict(DET.to_json_dict()) == DET
 
 
+def _chi2_homogeneity(a, b, min_cell=10):
+    """Two-sample chi-square of equal-size count vectors a and b; cells whose
+    combined count is below ``min_cell`` are pooled into one. Returns the
+    statistic and its degrees of freedom."""
+    n = max(a.size, b.size)
+    a, b = np.pad(a, (0, n - a.size)), np.pad(b, (0, n - b.size))
+    small = a + b < min_cell
+    a = np.append(a[~small], a[small].sum())
+    b = np.append(b[~small], b[small].sum())
+    keep = a + b > 0
+    a, b = a[keep], b[keep]
+    return float(np.sum((a - b) ** 2 / (a + b))), a.size - 1
+
+
+# Chosen before the tests were first run: a sampler passes a chi-square check
+# when its p-value is above this.
+CHI2_MIN_P = 1e-4
+
+ORACLE_SOURCES = {
+    "poisson": SourceSpec(kind="poisson", cutoff=10, mean=1.3),
+    "pairs": SourceSpec(kind="pdc_pairs", cutoff=10, mean=0.4),
+    "thermal_pairs": SourceSpec(kind="pdc_pairs", cutoff=10, mean=0.4, pair_statistics="thermal"),
+    "fock": SourceSpec(kind="fock", cutoff=5, n=3),
+    "mixture": SourceSpec(
+        kind="mixture",
+        cutoff=10,
+        weights=(0.3, 0.7),
+        components=(
+            SourceSpec(kind="fock", cutoff=10, n=4),
+            SourceSpec(kind="poisson", cutoff=10, mean=0.8),
+        ),
+    ),
+}
+
+
 class TestSimulateGateCounts:
     def test_dead_detector_sees_nothing(self):
         src = SourceSpec(kind="poisson", cutoff=10, mean=1.0)
         det = DetectorModel(eta=0.0, dark_mean=0.0)
-        counts = simulate_gate_counts(src, det, 10_000, seed=1)
-        assert np.all(counts == 0)
+        freq = simulate_gate_counts(src, det, 10_000, seed=1)
+        assert freq[0] == 10_000 and np.all(freq[1:] == 0)
 
     def test_fock1_thinning_fraction(self):
         src = SourceSpec(kind="fock", cutoff=5, n=1)
         det = DetectorModel(eta=0.5, dark_mean=0.0)
-        counts = simulate_gate_counts(src, det, 1_000_000, seed=2)
-        frac = np.mean(counts == 1)
-        sigma = math.sqrt(0.25 / counts.size)
+        n = 1_000_000
+        freq = simulate_gate_counts(src, det, n, seed=2)
+        frac = freq[1] / n
+        sigma = math.sqrt(0.25 / n)
         assert abs(frac - 0.5) < 3 * sigma
 
     def test_empirical_matches_analytic_channel(self):
         # the analytic forward channel is the oracle for the sampler
         src = SourceSpec(kind="pdc_pairs", cutoff=20, mean=0.1)
         n = 2_000_000
-        counts = simulate_gate_counts(src, DET, n, seed=3)
-        emp = np.bincount(counts, minlength=21)[:21] / n
+        emp = simulate_gate_counts(src, DET, n, seed=3)[:21] / n
         f = apply_channel(detector_matrix(DET.eta, DET.dark_mean, 20),
                           make_distribution(src))
         tv = 0.5 * np.abs(emp - f.probs).sum()
@@ -79,8 +116,7 @@ class TestSimulateGateCounts:
     def test_pair_statistics_both_supported(self, stats):
         src = SourceSpec(kind="pdc_pairs", cutoff=30, mean=0.3, pair_statistics=stats)
         n = 500_000
-        counts = simulate_gate_counts(src, DET, n, seed=4)
-        emp = np.bincount(counts, minlength=31)[:31] / n
+        emp = simulate_gate_counts(src, DET, n, seed=4)[:31] / n
         f = apply_channel(detector_matrix(DET.eta, DET.dark_mean, 30),
                           make_distribution(src))
         assert 0.5 * np.abs(emp - f.probs).sum() < 3.0 / math.sqrt(n)
@@ -96,8 +132,8 @@ class TestSimulateGateCounts:
             ),
         )
         det = DetectorModel(eta=1.0, dark_mean=0.0)
-        counts = simulate_gate_counts(spec, det, 200_000, seed=5)
-        assert np.mean(counts == 2) == pytest.approx(0.3, abs=0.01)
+        freq = simulate_gate_counts(spec, det, 200_000, seed=5)
+        assert freq[2] / 200_000 == pytest.approx(0.3, abs=0.01)
 
     def test_seed_reproducible(self):
         src = SourceSpec(kind="poisson", cutoff=10, mean=0.5)
@@ -105,25 +141,72 @@ class TestSimulateGateCounts:
         b = simulate_gate_counts(src, DET, 150_000, seed=7)
         np.testing.assert_array_equal(a, b)
 
-    def test_prefix_stable_across_run_lengths(self):
-        # block-seeded streams: a shorter run is a prefix of a longer one,
-        # so results cannot depend on how blocks are sharded
-        src = SourceSpec(kind="poisson", cutoff=10, mean=0.5)
-        short = simulate_gate_counts(src, DET, GATE_BLOCK, seed=7)
-        long = simulate_gate_counts(src, DET, 2 * GATE_BLOCK + 123, seed=7)
-        np.testing.assert_array_equal(long[:GATE_BLOCK], short)
+    def test_frequencies_follow_count_law_over_many_seeds(self):
+        # Pooled goodness of fit: the chi-square of each seed's frequencies
+        # against the analytic law f, summed over 200 seeds. The bound is
+        # two-sided, so a sampler that returned n * f itself would fail too.
+        src = SourceSpec(kind="pdc_pairs", cutoff=30, mean=0.3)
+        f = apply_channel(detector_matrix(DET.eta, DET.dark_mean, 30),
+                          make_distribution(src)).probs
+        n, cells = 10_000, 5  # counts 0..3, and 4 or more pooled
+        expected = n * np.append(f[: cells - 1], 1.0 - f[: cells - 1].sum())
+        total = 0.0
+        for seed in range(200):
+            freq = simulate_gate_counts(src, DET, n, seed=seed)
+            observed = np.append(freq[: cells - 1], n - freq[: cells - 1].sum())
+            total += float(np.sum((observed - expected) ** 2 / expected))
+        dof = 200 * (cells - 1)
+        assert CHI2_MIN_P < chi2.sf(total, dof) < 1.0 - CHI2_MIN_P
+
+    @pytest.mark.parametrize("dark_after_loss", [True, False])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SOURCES))
+    def test_matches_per_gate_reference(self, name, dark_after_loss):
+        # dark counts strong enough that their order against the loss shows
+        det = DetectorModel(eta=0.6, dark_mean=0.05, dark_after_loss=dark_after_loss)
+        src, n = ORACLE_SOURCES[name], 200_000
+        freq = simulate_gate_counts(src, det, n, seed=9)
+        reference = np.bincount(per_gate_counts(src, det, n, np.random.default_rng(9)))
+        stat, dof = _chi2_homogeneity(freq, reference)
+        assert chi2.sf(stat, dof) > CHI2_MIN_P
+
+    def test_law_not_truncated_at_source_cutoff(self):
+        # 16 uW at the default calibration: the source law does not fit in its
+        # own cutoff of 10, which only the reconstruction uses
+        src = SourceSpec(kind="pdc_pairs", cutoff=10, mean=3.6)
+        with pytest.raises(TruncationLossError):
+            make_distribution(src)
+        n = 500_000
+        freq = simulate_gate_counts(src, DET, n, seed=10)
+        wide = replace(src, cutoff=80)
+        f = apply_channel(detector_matrix(DET.eta, DET.dark_mean, 80),
+                          make_distribution(wide)).probs
+        assert freq.sum() == n
+        assert 0.5 * np.abs(freq[:81] / n - f).sum() < 3.0 / math.sqrt(n)
+
+    def test_law_wider_than_largest_window_rejected(self):
+        src = SourceSpec(kind="fock", cutoff=2000, n=2000)
+        with pytest.raises(ValueError, match="does not fit"):
+            simulate_gate_counts(src, DET, 1000, seed=0)
+
+    def test_cost_does_not_grow_with_gates(self):
+        src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2253)
+        freq = simulate_gate_counts(src, DET, 10**12, seed=11)
+        h = synthesize_histogram(freq, DET, 500, seed=11)
+        assert freq.sum() == 10**12
+        assert int(h.counts.sum()) + h.overflow == 10**12
 
     def test_dark_counts_rate(self):
         src = SourceSpec(kind="fock", cutoff=5, n=0)
         det = DetectorModel(eta=0.67, dark_mean=0.01)
-        counts = simulate_gate_counts(src, det, 1_000_000, seed=8)
-        assert counts.mean() == pytest.approx(0.01, abs=4 * math.sqrt(0.01 / 1e6))
+        n = 1_000_000
+        freq = simulate_gate_counts(src, det, n, seed=8)
+        mean = float(np.arange(freq.size) @ freq) / n
+        assert mean == pytest.approx(0.01, abs=4 * math.sqrt(0.01 / 1e6))
 
 
 class TestSynthesizeHistogram:
     def test_all_zero_counts_single_pedestal(self):
-        counts = np.zeros(50_000, dtype=np.int64)
-        h = synthesize_histogram(counts, DET, 200, seed=1)
+        h = synthesize_histogram(np.array([50_000]), DET, 200, seed=1)
         centers = h.bin_centers
         peak_bin = centers[np.argmax(h.counts)]
         assert abs(peak_bin - DET.offset) < 3 * DET.sigma0
@@ -131,15 +214,13 @@ class TestSynthesizeHistogram:
         assert h.counts[centers > DET.offset + 5 * DET.sigma0].sum() == 0
 
     def test_counts_plus_overflow_conserved(self):
-        rng = np.random.default_rng(2)
-        counts = rng.integers(0, 14, size=100_000)
-        h = synthesize_histogram(counts, DET, 300, seed=2)
-        assert int(h.counts.sum()) + h.overflow == counts.size
+        frequencies = np.full(14, 7_000)
+        h = synthesize_histogram(frequencies, DET, 300, seed=2)
+        assert int(h.counts.sum()) + h.overflow == frequencies.sum()
         assert h.overflow > 0  # k = 12, 13 sit at and beyond adc_max
 
     def test_two_equal_peaks(self):
-        counts = np.array([0, 1] * 30_000, dtype=np.int64)
-        h = synthesize_histogram(counts, DET, 400, seed=3)
+        h = synthesize_histogram(np.array([30_000, 30_000]), DET, 400, seed=3)
         centers = h.bin_centers
         zero_region = np.abs(centers - DET.offset) < 4
         one_region = np.abs(centers - DET.offset - DET.gain) < 4
@@ -153,11 +234,22 @@ class TestSynthesizeHistogram:
             synthesize_histogram(np.zeros(10, dtype=int), DET, 5, seed=0)
 
     def test_seed_reproducible(self):
-        counts = np.arange(5000) % 4
-        a = synthesize_histogram(counts, DET, 100, seed=9)
-        b = synthesize_histogram(counts, DET, 100, seed=9)
+        frequencies = np.full(4, 1250)
+        a = synthesize_histogram(frequencies, DET, 100, seed=9)
+        b = synthesize_histogram(frequencies, DET, 100, seed=9)
         np.testing.assert_array_equal(a.counts, b.counts)
         assert a.overflow == b.overflow
+
+    def test_matches_per_gate_reference(self):
+        # every count up to beyond adc_max, with the overflow as one more cell
+        frequencies = np.array([40_000, 30_000, 20_000, 10_000, 5_000, 3_000, 2_000,
+                                1_000, 800, 600, 400, 300, 200, 100])
+        h = synthesize_histogram(frequencies, DET, 250, seed=12)
+        counts = np.repeat(np.arange(frequencies.size), frequencies)
+        ref, ref_over = per_gate_histogram(counts, DET, h.bin_edges, np.random.default_rng(12))
+        stat, dof = _chi2_homogeneity(np.append(h.counts, h.overflow), np.append(ref, ref_over))
+        assert h.overflow > 0 and ref_over > 0
+        assert chi2.sf(stat, dof) > CHI2_MIN_P
 
 
 class TestAreaHistogramType:
@@ -170,8 +262,7 @@ class TestAreaHistogramType:
             AreaHistogram(np.array([0.0, 1.0, 2.0]), np.array([3, 3]), n_gates=5)
 
     def test_csv_roundtrip_with_sidecar(self):
-        counts = np.arange(100) % 7
-        h = synthesize_histogram(counts, DET, 50, seed=4)
+        h = synthesize_histogram(np.full(7, 15), DET, 50, seed=4)
         restored = AreaHistogram.from_csv(h.to_csv(), h.sidecar_dict())
         np.testing.assert_array_equal(restored.counts, h.counts)
         np.testing.assert_array_equal(restored.bin_edges, h.bin_edges)
@@ -179,8 +270,7 @@ class TestAreaHistogramType:
         assert restored.overflow == h.overflow
 
     def test_csv_without_sidecar_uses_uniform_bins(self):
-        counts = np.arange(200) % 3
-        h = synthesize_histogram(counts, DET, 64, seed=5)
+        h = synthesize_histogram(np.full(3, 67), DET, 64, seed=5)
         restored = AreaHistogram.from_csv(h.to_csv())
         np.testing.assert_array_equal(restored.counts, h.counts)
         np.testing.assert_allclose(restored.bin_centers, h.bin_centers, rtol=1e-12)
@@ -196,8 +286,7 @@ class TestAreaHistogramType:
         np.testing.assert_array_equal(h.bin_edges, edges)
 
     def test_sidecar_echoes_detector(self):
-        counts = np.zeros(30, dtype=int)
-        h = synthesize_histogram(counts, DET, 40, seed=6)
+        h = synthesize_histogram(np.array([30]), DET, 40, seed=6)
         side = h.sidecar_dict(DET)
         assert side["detector"]["eta"] == DET.eta
         json.dumps(side)  # must be serializable

@@ -12,6 +12,8 @@ from photonstats.acquisition import (
 from photonstats.distributions import SourceSpec
 from photonstats.fitting import (
     PeakOverlapWarning,
+    _gaussians_jacobian,
+    _sum_of_gaussians,
     areas_to_probabilities,
     detect_peaks,
     fit_peaks,
@@ -32,6 +34,21 @@ def gaussian_comb(edges, peaks):
         y += height * np.exp(-0.5 * ((centers - center) / width) ** 2)
     counts = np.rint(y).astype(np.int64)
     return AreaHistogram(edges, counts, n_gates=int(counts.sum()) + 1)
+
+
+def split_peak_histogram():
+    """Five peaks on the comb offset 0, gain 10, whose n=3 peak has a notch
+    at its top: after smoothing it has two maxima, at 29.62 and 30.38."""
+    edges = np.linspace(-5.0, 55.0, 241)
+    x = 0.5 * (edges[:-1] + edges[1:])
+    y = np.zeros_like(x)
+    for k, height in enumerate([20000.0, 6000.0, 2000.0, 500.0, 80.0]):
+        peak = height * np.exp(-0.5 * ((x - 10.0 * k) / math.sqrt(1.0 + 0.09 * k)) ** 2)
+        if k == 3:
+            peak *= 1.0 - 0.3 * np.exp(-0.5 * ((x - 30.0) / 0.5) ** 2)
+        y += peak
+    counts = np.rint(y).astype(np.int64)
+    return AreaHistogram(edges, counts, n_gates=int(counts.sum()))
 
 
 class TestDetectPeaks:
@@ -60,12 +77,20 @@ class TestDetectPeaks:
         # simulated coherent-light histogram shows one peak per photon number
         src = SourceSpec(kind="poisson", cutoff=20, mean=2.0)
         det = DetectorModel(eta=1.0, dark_mean=0.0)
-        gates = simulate_gate_counts(src, det, 300_000, seed=21)
-        h = synthesize_histogram(gates, det, 500, seed=21)
+        frequencies = simulate_gate_counts(src, det, 300_000, seed=21)
+        h = synthesize_histogram(frequencies, det, 500, seed=21)
         guesses = detect_peaks(h)
         assert len(guesses) >= 6
         spacings = np.diff([g[0] for g in guesses[:7]])
         np.testing.assert_allclose(spacings, det.gain, atol=1.0)
+
+    def test_split_maxima_merge_into_one_peak(self):
+        h = split_peak_histogram()
+        guesses = detect_peaks(h)
+        assert [round(c / 10.0) for c, _, _ in guesses] == [0, 1, 2, 3, 4]
+        fit = fit_peaks(h, guesses)
+        assert fit.converged
+        assert [p.photon_number for p in fit.peaks] == [round(p.center / 10.0) for p in fit.peaks]
 
     def test_single_nonzero_bin_yields_guess(self):
         counts = np.zeros(40, dtype=int)
@@ -77,6 +102,24 @@ class TestDetectPeaks:
 
 
 class TestFitPeaks:
+    def test_analytic_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(31)
+        x = np.linspace(-5.0, 60.0, 260)
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            params = np.column_stack([rng.uniform(10.0, 1e4, n), rng.uniform(0.0, 55.0, n),
+                                      rng.uniform(0.5, 3.0, n)]).ravel()
+            jac = _gaussians_jacobian(x, params)
+            numeric = np.empty_like(jac)
+            for j in range(params.size):
+                step = 1e-6 * max(abs(params[j]), 1.0)
+                up, down = params.copy(), params.copy()
+                up[j] += step
+                down[j] -= step
+                numeric[:, j] = (_sum_of_gaussians(x, up) - _sum_of_gaussians(x, down)) / (2 * step)
+            # relative to each column's scale, since most entries are ~0
+            assert np.all(np.abs(jac - numeric) <= 1e-6 * np.abs(jac).max(axis=0))
+
     def test_exact_single_gaussian_recovered(self):
         edges = np.linspace(-5, 25, 121)
         h = gaussian_comb(edges, [(5e6, 10.0, 1.5)])
@@ -94,8 +137,8 @@ class TestFitPeaks:
         src = SourceSpec(kind="poisson", cutoff=20, mean=mean)
         det = DetectorModel(eta=1.0, dark_mean=0.0)
         n = 400_000
-        gates = simulate_gate_counts(src, det, n, seed=22)
-        h = synthesize_histogram(gates, det, 500, seed=22)
+        frequencies = simulate_gate_counts(src, det, n, seed=22)
+        h = synthesize_histogram(frequencies, det, 500, seed=22)
         fit = fit_peaks(h, detect_peaks(h))
         assert fit.converged
         dist, _ = areas_to_probabilities(fit)
@@ -106,11 +149,11 @@ class TestFitPeaks:
 
     def test_pdc_histogram_matches_channel_probabilities(self):
         src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.21)
-        gates = simulate_gate_counts(src, DET, 500_000, seed=23)
-        h = synthesize_histogram(gates, DET, 500, seed=23)
+        frequencies = simulate_gate_counts(src, DET, 500_000, seed=23)
+        h = synthesize_histogram(frequencies, DET, 500, seed=23)
         fit = fit_peaks(h, detect_peaks(h))
         dist, _ = areas_to_probabilities(fit)
-        emp = np.bincount(gates, minlength=dist.probs.size) / gates.size
+        emp = frequencies / frequencies.sum()
         assert np.abs(dist.probs[: emp.size] - emp[: dist.probs.size]).max() < 0.02
 
     def test_area_std_error_floored_at_sqrt_area(self):
@@ -131,8 +174,8 @@ class TestFitPeaks:
         # shifting and scaling the area axis must not change areas/probabilities
         src = SourceSpec(kind="poisson", cutoff=16, mean=1.2)
         det = DetectorModel(eta=1.0, dark_mean=0.0)
-        gates = simulate_gate_counts(src, det, 200_000, seed=25)
-        h = synthesize_histogram(gates, det, 400, seed=25)
+        frequencies = simulate_gate_counts(src, det, 200_000, seed=25)
+        h = synthesize_histogram(frequencies, det, 400, seed=25)
         scale, shift = 3.7, -11.0
         h2 = AreaHistogram(scale * h.bin_edges + shift, h.counts,
                            n_gates=h.n_gates, overflow=h.overflow)
@@ -155,8 +198,7 @@ class TestFitPeaks:
 
 class TestAreasToProbabilities:
     def test_single_pedestal_gives_p0_one(self):
-        counts = np.zeros(60_000, dtype=np.int64)
-        h = synthesize_histogram(counts, DET, 200, seed=26)
+        h = synthesize_histogram(np.array([60_000]), DET, 200, seed=26)
         fit = fit_peaks(h, detect_peaks(h))
         dist, event_counts = areas_to_probabilities(fit)
         assert dist.probs[0] == pytest.approx(1.0, abs=1e-9)
