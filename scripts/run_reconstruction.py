@@ -31,8 +31,7 @@ def reconstruct_power(power_uw, kappa, det, n_gates, seed, out_dir):
     tag = f"{power_uw:g}uW"
     write_text_atomic(out_dir / f"measured_{tag}.csv", measured.to_csv())
     write_text_atomic(out_dir / f"reconstructed_{tag}.csv", rec.to_csv())
-    write_text_atomic(out_dir / f"negativity_{tag}.json",
-                      dumps_canonical(diag.to_json_dict()))
+    write_text_atomic(out_dir / f"negativity_{tag}.json", dumps_canonical(diag))
 
     even = rec.probs[2:RECON_CUTOFF + 1:2]
     odd = rec.probs[1:RECON_CUTOFF + 1:2]

@@ -14,8 +14,6 @@ from .distributions import (
     SourceSpec,
     TruncationLossError,
     make_distribution,
-    mean_photon_number,
-    parity_expectation,
 )
 from .channel import (
     ConditionNumberWarning,
@@ -23,7 +21,6 @@ from .channel import (
     TransferMatrix,
     apply_channel,
     binomial_loss_matrix,
-    channel_leakage,
     compose,
     dark_convolution_matrix,
     detector_matrix,
@@ -39,7 +36,6 @@ from .nonclassical import (
     gamma_significance,
     gamma_under_loss,
     parity_test,
-    poisson_mixture_oracle,
 )
 from .acquisition import (
     AreaHistogram,
@@ -78,7 +74,6 @@ __all__ = [
     "apply_channel",
     "areas_to_probabilities",
     "binomial_loss_matrix",
-    "channel_leakage",
     "classical_gamma_bound",
     "compose",
     "dark_convolution_matrix",
@@ -92,10 +87,7 @@ __all__ = [
     "gamma_under_loss",
     "invert_channel",
     "make_distribution",
-    "mean_photon_number",
-    "parity_expectation",
     "parity_test",
-    "poisson_mixture_oracle",
     "simulate_gate_counts",
     "synthesize_histogram",
     "truncation_diagnostics",

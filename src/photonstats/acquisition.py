@@ -86,13 +86,6 @@ class DetectorModel:
                 f"{widest:.3f} at photon number {cutoff}"
             )
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DetectorModel":
-        return cls(**d)
-
 
 @dataclass(frozen=True, eq=False)
 class AreaHistogram:
@@ -144,7 +137,7 @@ class AreaHistogram:
             "overflow": self.overflow,
         }
         if detector is not None:
-            d["detector"] = detector.to_json_dict()
+            d["detector"] = asdict(detector)
         return d
 
     @classmethod
@@ -228,17 +221,6 @@ class PumpModel:
 
     def mean_pairs(self, power_uw: float) -> float:
         return self.pairs_per_uW * power_uw
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PumpModel":
-        return cls(
-            powers=tuple(d["powers"]),
-            pairs_per_uW=d.get("pairs_per_uW"),
-            pair_statistics=d.get("pair_statistics", "poissonian"),
-        )
 
 
 def _with_cutoff(spec: SourceSpec, cutoff: int) -> SourceSpec:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
-from io import StringIO
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,17 +60,17 @@ class TransferMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    def to_csv(self) -> str:
-        out = StringIO()
-        for row in self.entries:
-            out.write(",".join(repr(float(v)) for v in row))
-            out.write("\n")
-        return out.getvalue()
-
 
 def _check_cutoff(cutoff: int) -> None:
     if cutoff < MIN_CUTOFF:
         raise ValueError(f"cutoff must be >= {MIN_CUTOFF}, got {cutoff}")
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k = 0..n-1, as cumulative sums of logs."""
+    logfact = np.zeros(n)
+    logfact[1:] = np.cumsum(np.log(np.arange(1, n, dtype=np.float64)))
+    return logfact
 
 
 def binomial_loss_matrix(eta: float, cutoff: int = DEFAULT_CUTOFF) -> TransferMatrix:
@@ -92,8 +91,7 @@ def binomial_loss_matrix(eta: float, cutoff: int = DEFAULT_CUTOFF) -> TransferMa
         m = np.zeros((n, n))
         m[0, :] = 1.0
     else:
-        logfact = np.zeros(n)
-        logfact[1:] = np.cumsum(np.log(np.arange(1, n, dtype=np.float64)))
+        logfact = _log_factorials(n)
         i = np.arange(n)[:, None]
         j = np.arange(n)[None, :]
         diff = np.clip(j - i, 0, None)
@@ -122,8 +120,7 @@ def dark_convolution_matrix(dark_mean: float, cutoff: int = DEFAULT_CUTOFF) -> T
     if dark_mean == 0.0:
         m = np.eye(n)
     else:
-        logfact = np.zeros(n)
-        logfact[1:] = np.cumsum(np.log(np.arange(1, n, dtype=np.float64)))
+        logfact = _log_factorials(n)
         i = np.arange(n)[:, None]
         j = np.arange(n)[None, :]
         diff = np.clip(i - j, 0, None)
@@ -164,13 +161,6 @@ def detector_matrix(
     loss = binomial_loss_matrix(eta, cutoff)
     dark = dark_convolution_matrix(dark_mean, cutoff)
     return compose(dark, loss) if dark_after_loss else compose(loss, dark)
-
-
-def channel_leakage(m: TransferMatrix, p: PhotonDistribution) -> float:
-    """Probability mass pushed above the cutoff when m is applied to p."""
-    if m.cutoff != p.cutoff:
-        raise ValueError(f"cutoff mismatch: matrix {m.cutoff} vs distribution {p.cutoff}")
-    return float((1.0 - m.entries.sum(axis=0)) @ p.probs)
 
 
 def apply_channel(m: TransferMatrix, p: PhotonDistribution) -> PhotonDistribution:
@@ -235,9 +225,6 @@ class NegativityReport:
     index: int
     negative_mass: float
     sum_deviation: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def truncation_diagnostics(p: PhotonDistribution) -> NegativityReport:

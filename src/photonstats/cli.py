@@ -10,7 +10,8 @@ commands, the experiment scripts and the tests share: ``analyze_histogram``
 (measured P_n -> detector-matrix inversion) and ``pump_sweep``.
 
 Exit codes: 0 success, 2 config error, 3 fit failure, 4 numerical warning
-escalated by --strict.
+escalated by --strict, 5 I/O failure (an input file that cannot be read or an
+output that cannot be written).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_FIT = 3
 EXIT_NUMERIC = 4
+EXIT_IO = 5
 
 _SWEEP_STREAM = 2
 
@@ -97,37 +99,32 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
+        """The one config loader: each section is passed whole to its
+        dataclass, so a missing or unknown key is a ConfigError."""
         try:
             pump = d.get("pump")
             return cls(
-                source=SourceSpec.from_json_dict(d["source"]),
-                detector=DetectorModel.from_json_dict(d["detector"]),
-                pump=PumpModel.from_json_dict(pump) if pump else None,
+                source=_source_spec(d["source"]),
+                detector=DetectorModel(**d["detector"]),
+                pump=PumpModel(**pump) if pump else None,
                 n_gates=int(d["n_gates"]),
                 cutoff=int(d["cutoff"]),
                 seed=int(d["seed"]),
                 output_dir=Path(d.get("output_dir", ".")),
                 bins=int(d.get("bins", 500)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"invalid run config: {exc}") from exc
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "schema_version": SCHEMA_VERSION,
-            "source": self.source.to_json_dict(),
-            "detector": self.detector.to_json_dict(),
-            "n_gates": self.n_gates,
-            "cutoff": self.cutoff,
-            "seed": self.seed,
-            "output_dir": str(self.output_dir),
-            "bins": self.bins,
-        }
-        if self.pump is not None:
-            d["pump"] = self.pump.to_json_dict()
-        return d
+
+def _source_spec(section: dict) -> SourceSpec:
+    """SourceSpec(**section), with a mixture's components built the same way."""
+    components = section.get("components")
+    if components is not None:
+        section = dict(section, components=tuple(_source_spec(c) for c in components))
+    return SourceSpec(**section)
 
 
 def load_config(path: str | Path, seed: int | None = None, out: str | None = None) -> RunConfig:
@@ -267,8 +264,8 @@ def cmd_simulate(config: RunConfig) -> int:
         "detected_count_frequencies": {
             str(k): int(n) for k, n in enumerate(frequencies) if n > 0
         },
-        "source": config.source.to_json_dict(),
-        "detector": config.detector.to_json_dict(),
+        "source": config.source,
+        "detector": config.detector,
     }
     write_text_atomic(out / "gate_counts.json", dumps_canonical(summary))
     return EXIT_OK
@@ -286,7 +283,7 @@ def cmd_analyze(histogram_csv: Path, out_dir: Path, strict: bool = False) -> int
         "histogram": str(histogram_csv),
         "n_gates": hist.n_gates,
         "overflow": hist.overflow,
-        "fit": result.fit.to_json_dict(),
+        "fit": result.fit,
         "warnings": [str(w.message) for w in caught],
     }
     if result.distribution is None:
@@ -298,8 +295,8 @@ def cmd_analyze(histogram_csv: Path, out_dir: Path, strict: bool = False) -> int
         {
             "probabilities": [float(v) for v in result.distribution.probs],
             "event_counts": [int(c) for c in result.event_counts],
-            "gamma_report": result.gamma_report.to_json_dict(),
-            "parity_report": result.parity_report.to_json_dict(),
+            "gamma_report": result.gamma_report,
+            "parity_report": result.parity_report,
             "eta_estimate": result.eta_estimate,
         }
     )
@@ -325,7 +322,7 @@ def cmd_reconstruct(analysis_json: Path, config: RunConfig, strict: bool = False
         "eta": det.eta,
         "dark_mean": det.dark_mean,
         "cutoff": config.cutoff,
-        "negativity": diag.to_json_dict(),
+        "negativity": diag,
         "warnings": [str(w.message) for w in caught],
     }
     write_text_atomic(out / "negativity.json", dumps_canonical(report))
@@ -402,7 +399,9 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         return _emit_error(exc, EXIT_CONFIG)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except OSError as exc:
+        return _emit_error(exc, EXIT_IO)
+    except (ValueError, ZeroDivisionError) as exc:
         return _emit_error(exc, EXIT_CONFIG)
 
 

@@ -8,11 +8,9 @@ numbers (two photons per pair).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from io import StringIO
-from pathlib import Path
 
 import numpy as np
 from scipy import stats
@@ -76,34 +74,12 @@ class PhotonDistribution:
     def cutoff(self) -> int:
         return self.probs.size - 1
 
-    @property
-    def physical(self) -> bool:
-        return not self.signed
-
     def to_csv(self) -> str:
         out = StringIO()
         out.write("n,probability\n")
         for n, p in enumerate(self.probs):
             out.write(f"{n},{float(p)!r}\n")
         return out.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, *, normalized: bool | None = None,
-                 signed: bool | None = None) -> "PhotonDistribution":
-        rows = [line for line in text.splitlines() if line.strip()]
-        if not rows or rows[0].strip() != "n,probability":
-            raise ValueError("expected CSV header 'n,probability'")
-        probs = np.empty(len(rows) - 1)
-        for k, line in enumerate(rows[1:]):
-            n_str, p_str = line.split(",")
-            if int(n_str) != k:
-                raise ValueError(f"photon numbers must be contiguous from 0, got {n_str} at row {k}")
-            probs[k] = float(p_str)
-        if signed is None:
-            signed = bool(np.any(probs < 0))
-        if normalized is None:
-            normalized = abs(probs.sum() - 1.0) <= SUM_TOL
-        return cls(probs, normalized=normalized, signed=signed)
 
 
 @dataclass(frozen=True)
@@ -159,42 +135,6 @@ class SourceSpec:
                 if c.cutoff != self.cutoff:
                     raise ValueError("mixture components must share the mixture cutoff")
 
-    def to_json_dict(self) -> dict:
-        d = {"kind": self.kind, "cutoff": self.cutoff}
-        if self.kind == "poisson":
-            d["mean"] = self.mean
-        elif self.kind == "pdc_pairs":
-            d["mean"] = self.mean
-            d["pair_statistics"] = self.pair_statistics
-        elif self.kind == "fock":
-            d["n"] = self.n
-        elif self.kind == "mixture":
-            d["weights"] = list(self.weights)
-            d["components"] = [c.to_json_dict() for c in self.components]
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SourceSpec":
-        kind = d.get("kind")
-        kwargs = {"kind": kind, "cutoff": d.get("cutoff")}
-        if kind in ("poisson", "pdc_pairs"):
-            kwargs["mean"] = d.get("mean")
-        if kind == "pdc_pairs" and "pair_statistics" in d:
-            kwargs["pair_statistics"] = d["pair_statistics"]
-        if kind == "fock":
-            kwargs["n"] = d.get("n")
-        if kind == "mixture":
-            kwargs["weights"] = tuple(d.get("weights", ()))
-            kwargs["components"] = tuple(cls.from_json_dict(c) for c in d.get("components", ()))
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SourceSpec":
-        return cls.from_json_dict(json.loads(text))
-
 
 def _pair_number_pmf(mean: float, statistics: str, max_pairs: int) -> np.ndarray:
     """Pair-count pmf over 0..max_pairs, not renormalized."""
@@ -239,16 +179,3 @@ def make_distribution(spec: SourceSpec) -> PhotonDistribution:
         raise TruncationLossError(lost, context=f"{spec.kind} source at cutoff {spec.cutoff}")
     return PhotonDistribution(raw / raw.sum())
 
-
-def mean_photon_number(d: PhotonDistribution) -> float:
-    """First moment sum(n * p_n); assumes d is normalized."""
-    return float(np.arange(d.probs.size) @ d.probs)
-
-
-def parity_expectation(d: PhotonDistribution) -> float:
-    """Expectation of (-1)^n, i.e. P_even - P_odd; lies in [-1, 1]."""
-    return float(d.probs[0::2].sum() - d.probs[1::2].sum())
-
-
-def load_distribution_csv(path: str | Path, **kwargs) -> PhotonDistribution:
-    return PhotonDistribution.from_csv(Path(path).read_text(), **kwargs)

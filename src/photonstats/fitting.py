@@ -17,7 +17,6 @@ from scipy.optimize import least_squares
 from scipy.signal import find_peaks
 
 from .distributions import MIN_CUTOFF, PhotonDistribution
-from .ioutil import SCHEMA_VERSION
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SMOOTH_WINDOW = 3
@@ -50,23 +49,6 @@ class PeakFitResult:
     peaks: tuple[FittedPeak, ...]
     residual_norm: float
     converged: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "peaks": [
-                {
-                    "photon_number": p.photon_number,
-                    "center": p.center,
-                    "width": p.width,
-                    "area": p.area,
-                    "area_std_error": p.area_std_error,
-                }
-                for p in self.peaks
-            ],
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-        }
 
 
 def _smooth(y: np.ndarray) -> np.ndarray:

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import tempfile
 from pathlib import Path
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def json_safe(obj):
-    """Recursively replace non-finite floats with None so output is strict JSON."""
+    """Recursively turn dataclass instances into dicts and tuples into lists,
+    and replace non-finite floats with None, so output is strict JSON."""
+    if dataclasses.is_dataclass(obj):
+        return json_safe(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {k: json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

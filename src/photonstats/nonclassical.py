@@ -4,8 +4,7 @@ The central statistic is the two-photon fraction gamma = P2 / (P1 + P2 + P3).
 Any mixture of Poisson distributions (the statistics of every classical
 field) satisfies gamma <= 3 / (3 + 2 sqrt(6)) ~= 0.3798, saturated by the
 single Poisson distribution with mean sqrt(6); measuring a larger value is
-therefore a direct witness of nonclassical light. A brute-force maximizer
-over Poisson mixtures is provided as an independent check of the bound.
+therefore a direct witness of nonclassical light.
 """
 
 from __future__ import annotations
@@ -13,10 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import PhotonDistribution
-from .ioutil import SCHEMA_VERSION
 
 
 def gamma(d: PhotonDistribution) -> float:
@@ -29,7 +25,17 @@ def gamma(d: PhotonDistribution) -> float:
 
 
 def classical_gamma_bound() -> float:
-    """Largest gamma attainable by any mixture of Poisson distributions."""
+    """Largest gamma attainable by any mixture of Poisson distributions.
+
+    A single Poisson distribution of mean m has gamma = 3 m / (6 + 3 m + m^2),
+    largest at m = sqrt(6). A mixture with weights w_k has
+    gamma = sum_k w_k a_k / sum_k w_k b_k, where a_k = P2 and b_k = P1 + P2 + P3
+    of component k: a ratio of two linear functions of the weights. It is the
+    mean of the component ratios a_k / b_k under the weights w_k b_k, so it
+    never exceeds the largest of them, and its maximum over any mixture is
+    reached at a single component. The scan over single Poisson means
+    therefore proves the bound for every classical field.
+    """
     return 3.0 / (3.0 + 2.0 * math.sqrt(6.0))
 
 
@@ -59,53 +65,6 @@ def eta_from_ratio(p1: float, p2: float) -> float:
     return 2.0 * r / (1.0 + 2.0 * r)
 
 
-def _gamma_of_poisson_terms(p1, p2, p3):
-    """Elementwise gamma from the first three pmf terms; 0 where all vanish."""
-    denom = p1 + p2 + p3
-    return np.divide(p2, denom, out=np.zeros_like(denom), where=denom > 0)
-
-
-def poisson_mixture_oracle(
-    means_grid,
-    weights_trials: int = 10_000,
-    rng_seed: int = 0,
-    *,
-    max_components: int = 5,
-) -> float:
-    """Brute-force maximum of gamma over Poisson distributions and mixtures.
-
-    Scans every single Poisson mean on ``means_grid``, then draws
-    ``weights_trials`` random finite mixtures (2..max_components components
-    with means from the grid and Dirichlet weights) and returns the largest
-    gamma found. Only the first three pmf terms enter gamma, so they are
-    evaluated directly; this keeps the check independent of the distribution
-    constructors it is used to validate.
-    """
-    means = np.asarray(means_grid, dtype=np.float64)
-    if means.size == 0:
-        raise ValueError("means grid must be nonempty")
-    if np.any(means < 0):
-        raise ValueError("Poisson means must be nonnegative")
-
-    w0 = np.exp(-means)
-    t1 = w0 * means
-    t2 = t1 * means / 2.0
-    t3 = t2 * means / 3.0
-    best = float(_gamma_of_poisson_terms(t1, t2, t3).max())
-
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(weights_trials):
-        k = int(rng.integers(2, max_components + 1))
-        idx = rng.integers(0, means.size, size=k)
-        w = rng.dirichlet(np.ones(k))
-        p1 = float(w @ t1[idx])
-        p2 = float(w @ t2[idx])
-        p3 = float(w @ t3[idx])
-        if p1 + p2 + p3 > 0:
-            best = max(best, p2 / (p1 + p2 + p3))
-    return best
-
-
 @dataclass(frozen=True)
 class GammaReport:
     """Gamma with its uncertainty and position relative to the classical bound."""
@@ -116,21 +75,6 @@ class GammaReport:
     classical_bound: float
     violated: bool
     counts_basis: tuple[int, int, int, int] | None = None
-
-    def to_json_dict(self) -> dict:
-        counts = None
-        if self.counts_basis is not None:
-            n1, n2, n3, total = self.counts_basis
-            counts = {"n1": n1, "n2": n2, "n3": n3, "total": total}
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "gamma": self.gamma,
-            "std_error": self.std_error,
-            "n_std_above_classical": self.n_std_above_classical,
-            "classical_bound": self.classical_bound,
-            "violated": self.violated,
-            "counts_basis": counts,
-        }
 
 
 def gamma_significance(counts) -> GammaReport:
@@ -173,15 +117,6 @@ class ParityReport:
     p_odd: float
     parity: float
     nonclassical: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "p_even": self.p_even,
-            "p_odd": self.p_odd,
-            "parity": self.parity,
-            "nonclassical": self.nonclassical,
-        }
 
 
 def parity_test(d: PhotonDistribution) -> ParityReport:

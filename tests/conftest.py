@@ -50,3 +50,50 @@ def per_gate_histogram(counts, det, edges, rng):
     over = areas > det.adc_max
     kept = np.clip(areas[~over], edges[0], edges[-1])
     return np.histogram(kept, bins=edges)[0], int(over.sum())
+
+
+def _gamma_of_poisson_terms(p1, p2, p3):
+    """Elementwise gamma from the first three pmf terms; 0 where all vanish."""
+    denom = p1 + p2 + p3
+    return np.divide(p2, denom, out=np.zeros_like(denom), where=denom > 0)
+
+
+def poisson_mixture_oracle(
+    means_grid,
+    weights_trials: int = 10_000,
+    rng_seed: int = 0,
+    *,
+    max_components: int = 5,
+) -> float:
+    """Brute-force maximum of gamma over Poisson distributions and mixtures.
+
+    Scans every single Poisson mean on ``means_grid``, then draws
+    ``weights_trials`` random finite mixtures (2..max_components components
+    with means from the grid and Dirichlet weights) and returns the largest
+    gamma found. Only the first three pmf terms enter gamma, so they are
+    evaluated directly; this keeps the check independent of the distribution
+    constructors it is used to validate.
+    """
+    means = np.asarray(means_grid, dtype=np.float64)
+    if means.size == 0:
+        raise ValueError("means grid must be nonempty")
+    if np.any(means < 0):
+        raise ValueError("Poisson means must be nonnegative")
+
+    w0 = np.exp(-means)
+    t1 = w0 * means
+    t2 = t1 * means / 2.0
+    t3 = t2 * means / 3.0
+    best = float(_gamma_of_poisson_terms(t1, t2, t3).max())
+
+    rng = np.random.default_rng(rng_seed)
+    for _ in range(weights_trials):
+        k = int(rng.integers(2, max_components + 1))
+        idx = rng.integers(0, means.size, size=k)
+        w = rng.dirichlet(np.ones(k))
+        p1 = float(w @ t1[idx])
+        p2 = float(w @ t2[idx])
+        p3 = float(w @ t3[idx])
+        if p1 + p2 + p3 > 0:
+            best = max(best, p2 / (p1 + p2 + p3))
+    return best

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_physical_distribution
+from conftest import poisson_mixture_oracle, random_physical_distribution
 from photonstats.acquisition import (
     DetectorModel,
     PumpModel,
@@ -28,7 +28,6 @@ from photonstats.nonclassical import (
     gamma,
     gamma_significance,
     gamma_under_loss,
-    poisson_mixture_oracle,
 )
 
 SQRT6 = math.sqrt(6.0)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from photonstats.channel import (
     TransferMatrix,
     apply_channel,
     binomial_loss_matrix,
-    channel_leakage,
     compose,
     dark_convolution_matrix,
     detector_matrix,
@@ -22,6 +22,7 @@ from photonstats.distributions import (
     TruncationLossError,
     make_distribution,
 )
+from photonstats.ioutil import dumps_canonical
 from photonstats.nonclassical import gamma
 
 
@@ -136,7 +137,8 @@ class TestApplyChannel:
         p = fock(10, 10)
         m = dark_convolution_matrix(0.1, 10)
         # all mass at the cutoff: dark counts push ~nu of it out of the window
-        assert channel_leakage(m, p) == pytest.approx(1 - math.exp(-0.1), rel=1e-9)
+        leak = (1.0 - m.entries.sum(axis=0)) @ p.probs
+        assert leak == pytest.approx(1 - math.exp(-0.1), rel=1e-9)
         with pytest.raises(TruncationLossError):
             apply_channel(m, p)
 
@@ -152,7 +154,7 @@ class TestApplyChannel:
         m = detector_matrix(0.85, 4e-4, 10)
         p = PhotonDistribution(random_physical_distribution(rng, 10))
         f = apply_channel(m, p)
-        leak = channel_leakage(m, p)
+        leak = (1.0 - m.entries.sum(axis=0)) @ p.probs
         assert p.probs.sum() - f.probs.sum() == pytest.approx(leak, abs=1e-14)
 
 
@@ -229,7 +231,7 @@ class TestTruncationDiagnostics:
         assert rep.most_negative < -1e-3
         assert rep.index % 2 == 1 and rep.index >= 7
         assert rep.negative_mass > 0
-        assert rep.to_json_dict()["index"] == rep.index
+        assert json.loads(dumps_canonical(rep))["index"] == rep.index
 
     def test_report_sum_deviation(self):
         d = PhotonDistribution([0.5, 0.2, 0.2, 0.2], normalized=False)
@@ -238,14 +240,6 @@ class TestTruncationDiagnostics:
 
 
 class TestTransferMatrixType:
-    def test_csv_shape(self):
-        m = binomial_loss_matrix(0.5, 4)
-        rows = m.to_csv().strip().split("\n")
-        assert len(rows) == 5
-        assert len(rows[0].split(",")) == 5
-        top_left = float(rows[0].split(",")[0])
-        assert top_left == 1.0
-
     def test_rejects_negative_entries(self):
         bad = -np.eye(5)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from photonstats.cli import (
     EXIT_CONFIG,
     EXIT_FIT,
+    EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
@@ -17,7 +19,9 @@ from photonstats.cli import (
     load_config,
     main,
 )
-from photonstats.distributions import load_distribution_csv
+from photonstats.distributions import SourceSpec
+from photonstats.ioutil import dumps_canonical
+from photonstats.nonclassical import GammaReport
 
 # the in-model operating point consistent with both reference probabilities
 ANCHOR_ETA = 0.617
@@ -40,16 +44,63 @@ def write_config(path, **overrides):
     return cfg
 
 
+def read_reconstruction(path):
+    """The probability column of a reconstruction.csv."""
+    return np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]
+
+
+def stderr_error(capsys):
+    return json.loads(capsys.readouterr().err)
+
+
+MIXTURE = {
+    "kind": "mixture",
+    "cutoff": 14,
+    "weights": [0.3, 0.7],
+    "components": [
+        {"kind": "poisson", "cutoff": 14, "mean": 0.4},
+        {"kind": "pdc_pairs", "cutoff": 14, "mean": 0.2, "pair_statistics": "thermal"},
+    ],
+}
+
+
 class TestRunConfig:
-    def test_roundtrip(self, tmp_path):
+    def test_mixture_source_loads_and_simulates(self, tmp_path):
         cfg_path = tmp_path / "run.json"
-        write_config(cfg_path)
+        cfg = write_config(cfg_path, source=MIXTURE, n_gates=20_000)
         config = load_config(cfg_path)
         assert config.seed == 99
-        assert config.source.mean == ANCHOR_MEAN_PAIRS
-        reparsed = RunConfig.from_json_dict(config.to_json_dict())
-        assert reparsed.source == config.source
-        assert reparsed.detector == config.detector
+        assert config.source == SourceSpec(
+            kind="mixture",
+            cutoff=14,
+            weights=(0.3, 0.7),
+            components=(
+                SourceSpec(kind="poisson", cutoff=14, mean=0.4),
+                SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2, pair_statistics="thermal"),
+            ),
+        )
+        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "gate_counts.json").read_text())
+        assert sum(summary["detected_count_frequencies"].values()) == 20_000
+        # the echoed source reloads to the same spec
+        assert RunConfig.from_json_dict(dict(cfg, source=summary["source"])).source == config.source
+
+    @pytest.mark.parametrize("section", ["source", "detector", "pump"])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, section):
+        cfg_path = tmp_path / "run.json"
+        cfg = write_config(cfg_path, pump={"powers": [1.0], "pairs_per_uW": 0.2253})
+        cfg[section]["colour"] = 1
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
+        err = stderr_error(capsys)
+        assert err["type"] == "ConfigError" and err["exit_code"] == EXIT_CONFIG
+        assert "colour" in err["error"]
+
+    def test_section_not_an_object_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, source=5)
+        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert stderr_error(capsys)["type"] == "ConfigError"
 
     def test_seed_and_out_overrides(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -115,9 +166,17 @@ class TestSimulateCommand:
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, n_gates=0)
         assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
-        err = json.loads(capsys.readouterr().err)
+        err = stderr_error(capsys)
         assert err["exit_code"] == EXIT_CONFIG
         assert "n_gates" in err["error"]
+
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, n_gates=10_000)
+        blocker = tmp_path / "a_file"
+        blocker.write_text("not a directory\n")
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(blocker)]) == EXIT_IO
+        assert stderr_error(capsys)["exit_code"] == EXIT_IO
 
 
 class TestAnalyzeCommand:
@@ -144,6 +203,33 @@ class TestAnalyzeCommand:
         assert probs[2] == pytest.approx(0.0696, abs=0.004)
         # one- and two-count peaks near equal, three-count peak suppressed
         assert probs[3] < 0.15 * probs[2]
+
+    def test_missing_histogram_is_io_error(self, tmp_path, capsys):
+        code = main(["analyze", "--histogram", str(tmp_path / "missing.csv"),
+                     "--out", str(tmp_path)])
+        assert code == EXIT_IO
+        assert stderr_error(capsys)["exit_code"] == EXIT_IO
+
+    def test_report_encoding(self, tmp_path):
+        # the criterion-9 run config
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, n_gates=100_000, seed=91, bins=400,
+                     pump={"powers": [0.1, 1.0], "pairs_per_uW": 0.2253})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_OK
+        assert main(["analyze", "--histogram", str(out / "histogram.csv"),
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "analysis.json").read_text())
+        n1, n2, n3 = report["event_counts"][1:4]
+        assert report["gamma_report"]["counts_basis"] == [n1, n2, n3, n1 + n2 + n3]
+        assert report["schema_version"] == 2
+        nested = {k: v for k, v in report.items() if k != "schema_version"}
+        assert "schema_version" not in json.dumps(nested)
+
+    def test_infinite_significance_encodes_as_null(self):
+        rep = GammaReport(gamma=1.0, std_error=0.0, n_std_above_classical=math.inf,
+                          classical_bound=0.38, violated=True, counts_basis=(0, 5, 0, 5))
+        assert json.loads(dumps_canonical(rep))["n_std_above_classical"] is None
 
     def test_pedestal_only_gamma_undefined(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
@@ -193,11 +279,11 @@ class TestReconstructCommand:
         code = main(["reconstruct", "--analysis", str(out / "analysis.json"),
                      "--config", str(cfg_path)])
         assert code == EXIT_OK
-        rec = load_distribution_csv(out / "reconstruction.csv")
+        rec = read_reconstruction(out / "reconstruction.csv")
         measured = json.loads((out / "analysis.json").read_text())["probabilities"]
         padded = np.zeros(11)
         padded[: len(measured)] = measured[:11]
-        np.testing.assert_allclose(rec.probs, padded, atol=1e-9)
+        np.testing.assert_allclose(rec, padded, atol=1e-9)
 
     def test_even_odd_oscillations_recovered(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -223,9 +309,9 @@ class TestReconstructCommand:
         code = main(["reconstruct", "--analysis", str(out / "analysis.json"),
                      "--config", str(recon_cfg)])
         assert code == EXIT_OK
-        rec = load_distribution_csv(out / "reconstruction.csv")
-        assert rec.probs[2] > 0.05 and rec.probs[4] > 0.05
-        assert np.abs(rec.probs[1::2]).max() < 0.02
+        rec = read_reconstruction(out / "reconstruction.csv")
+        assert rec[2] > 0.05 and rec[4] > 0.05
+        assert np.abs(rec[1::2]).max() < 0.02
         neg = json.loads((out / "negativity.json").read_text())
         assert "negativity" in neg and neg["eta"] == 0.67
 

@@ -1,21 +1,28 @@
 import json
 import math
+from io import StringIO
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonstats.cli import RunConfig
 from photonstats.distributions import (
     PhotonDistribution,
     SourceSpec,
     TruncationLossError,
     make_distribution,
-    mean_photon_number,
-    parity_expectation,
 )
+from photonstats.ioutil import dumps_canonical
+from photonstats.nonclassical import parity_test
 
 SQRT6 = math.sqrt(6.0)
+
+
+def mean_photon_number(d):
+    """First moment sum(n * p_n) of a normalized distribution."""
+    return float(np.arange(d.probs.size) @ d.probs)
 
 
 class TestPhotonDistribution:
@@ -32,7 +39,7 @@ class TestPhotonDistribution:
         with pytest.raises(ValueError, match="signed"):
             PhotonDistribution(probs)
         d = PhotonDistribution(probs, signed=True)
-        assert not d.physical
+        assert d.signed
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -43,16 +50,21 @@ class TestPhotonDistribution:
         with pytest.raises(ValueError):
             d.probs[0] = 1.0
 
+    @staticmethod
+    def reread(d):
+        text = d.to_csv()
+        assert text.startswith("n,probability\n")
+        table = np.loadtxt(StringIO(text), delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, 0], np.arange(d.probs.size))
+        return table[:, 1]
+
     def test_csv_roundtrip(self):
         d = PhotonDistribution([0.1, 0.2, 0.3, 0.4])
-        back = PhotonDistribution.from_csv(d.to_csv())
-        np.testing.assert_array_equal(back.probs, d.probs)
+        np.testing.assert_array_equal(self.reread(d), d.probs)
 
     def test_csv_roundtrip_signed(self):
         d = PhotonDistribution([0.7, -0.001, 0.3, 0.002], normalized=False, signed=True)
-        back = PhotonDistribution.from_csv(d.to_csv())
-        assert back.signed and not back.normalized
-        np.testing.assert_array_equal(back.probs, d.probs)
+        np.testing.assert_array_equal(self.reread(d), d.probs)
 
 
 class TestSourceSpecValidation:
@@ -94,9 +106,12 @@ class TestSourceSpecValidation:
         ],
     )
     def test_json_roundtrip(self, spec):
-        assert SourceSpec.from_json(spec.to_json()) == spec
-        # and through a generic JSON reload
-        assert SourceSpec.from_json_dict(json.loads(spec.to_json())) == spec
+        # the report encoder's echo of a source reloads through the config loader
+        echo = json.loads(dumps_canonical(spec))
+        config = RunConfig.from_json_dict(
+            {"source": echo, "detector": {}, "n_gates": 1, "cutoff": spec.cutoff, "seed": 0}
+        )
+        assert config.source == spec
 
 
 class TestMakeDistribution:
@@ -180,20 +195,20 @@ class TestMoments:
 
     def test_parity_fock_odd(self):
         d = make_distribution(SourceSpec(kind="fock", cutoff=5, n=1))
-        assert parity_expectation(d) == -1.0
+        assert parity_test(d).parity == -1.0
 
     @pytest.mark.parametrize("stats", ["poissonian", "thermal"])
     @pytest.mark.parametrize("mean", [0.05, 0.4, 1.1])
     def test_parity_pdc_plus_one(self, stats, mean):
         d = make_distribution(SourceSpec(kind="pdc_pairs", cutoff=60, mean=mean,
                                          pair_statistics=stats))
-        assert parity_expectation(d) == pytest.approx(1.0, abs=1e-12)
+        assert parity_test(d).parity == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("mean", [0.2, 1.0, 2.5])
     def test_parity_poisson_closed_form(self, mean):
         d = make_distribution(SourceSpec(kind="poisson", cutoff=60, mean=mean))
-        assert parity_expectation(d) == pytest.approx(math.exp(-2 * mean), abs=1e-9)
-        assert parity_expectation(d) > 0
+        assert parity_test(d).parity == pytest.approx(math.exp(-2 * mean), abs=1e-9)
+        assert parity_test(d).parity > 0
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=30))
     @settings(max_examples=100, deadline=None)
@@ -203,4 +218,4 @@ class TestMoments:
             return
         d = PhotonDistribution(np.asarray(raw) / total, normalized=False)
         # float renormalization can leave the sum off 1 by a few ulps
-        assert -1.0 - 1e-12 <= parity_expectation(d) <= 1.0 + 1e-12
+        assert -1.0 - 1e-12 <= parity_test(d).parity <= 1.0 + 1e-12
