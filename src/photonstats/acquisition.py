@@ -17,15 +17,14 @@ tag), so outputs are bit-reproducible for a given seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, replace
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
-from .channel import detector_matrix, apply_channel
+from .channel import apply_channel, binomial_loss_matrix, dark_convolution_matrix, detector_matrix
 from .distributions import SourceSpec, make_distribution
 from .ioutil import SCHEMA_VERSION
 
@@ -192,14 +191,30 @@ def default_pairs_per_uw(
     default anchors the simulated 1 uW operating point to the measured
     one-count probability.
     """
-    m = detector_matrix(eta, dark_mean, calibration_cutoff)
+    return _pairs_at_p1(target_p1, eta, dark_mean, calibration_cutoff) / power_uw
 
-    def p1_minus_target(mu: float) -> float:
-        src = SourceSpec(kind="pdc_pairs", cutoff=calibration_cutoff, mean=mu)
-        return float(apply_channel(m, make_distribution(src)).probs[1]) - target_p1
 
-    mu_at_power = brentq(p1_minus_target, 1e-6, 2.0, xtol=1e-13)
-    return mu_at_power / power_uw
+@functools.lru_cache(maxsize=16)
+def _pairs_at_p1(target_p1: float, eta: float, dark_mean: float, cutoff: int) -> float:
+    """Mean pairs per gate whose one-count probability is ``target_p1``:
+    bisection of [1e-6, 2] down to 1e-13. Every config whose pump omits
+    ``pairs_per_uW`` asks for the same root, so it is cached."""
+    m = detector_matrix(eta, dark_mean, cutoff)
+
+    def p1_above_target(mu: float) -> bool:
+        src = SourceSpec(kind="pdc_pairs", cutoff=cutoff, mean=mu)
+        return float(apply_channel(m, make_distribution(src)).probs[1]) > target_p1
+
+    lo, hi = 1e-6, 2.0
+    if p1_above_target(lo) or not p1_above_target(hi):
+        raise ValueError(f"one-count probability {target_p1} is not reached for 1e-6 to 2 pairs")
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if p1_above_target(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -237,8 +252,11 @@ def _detected_count_law(source: SourceSpec, det: DetectorModel) -> np.ndarray:
             p = make_distribution(_with_cutoff(source, window))
         except ValueError:  # a Fock number above the window, or mass lost beyond it
             continue
-        m = detector_matrix(det.eta, det.dark_mean, window, dark_after_loss=det.dark_after_loss)
-        f = m.entries @ p.probs
+        loss = binomial_loss_matrix(det.eta, window).entries
+        dark = dark_convolution_matrix(det.dark_mean, window).entries
+        # the two factors applied to the vector in turn: O(window^2), not the
+        # O(window^3) of composing them first
+        f = dark @ (loss @ p.probs) if det.dark_after_loss else loss @ (dark @ p.probs)
         if f[window // 2 :].sum() < _TAIL_MASS:
             return f / f.sum()
     raise ValueError(f"the detected-count law does not fit in {_WINDOWS[-1]} photons")
@@ -284,6 +302,8 @@ def synthesize_histogram(
         raise ValueError(f"need at least 10 bins, got {bins}")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    from scipy.special import ndtr  # scipy.special costs about 0.3 s to import
+
     frequencies = np.asarray(frequencies, dtype=np.int64)
     edges = np.linspace(det.offset - 5.0 * det.sigma0, det.adc_max, bins + 1)
     k = np.flatnonzero(frequencies)[:, None]

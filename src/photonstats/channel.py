@@ -22,6 +22,7 @@ from .distributions import (
     SUM_TOL,
     PhotonDistribution,
     TruncationLossError,
+    _log_factorials,
 )
 
 DEFAULT_CUTOFF = 10
@@ -64,13 +65,6 @@ class TransferMatrix:
 def _check_cutoff(cutoff: int) -> None:
     if cutoff < MIN_CUTOFF:
         raise ValueError(f"cutoff must be >= {MIN_CUTOFF}, got {cutoff}")
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """log(k!) for k = 0..n-1, as cumulative sums of logs."""
-    logfact = np.zeros(n)
-    logfact[1:] = np.cumsum(np.log(np.arange(1, n, dtype=np.float64)))
-    return logfact
 
 
 def binomial_loss_matrix(eta: float, cutoff: int = DEFAULT_CUTOFF) -> TransferMatrix:

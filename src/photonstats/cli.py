@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +100,12 @@ class RunConfig:
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
         """The one config loader: each section is passed whole to its
-        dataclass, so a missing or unknown key is a ConfigError."""
+        dataclass, so a missing or unknown key is a ConfigError. An unknown
+        top-level key is one too; ``schema_version`` is accepted with any
+        value."""
+        unknown = set(d) - {f.name for f in fields(cls)} - {"schema_version"}
+        if unknown:
+            raise ConfigError(f"invalid run config: unknown keys {sorted(unknown)}")
         try:
             pump = d.get("pump")
             return cls(
@@ -309,6 +314,9 @@ def cmd_analyze(histogram_csv: Path, out_dir: Path, strict: bool = False) -> int
 def cmd_reconstruct(analysis_json: Path, config: RunConfig, strict: bool = False) -> int:
     """Invert the detector matrix against measured probabilities."""
     analysis = json.loads(Path(analysis_json).read_text())
+    if "probabilities" not in analysis:
+        reason = analysis.get("error", "no probabilities")
+        return _emit_error(ValueError(f"{analysis_json} holds no probabilities: {reason}"), EXIT_FIT)
     det = config.detector
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConditionNumberWarning)

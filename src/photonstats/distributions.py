@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
-from scipy import stats
 
 SUM_TOL = 1e-12
 LOST_MASS_TOL = 1e-6
@@ -136,11 +135,29 @@ class SourceSpec:
                     raise ValueError("mixture components must share the mixture cutoff")
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log(k!) for k = 0..n-1, as cumulative sums of logs."""
+    logfact = np.zeros(n)
+    logfact[1:] = np.cumsum(np.log(np.arange(1, n, dtype=np.float64)))
+    return logfact
+
+
+def _poisson_pmf(mean: float, size: int) -> np.ndarray:
+    """Poisson(mean) probabilities of 0..size-1, not renormalized:
+    exp(k log(mean) - mean - log(k!)), a point mass at 0 for mean 0."""
+    if mean == 0.0:
+        p = np.zeros(size)
+        p[0] = 1.0
+        return p
+    k = np.arange(size)
+    return np.exp(k * math.log(mean) - mean - _log_factorials(size))
+
+
 def _pair_number_pmf(mean: float, statistics: str, max_pairs: int) -> np.ndarray:
     """Pair-count pmf over 0..max_pairs, not renormalized."""
-    k = np.arange(max_pairs + 1)
     if statistics == "poissonian":
-        return stats.poisson.pmf(k, mean)
+        return _poisson_pmf(mean, max_pairs + 1)
+    k = np.arange(max_pairs + 1)
     # Bose-Einstein occupation: P(k) = mean^k / (1 + mean)^(k + 1)
     return np.exp(k * np.log(mean) - (k + 1) * np.log1p(mean)) if mean > 0 else (k == 0).astype(float)
 
@@ -168,7 +185,7 @@ def make_distribution(spec: SourceSpec) -> PhotonDistribution:
         return PhotonDistribution(p)
 
     if spec.kind == "poisson":
-        raw = stats.poisson.pmf(np.arange(size), spec.mean)
+        raw = _poisson_pmf(spec.mean, size)
     else:  # pdc_pairs: photon number = 2 * pair number
         raw = np.zeros(size)
         pair_pmf = _pair_number_pmf(spec.mean, spec.pair_statistics, spec.cutoff // 2)

@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.signal import find_peaks
 
 from .distributions import MIN_CUTOFF, PhotonDistribution
 
@@ -69,6 +67,44 @@ def _half_max_width(smoothed: np.ndarray, idx: int, bin_width: float) -> float:
     return max(fwhm_bins * bin_width / 2.3548, bin_width / 2.0)
 
 
+def _find_peaks(x: np.ndarray, distance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and prominences of the local maxima of ``x`` at least
+    ``distance`` samples apart, as ``scipy.signal.find_peaks(x,
+    distance=distance, prominence=0.0)`` returns them.
+
+    A maximum is a run of equal samples higher than both neighbours, located
+    at its midpoint rounded down; the first and last samples are never maxima.
+    Maxima are then visited from the highest down, in ``np.argsort`` order
+    over all of them, and each one kept removes every maximum closer than
+    ceil(distance). A peak's prominence is its height above the higher of the
+    two lowest points between it and the nearest higher sample on each side
+    (or the end of ``x``).
+    """
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:], x.size] - 1
+    runs = x[starts]
+    j = np.flatnonzero((runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])) + 1
+    peaks = (starts[j] + ends[j]) // 2
+
+    reach = math.ceil(distance)
+    keep = np.ones(peaks.size, dtype=bool)
+    for i in np.argsort(x[peaks])[::-1].tolist():
+        if keep[i]:
+            keep[np.abs(peaks - peaks[i]) < reach] = False
+            keep[i] = True
+    peaks = peaks[keep]
+
+    # A peak's window runs between the nearest higher samples around it: the
+    # samples that share its count of higher samples to their left.
+    window = np.cumsum(x > x[peaks, None], axis=1)
+    window = window == window[np.arange(peaks.size), peaks][:, None]
+    in_window = np.where(window, x, np.inf)
+    pos = np.arange(x.size)
+    left_min = np.where(pos <= peaks[:, None], in_window, np.inf).min(axis=1)
+    right_min = np.where(pos >= peaks[:, None], in_window, np.inf).min(axis=1)
+    return peaks, x[peaks] - np.maximum(left_min, right_min)
+
+
 def detect_peaks(h) -> list[tuple[float, float, float]]:
     """Initial (center, width, height) guesses, ordered by center.
 
@@ -87,10 +123,9 @@ def detect_peaks(h) -> list[tuple[float, float, float]]:
     bw = h.bin_width
 
     tallest_width = _half_max_width(smoothed, int(np.argmax(smoothed)), bw)
-    idxs, props = find_peaks(smoothed, distance=max(2.0, 2.0 * tallest_width / bw),
-                             prominence=0.0)
+    idxs, proms = _find_peaks(smoothed, max(2.0, 2.0 * tallest_width / bw))
     keep = []
-    for idx, prom in zip(idxs, props["prominences"]):
+    for idx, prom in zip(idxs, proms):
         if prom >= max(PROMINENCE_FLOOR, PROMINENCE_PER_SQRT * math.sqrt(smoothed[idx])):
             keep.append(idx)
     if not keep:
@@ -155,6 +190,8 @@ def fit_peaks(h, guesses) -> PeakFitResult:
     guesses = sorted(guesses, key=lambda g: g[0])
     if not guesses:
         raise ValueError("need at least one peak guess")
+    from scipy.optimize import least_squares  # scipy.optimize costs about 0.5 s to import
+
     x = h.bin_centers
     y = h.counts.astype(np.float64)
     sigma = np.sqrt(np.maximum(y, 1.0))

@@ -11,6 +11,7 @@ from photonstats.acquisition import (
     AreaHistogram,
     DetectorModel,
     PumpModel,
+    _detected_count_law,
     default_pairs_per_uw,
     simulate_gate_counts,
     synthesize_histogram,
@@ -184,6 +185,18 @@ class TestSimulateGateCounts:
         assert freq.sum() == n
         assert 0.5 * np.abs(freq[:81] / n - f).sum() < 3.0 / math.sqrt(n)
 
+    @pytest.mark.parametrize("dark_after_loss", [True, False])
+    @pytest.mark.parametrize("mean", [0.5, 3.0, 8.0])
+    def test_law_matches_composed_detector_matrix(self, mean, dark_after_loss):
+        # thermal pairs at 3 and 8 per gate need windows of 512 and 1024 photons
+        det = DetectorModel(eta=0.6, dark_mean=0.05, dark_after_loss=dark_after_loss)
+        src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=mean, pair_statistics="thermal")
+        law = _detected_count_law(src, det)
+        window = law.size - 1
+        m = detector_matrix(det.eta, det.dark_mean, window, dark_after_loss=dark_after_loss)
+        f = m.entries @ make_distribution(replace(src, cutoff=window)).probs
+        np.testing.assert_allclose(law, f / f.sum(), rtol=1e-13, atol=0)
+
     def test_law_wider_than_largest_window_rejected(self):
         src = SourceSpec(kind="fock", cutoff=2000, n=2000)
         with pytest.raises(ValueError, match="does not fit"):
@@ -299,6 +312,26 @@ class TestPumpModel:
         src = SourceSpec(kind="pdc_pairs", cutoff=40, mean=kappa * 1.0)
         f = apply_channel(detector_matrix(0.67, 4e-4, 40), make_distribution(src))
         assert f.probs[1] == pytest.approx(0.0818, abs=1e-6)
+
+    @pytest.mark.parametrize("target_p1, eta, dark_mean",
+                             [(0.0818, 0.67, 4e-4), (0.02, 0.95, 0.0), (0.2, 0.4, 0.01)])
+    def test_bisection_matches_brentq(self, target_p1, eta, dark_mean):
+        from scipy.optimize import brentq
+
+        m = detector_matrix(eta, dark_mean, 40)
+
+        def p1_minus_target(mu):
+            src = SourceSpec(kind="pdc_pairs", cutoff=40, mean=mu)
+            return float(apply_channel(m, make_distribution(src)).probs[1]) - target_p1
+
+        root = brentq(p1_minus_target, 1e-6, 2.0, xtol=1e-13)
+        kappa = default_pairs_per_uw(target_p1, eta=eta, dark_mean=dark_mean)
+        assert abs(kappa - root) < 1e-12
+        assert default_pairs_per_uw(target_p1, 4.0, eta, dark_mean) == kappa / 4.0
+
+    def test_unreachable_target_rejected(self):
+        with pytest.raises(ValueError, match="not reached"):
+            default_pairs_per_uw(0.9)
 
     def test_empty_powers_rejected(self):
         with pytest.raises(ValueError, match="powers"):

@@ -96,6 +96,22 @@ class TestRunConfig:
         assert err["type"] == "ConfigError" and err["exit_code"] == EXIT_CONFIG
         assert "colour" in err["error"]
 
+    def test_misspelt_top_level_key_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg = write_config(cfg_path)
+        cfg["bin"] = cfg.pop("bins")
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
+        err = stderr_error(capsys)
+        assert err["type"] == "ConfigError" and "'bin'" in err["error"]
+        assert not (tmp_path / "out" / "histogram.csv").exists()
+
+    @pytest.mark.parametrize("version", [1, 2, "any"])
+    def test_schema_version_accepted_with_any_value(self, tmp_path, version):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, schema_version=version)
+        assert load_config(cfg_path).bins == 500
+
     def test_section_not_an_object_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, source=5)
@@ -315,6 +331,18 @@ class TestReconstructCommand:
         neg = json.loads((out / "negativity.json").read_text())
         assert "negativity" in neg and neg["eta"] == 0.67
 
+    def test_failed_analysis_is_fit_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path)
+        analysis = tmp_path / "analysis.json"
+        analysis.write_text(json.dumps({"error": "peak fit did not converge",
+                                        "schema_version": 2}))
+        code = main(["reconstruct", "--analysis", str(analysis), "--config", str(cfg_path)])
+        assert code == EXIT_FIT
+        err = stderr_error(capsys)
+        assert err["exit_code"] == EXIT_FIT and "did not converge" in err["error"]
+        assert not (tmp_path / "out" / "negativity.json").exists()
+
     def test_strict_escalates_ill_conditioned(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         write_config(
@@ -377,17 +405,72 @@ class TestSweepCommand:
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == first
 
 
-def test_module_entry_point_runs_without_runpy_warning():
-    # runpy warns when the package import has already loaded photonstats.cli
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    # runpy warns when the package import has already loaded photonstats.cli
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "photonstats.cli", "--help"],
-        env=env,
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert "simulate" in proc.stdout
+
+
+class TestStartupLoadsNoScipy:
+    """scipy costs 0.3-1.6 s per subpackage to import; each command loads
+    only the part it uses, and import loads none."""
+
+    @staticmethod
+    def scipy_loaded(tmp_path, argv=None):
+        """The scipy modules a fresh interpreter holds after importing
+        photonstats and photonstats.cli, and running ``main(argv)`` if given."""
+        script = "\n".join([
+            "import json, sys",
+            "import photonstats, photonstats.cli",
+            f"assert photonstats.cli.main({argv!r}) == 0" if argv else "",
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], env=src_env(), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        assert self.scipy_loaded(tmp_path) == set()
+
+    def test_reconstruct_loads_no_scipy(self, tmp_path):
+        # the pump omits pairs_per_uW, so loading the config runs the calibration
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, pump={"powers": [1.0]})
+        analysis = tmp_path / "analysis.json"
+        analysis.write_text(json.dumps({"probabilities": [0.85, 0.08, 0.06, 0.01]}))
+        argv = ["reconstruct", "--analysis", str(analysis), "--config", str(cfg_path)]
+        assert self.scipy_loaded(tmp_path, argv) == set()
+        assert (tmp_path / "out" / "negativity.json").exists()
+
+    def test_simulate_loads_no_scipy_stats_signal_or_optimize(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, pump={"powers": [1.0]})
+        loaded = self.scipy_loaded(tmp_path, ["simulate", "--config", str(cfg_path)])
+        assert "scipy.special" in loaded
+        assert not loaded & {"scipy.stats", "scipy.signal", "scipy.optimize"}
+
+    def test_analyze_loads_no_scipy_stats_or_signal(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path)
+        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_OK
+        out = tmp_path / "out"
+        argv = ["analyze", "--histogram", str(out / "histogram.csv"), "--out", str(out)]
+        loaded = self.scipy_loaded(tmp_path, argv)
+        assert "scipy.optimize" in loaded
+        assert not loaded & {"scipy.stats", "scipy.signal"}

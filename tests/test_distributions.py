@@ -12,6 +12,7 @@ from photonstats.distributions import (
     PhotonDistribution,
     SourceSpec,
     TruncationLossError,
+    _poisson_pmf,
     make_distribution,
 )
 from photonstats.ioutil import dumps_canonical
@@ -112,6 +113,27 @@ class TestSourceSpecValidation:
             {"source": echo, "detector": {}, "n_gates": 1, "cutoff": spec.cutoff, "seed": 0}
         )
         assert config.source == spec
+
+
+class TestPoissonPmf:
+    @pytest.mark.parametrize("mean", [0.0, 1e-6, 0.005, 0.2, 1.0, SQRT6, 10.0, 25.0, 50.0])
+    def test_matches_scipy(self, mean):
+        from scipy.stats import poisson
+
+        k = np.arange(200)
+        ours, oracle = _poisson_pmf(mean, k.size), poisson.pmf(k, mean)
+        np.testing.assert_array_equal(ours[oracle == 0.0], 0.0)
+        # Below k = 64 (the smallest simulation window) and above 1e-100, each
+        # term of the exponent is under 256, so its rounding stays under 1e-13
+        # of the pmf. Out to k = 199, log(k!) reaches 860 and its rounding
+        # alone reaches 3e-13. Subnormal entries carry fewer digits.
+        head = (k < 64) & (oracle > 1e-100)
+        np.testing.assert_allclose(ours[head], oracle[head], rtol=1e-13, atol=0)
+        normal = oracle >= np.finfo(float).tiny
+        np.testing.assert_allclose(ours[normal], oracle[normal], rtol=5e-13, atol=0)
+
+    def test_mean_zero_is_point_mass(self):
+        np.testing.assert_array_equal(_poisson_pmf(0.0, 5), [1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 class TestMakeDistribution:

@@ -13,7 +13,10 @@ from photonstats.acquisition import (
 from photonstats.distributions import SourceSpec
 from photonstats.fitting import (
     PeakOverlapWarning,
+    _find_peaks,
     _gaussians_jacobian,
+    _half_max_width,
+    _smooth,
     _sum_of_gaussians,
     areas_to_probabilities,
     detect_peaks,
@@ -51,6 +54,52 @@ def split_peak_histogram():
         y += peak
     counts = np.rint(y).astype(np.int64)
     return AreaHistogram(edges, counts, n_gates=int(counts.sum()))
+
+
+def assert_finds_scipy_peaks(x, distance):
+    from scipy.signal import find_peaks
+
+    peaks, props = find_peaks(x, distance=distance, prominence=0.0)
+    ours, prominences = _find_peaks(np.asarray(x, dtype=np.float64), distance)
+    np.testing.assert_array_equal(ours, peaks)
+    np.testing.assert_array_equal(prominences, props["prominences"])
+
+
+class TestFindPeaks:
+    def test_matches_scipy_on_simulated_histograms(self):
+        # the smoothed histograms and distances detect_peaks passes, over
+        # efficiencies, means and gate counts drawn from one seeded stream
+        rng = np.random.default_rng(4242)
+        for t in range(200):
+            kind = ("poisson", "pdc_pairs")[t % 2]
+            src = SourceSpec(kind=kind, cutoff=40, mean=float(np.exp(rng.uniform(-5.3, 1.4))))
+            det = DetectorModel(eta=rng.uniform(0.3, 0.99))
+            frequencies = simulate_gate_counts(src, det, int(10 ** rng.uniform(4, 7)), seed=t)
+            h = synthesize_histogram(frequencies, det, 500, seed=t)
+            x = _smooth(h.counts)
+            width = _half_max_width(x, int(np.argmax(x)), h.bin_width)
+            assert_finds_scipy_peaks(x, max(2.0, 2.0 * width / h.bin_width))
+
+    @pytest.mark.parametrize("x, distance", [
+        ([0, 1, 1, 0], 1),              # plateau of two: midpoint rounded down
+        ([0, 2, 2, 2, 0, 3, 3, 3, 3, 1], 1),
+        ([3, 1, 3, 1, 3], 1),           # the edge samples are never maxima
+        ([0, 1, 2, 2], 1),              # a plateau that reaches the end
+        ([2, 2, 1, 0], 1),
+        ([1, 1, 1], 1),
+        ([0, 5, 0, 5, 0, 5, 0, 5, 0], 3),   # ties of equal height
+        ([0, 5, 0, 5, 0, 5, 0, 5, 0], 2.5),  # distance rounds up to 3
+        ([0, 4, 1, 6, 1, 6, 0, 4, 0], 4),
+        ([0, 3, 1, 2, 1, 3, 0], 1),     # prominence bounded by the higher base
+    ])
+    def test_matches_scipy_on_hand_made_arrays(self, x, distance):
+        assert_finds_scipy_peaks(np.array(x, dtype=np.float64), distance)
+
+    def test_matches_scipy_on_arrays_with_many_ties(self):
+        rng = np.random.default_rng(77)
+        for _ in range(300):
+            x = rng.integers(0, 4, size=int(rng.integers(1, 60))).astype(np.float64)
+            assert_finds_scipy_peaks(x, float(rng.uniform(1.0, 8.0)))
 
 
 class TestDetectPeaks:

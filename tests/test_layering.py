@@ -50,3 +50,32 @@ def test_imports_follow_the_layers():
     for name, path in modules.items():
         extra = package_imports(path) - ALLOWED[name]
         assert not extra, f"{name} imports {sorted(extra)} against the layering"
+
+
+def module_level_scipy_imports(path: Path) -> list[int]:
+    """Lines of ``path`` that import scipy outside every function body."""
+    lines = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(path.read_text()))
+    return lines
+
+
+def test_scipy_is_imported_only_inside_functions():
+    # importing scipy costs 0.3-1.6 s per subpackage; start-up must not pay it
+    for path in PACKAGE.glob("*.py"):
+        lines = module_level_scipy_imports(path)
+        assert not lines, f"{path.name} imports scipy at module level on lines {lines}"
