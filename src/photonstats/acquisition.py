@@ -18,6 +18,7 @@ tag), so outputs are bit-reproducible for a given seed.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import asdict, dataclass, replace
 from io import StringIO
 from pathlib import Path
@@ -284,6 +285,15 @@ def simulate_gate_counts(
     return rng.multinomial(n_gates, _detected_count_law(source, det))
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _gaussian_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF elementwise, as 0.5 erfc(-z / sqrt 2), which keeps
+    the lower tail that 0.5 (1 + erf(z / sqrt 2)) rounds to zero."""
+    return 0.5 * _erfc(-np.asarray(z, dtype=np.float64) / math.sqrt(2.0)).astype(np.float64)
+
+
 def synthesize_histogram(
     frequencies: np.ndarray,
     det: DetectorModel,
@@ -302,12 +312,10 @@ def synthesize_histogram(
         raise ValueError(f"need at least 10 bins, got {bins}")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    from scipy.special import ndtr  # scipy.special costs about 0.3 s to import
-
     frequencies = np.asarray(frequencies, dtype=np.int64)
     edges = np.linspace(det.offset - 5.0 * det.sigma0, det.adc_max, bins + 1)
     k = np.flatnonzero(frequencies)[:, None]
-    cdf = ndtr((edges - det.peak_center(k)) / det.peak_width(k))
+    cdf = _gaussian_cdf((edges - det.peak_center(k)) / det.peak_width(k))
     cdf[:, 0] = 0.0  # areas below the range are clipped into the first bin
     cells = np.diff(cdf, append=1.0)  # the last cell is the overflow above adc_max
     rng = np.random.default_rng([seed, _AREA_STREAM])

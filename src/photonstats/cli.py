@@ -70,6 +70,10 @@ class ConfigError(ValueError):
     """Run configuration is missing, malformed, or inconsistent."""
 
 
+class FitError(ValueError):
+    """A peak fit did not converge."""
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully reproducible description of one pipeline run."""
@@ -225,6 +229,7 @@ def pump_sweep(
 
     Returns one (power, GammaReport) row per entry of ``pump.powers``. Each
     power gets an independent deterministic seed derived from (seed, index).
+    Raises FitError at the first power whose peak fit does not converge.
     """
     det.check_resolvable(cutoff)
     rows: list[tuple[float, GammaReport]] = []
@@ -240,7 +245,7 @@ def pump_sweep(
         hist = synthesize_histogram(frequencies, det, bins, seed=int(sub[1]))
         report = analyze_histogram(hist).gamma_report
         if report is None:
-            raise ValueError(f"peak fit did not converge at {power!r} uW")
+            raise FitError(f"peak fit did not converge at {power!r} uW")
         rows.append((power, report))
     return rows
 
@@ -407,6 +412,8 @@ def main(argv=None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         return _emit_error(exc, EXIT_CONFIG)
+    except FitError as exc:
+        return _emit_error(exc, EXIT_FIT)
     except OSError as exc:
         return _emit_error(exc, EXIT_IO)
     except (ValueError, ZeroDivisionError) as exc:

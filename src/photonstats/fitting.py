@@ -4,6 +4,10 @@ Peaks in the histogram correspond to photon numbers. Each is a Gaussian; the
 area under a peak counts the events at that photon number, and normalizing
 the areas by their total yields the probability per gate. Peaks are assigned
 photon numbers by the ordinal position of their centers (pedestal first).
+
+Peaks are found by a numpy port of ``scipy.signal.find_peaks`` and fitted
+jointly by a projected Levenberg-Marquardt solver written here in numpy, so
+the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ MAX_ITER = 200
 # after 3-bin smoothing, so 3 sqrt rejects them with margin.
 PROMINENCE_FLOOR = 4.0
 PROMINENCE_PER_SQRT = 3.0
+# The lowest maximum whose prominence (at most its height) can pass that rule.
+MIN_PEAK_HEIGHT = max(PROMINENCE_FLOOR, PROMINENCE_PER_SQRT**2)
 
 
 class PeakOverlapWarning(UserWarning):
@@ -67,18 +73,15 @@ def _half_max_width(smoothed: np.ndarray, idx: int, bin_width: float) -> float:
     return max(fwhm_bins * bin_width / 2.3548, bin_width / 2.0)
 
 
-def _find_peaks(x: np.ndarray, distance: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and prominences of the local maxima of ``x`` at least
-    ``distance`` samples apart, as ``scipy.signal.find_peaks(x,
-    distance=distance, prominence=0.0)`` returns them.
+def _maxima_apart(x: np.ndarray, distance: float) -> np.ndarray:
+    """Indices of the local maxima of ``x`` at least ``distance`` samples
+    apart, as ``scipy.signal.find_peaks(x, distance=distance)`` returns them.
 
     A maximum is a run of equal samples higher than both neighbours, located
     at its midpoint rounded down; the first and last samples are never maxima.
     Maxima are then visited from the highest down, in ``np.argsort`` order
     over all of them, and each one kept removes every maximum closer than
-    ceil(distance). A peak's prominence is its height above the higher of the
-    two lowest points between it and the nearest higher sample on each side
-    (or the end of ``x``).
+    ceil(distance).
     """
     starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
     ends = np.r_[starts[1:], x.size] - 1
@@ -92,8 +95,15 @@ def _find_peaks(x: np.ndarray, distance: float) -> tuple[np.ndarray, np.ndarray]
         if keep[i]:
             keep[np.abs(peaks - peaks[i]) < reach] = False
             keep[i] = True
-    peaks = peaks[keep]
+    return peaks[keep]
 
+
+def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Prominence of each of the maxima ``peaks`` of ``x``, as
+    ``scipy.signal.peak_prominences`` computes it: the peak's height above the
+    higher of the two lowest points between it and the nearest higher sample
+    on each side (or the end of ``x``).
+    """
     # A peak's window runs between the nearest higher samples around it: the
     # samples that share its count of higher samples to their left.
     window = np.cumsum(x > x[peaks, None], axis=1)
@@ -102,7 +112,7 @@ def _find_peaks(x: np.ndarray, distance: float) -> tuple[np.ndarray, np.ndarray]
     pos = np.arange(x.size)
     left_min = np.where(pos <= peaks[:, None], in_window, np.inf).min(axis=1)
     right_min = np.where(pos >= peaks[:, None], in_window, np.inf).min(axis=1)
-    return peaks, x[peaks] - np.maximum(left_min, right_min)
+    return x[peaks] - np.maximum(left_min, right_min)
 
 
 def detect_peaks(h) -> list[tuple[float, float, float]]:
@@ -123,9 +133,11 @@ def detect_peaks(h) -> list[tuple[float, float, float]]:
     bw = h.bin_width
 
     tallest_width = _half_max_width(smoothed, int(np.argmax(smoothed)), bw)
-    idxs, proms = _find_peaks(smoothed, max(2.0, 2.0 * tallest_width / bw))
+    idxs = _maxima_apart(smoothed, max(2.0, 2.0 * tallest_width / bw))
+    # a prominence never exceeds the height, so lower maxima cannot pass
+    idxs = idxs[smoothed[idxs] >= MIN_PEAK_HEIGHT]
     keep = []
-    for idx, prom in zip(idxs, proms):
+    for idx, prom in zip(idxs, _prominences(smoothed, idxs)):
         if prom >= max(PROMINENCE_FLOOR, PROMINENCE_PER_SQRT * math.sqrt(smoothed[idx])):
             keep.append(idx)
     if not keep:
@@ -153,10 +165,68 @@ def _gaussians_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _area_uncertainties(result, params: np.ndarray, bin_width: float) -> np.ndarray:
-    """Per-peak area standard errors from the curvature of the weighted objective."""
+def _levenberg_marquardt(residuals, jacobian, p0, lo, hi, max_nfev):
+    """Minimize ||residuals(p)||^2 over lo <= p <= hi by projected
+    Levenberg-Marquardt (More, Lecture Notes in Mathematics 630, 105, 1978).
+
+    Each step solves the damped normal equations (J'J + lam diag(J'J)) d = -J'r,
+    where diag(J'J) keeps the largest value each column has had so far, and
+    clips p + d into the bounds. A parameter held at a bound by its gradient
+    is left out of the step, as in projected Newton methods (Bertsekas, SIAM
+    J. Control Optim. 20, 221, 1982), so the others are solved with it fixed.
+    An accepted step (lower cost) divides lam by 10 and a rejected one
+    multiplies it by 10. The fit has converged when a step is shorter than
+    XTOL relative to p, or an accepted step lowers the cost by less than 1e-12
+    of it; it has not when ``max_nfev`` evaluations of ``residuals`` run out
+    first.
+
+    Returns (p, residuals at p, Jacobian at p, converged).
+    """
+    p = np.clip(p0, lo, hi)
+    r = residuals(p)
+    jac = jacobian(p)
+    cost = r @ r
+    scale = np.zeros(p.size)
+    lam = 1e-3
+    nfev = 1
+    while nfev < max_nfev:
+        grad = jac.T @ r
+        jtj = jac.T @ jac
+        scale = np.maximum(scale, np.diag(jtj))
+        # a column that has always been zero gets unit damping and no step
+        damping = np.where(scale > 0.0, scale, 1.0)
+        free = ~(((p <= lo) & (grad > 0.0)) | ((p >= hi) & (grad < 0.0)))
+        step = np.zeros(p.size)
+        try:
+            step[free] = np.linalg.solve(
+                jtj[np.ix_(free, free)] + lam * np.diag(damping[free]), -grad[free]
+            )
+        except np.linalg.LinAlgError:  # lam too small to lift a singular J'J
+            lam *= 10.0
+            continue
+        trial = np.clip(p + step, lo, hi)
+        step_norm = np.linalg.norm(trial - p)
+        r_trial = residuals(trial)
+        nfev += 1
+        cost_trial = r_trial @ r_trial
+        if cost_trial < cost:
+            small_gain = cost - cost_trial <= 1e-12 * cost
+            p, r, cost = trial, r_trial, cost_trial
+            jac = jacobian(p)
+            lam /= 10.0
+            if small_gain:
+                return p, r, jac, True
+        else:
+            lam *= 10.0
+        if step_norm <= XTOL * (XTOL + np.linalg.norm(p)):
+            return p, r, jac, True
+    return p, r, jac, False
+
+
+def _area_uncertainties(jac: np.ndarray, params: np.ndarray, bin_width: float) -> np.ndarray:
+    """Per-peak area standard errors from the curvature of the weighted
+    objective, given its Jacobian ``jac`` at the solution ``params``."""
     n_peaks = params.size // 3
-    jac = result.jac
     try:
         cov = np.linalg.pinv(jac.T @ jac)
     except np.linalg.LinAlgError:
@@ -176,21 +246,24 @@ def fit_peaks(h, guesses) -> PeakFitResult:
     """Weighted nonlinear least squares of a sum of Gaussians to the histogram.
 
     All peaks are fitted jointly, so overlapping tails are shared between
-    neighbours. The solver gets the model's analytic Jacobian, which also
-    gives the area standard errors.
+    neighbours. Residuals carry Neyman weights sqrt(max(count, 1)); heights
+    stay nonnegative, centers within a bin of the histogram's range and
+    widths between a tenth of a bin and the range. The solver is a projected
+    Levenberg-Marquardt iteration on the model's analytic Jacobian, which
+    also gives the area standard errors.
 
     Args:
         h: AreaHistogram to fit.
         guesses: iterable of (center, width, height) initial guesses.
 
     Returns:
-        PeakFitResult with peak areas in event-count units. On
-        non-convergence the best iterate is returned with converged=False.
+        PeakFitResult with peak areas in event-count units. When the budget
+        of MAX_ITER * (parameters + 1) model evaluations runs out, the best
+        iterate is returned with converged=False.
     """
     guesses = sorted(guesses, key=lambda g: g[0])
     if not guesses:
         raise ValueError("need at least one peak guess")
-    from scipy.optimize import least_squares  # scipy.optimize costs about 0.5 s to import
 
     x = h.bin_centers
     y = h.counts.astype(np.float64)
@@ -200,18 +273,15 @@ def fit_peaks(h, guesses) -> PeakFitResult:
     p0 = np.array([v for (c, w, amp) in guesses for v in (amp, c, w)])
     lo = np.tile([0.0, x[0] - bw, bw / 10.0], len(guesses))
     hi = np.tile([np.inf, x[-1] + bw, x[-1] - x[0]], len(guesses))
-    result = least_squares(
+    params, resid, jac, converged = _levenberg_marquardt(
         lambda params: (_sum_of_gaussians(x, params) - y) / sigma,
-        np.clip(p0, lo, hi),
-        jac=lambda params: _gaussians_jacobian(x, params) / sigma[:, None],
-        bounds=(lo, hi),
-        xtol=XTOL,
-        ftol=1e-12,
-        gtol=1e-12,
-        max_nfev=MAX_ITER * (p0.size + 1),
+        lambda params: _gaussians_jacobian(x, params) / sigma[:, None],
+        p0,
+        lo,
+        hi,
+        MAX_ITER * (p0.size + 1),
     )
-    params = result.x
-    area_stds = _area_uncertainties(result, params, bw)
+    area_stds = _area_uncertainties(jac, params, bw)
 
     peaks = []
     for rank, k in enumerate(np.argsort(params[1::3])):
@@ -231,8 +301,8 @@ def fit_peaks(h, guesses) -> PeakFitResult:
             )
     return PeakFitResult(
         tuple(peaks),
-        residual_norm=float(np.linalg.norm(result.fun)),
-        converged=bool(result.status > 0),
+        residual_norm=float(np.linalg.norm(resid)),
+        converged=converged,
     )
 
 

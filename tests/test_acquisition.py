@@ -12,6 +12,7 @@ from photonstats.acquisition import (
     DetectorModel,
     PumpModel,
     _detected_count_law,
+    _gaussian_cdf,
     default_pairs_per_uw,
     simulate_gate_counts,
     synthesize_histogram,
@@ -253,6 +254,15 @@ class TestSynthesizeHistogram:
         b = synthesize_histogram(frequencies, DET, 100, seed=9)
         np.testing.assert_array_equal(a.counts, b.counts)
         assert a.overflow == b.overflow
+
+    def test_gaussian_cdf_matches_scipy_ndtr(self):
+        from scipy.special import ndtr
+
+        z = np.linspace(-38.0, 38.0, 200_001)
+        ours, ref = _gaussian_cdf(z), ndtr(z)
+        assert np.abs(ours - ref).max() <= 1e-15
+        body = ref >= 1e-100
+        assert np.all(np.abs(ours[body] - ref[body]) <= 1e-12 * ref[body])
 
     def test_matches_per_gate_reference(self):
         # every count up to beyond adc_max, with the overflow as one more cell

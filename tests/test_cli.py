@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from photonstats import fitting
+from photonstats.acquisition import AreaHistogram
 from photonstats.cli import (
     EXIT_CONFIG,
     EXIT_FIT,
@@ -392,6 +394,24 @@ class TestSweepCommand:
         write_config(cfg_path, pump={"powers": []})
         assert main(["sweep", "--config", str(cfg_path)]) == EXIT_CONFIG
 
+    def test_non_converging_fit_is_fit_error(self, tmp_path, capsys, monkeypatch):
+        # no evaluation budget: every peak fit stops unconverged
+        monkeypatch.setattr(fitting, "MAX_ITER", 0)
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, pump={"powers": [1.0], "pairs_per_uW": 0.2253},
+                     n_gates=100_000)
+        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_OK
+        out = tmp_path / "out"
+        hist = AreaHistogram.load(out / "histogram.csv", out / "histogram.json")
+        assert not fitting.fit_peaks(hist, fitting.detect_peaks(hist)).converged
+
+        assert main(["sweep", "--config", str(cfg_path)]) == EXIT_FIT
+        err = stderr_error(capsys)
+        assert err["exit_code"] == EXIT_FIT and "1.0 uW" in err["error"]
+        assert not (out / "sweep.csv").exists()
+        assert main(["analyze", "--histogram", str(out / "histogram.csv"),
+                     "--out", str(out)]) == EXIT_FIT
+
     def test_determinism(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         write_config(
@@ -427,8 +447,7 @@ def test_module_entry_point_runs_without_runpy_warning():
 
 
 class TestStartupLoadsNoScipy:
-    """scipy costs 0.3-1.6 s per subpackage to import; each command loads
-    only the part it uses, and import loads none."""
+    """scipy costs 0.3-1.6 s per subpackage to import; no command loads it."""
 
     @staticmethod
     def scipy_loaded(tmp_path, argv=None):
@@ -458,19 +477,23 @@ class TestStartupLoadsNoScipy:
         assert self.scipy_loaded(tmp_path, argv) == set()
         assert (tmp_path / "out" / "negativity.json").exists()
 
-    def test_simulate_loads_no_scipy_stats_signal_or_optimize(self, tmp_path):
+    def test_simulate_loads_no_scipy(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, pump={"powers": [1.0]})
-        loaded = self.scipy_loaded(tmp_path, ["simulate", "--config", str(cfg_path)])
-        assert "scipy.special" in loaded
-        assert not loaded & {"scipy.stats", "scipy.signal", "scipy.optimize"}
+        assert self.scipy_loaded(tmp_path, ["simulate", "--config", str(cfg_path)]) == set()
+        assert (tmp_path / "out" / "histogram.csv").exists()
 
-    def test_analyze_loads_no_scipy_stats_or_signal(self, tmp_path):
+    def test_analyze_loads_no_scipy(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path)
         assert main(["simulate", "--config", str(cfg_path)]) == EXIT_OK
         out = tmp_path / "out"
         argv = ["analyze", "--histogram", str(out / "histogram.csv"), "--out", str(out)]
-        loaded = self.scipy_loaded(tmp_path, argv)
-        assert "scipy.optimize" in loaded
-        assert not loaded & {"scipy.stats", "scipy.signal"}
+        assert self.scipy_loaded(tmp_path, argv) == set()
+        assert (out / "analysis.json").exists()
+
+    def test_sweep_loads_no_scipy(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, pump={"powers": [0.3, 1.0]}, n_gates=100_000)
+        assert self.scipy_loaded(tmp_path, ["sweep", "--config", str(cfg_path)]) == set()
+        assert (tmp_path / "out" / "sweep.csv").exists()

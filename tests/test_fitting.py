@@ -12,10 +12,15 @@ from photonstats.acquisition import (
 )
 from photonstats.distributions import SourceSpec
 from photonstats.fitting import (
+    MAX_ITER,
+    PROMINENCE_FLOOR,
+    PROMINENCE_PER_SQRT,
+    XTOL,
     PeakOverlapWarning,
-    _find_peaks,
     _gaussians_jacobian,
     _half_max_width,
+    _maxima_apart,
+    _prominences,
     _smooth,
     _sum_of_gaussians,
     areas_to_probabilities,
@@ -60,25 +65,35 @@ def assert_finds_scipy_peaks(x, distance):
     from scipy.signal import find_peaks
 
     peaks, props = find_peaks(x, distance=distance, prominence=0.0)
-    ours, prominences = _find_peaks(np.asarray(x, dtype=np.float64), distance)
+    x = np.asarray(x, dtype=np.float64)
+    ours = _maxima_apart(x, distance)
     np.testing.assert_array_equal(ours, peaks)
-    np.testing.assert_array_equal(prominences, props["prominences"])
+    np.testing.assert_array_equal(_prominences(x, ours), props["prominences"])
+
+
+def seeded_histograms():
+    """200 histograms over efficiencies, means and gate counts drawn from one
+    seeded stream."""
+    rng = np.random.default_rng(4242)
+    for t in range(200):
+        kind = ("poisson", "pdc_pairs")[t % 2]
+        src = SourceSpec(kind=kind, cutoff=40, mean=float(np.exp(rng.uniform(-5.3, 1.4))))
+        det = DetectorModel(eta=rng.uniform(0.3, 0.99))
+        frequencies = simulate_gate_counts(src, det, int(10 ** rng.uniform(4, 7)), seed=t)
+        yield synthesize_histogram(frequencies, det, 500, seed=t)
+
+
+def smoothed_and_distance(h):
+    """The smoothed histogram and the peak distance that detect_peaks uses."""
+    x = _smooth(h.counts)
+    width = _half_max_width(x, int(np.argmax(x)), h.bin_width)
+    return x, max(2.0, 2.0 * width / h.bin_width)
 
 
 class TestFindPeaks:
     def test_matches_scipy_on_simulated_histograms(self):
-        # the smoothed histograms and distances detect_peaks passes, over
-        # efficiencies, means and gate counts drawn from one seeded stream
-        rng = np.random.default_rng(4242)
-        for t in range(200):
-            kind = ("poisson", "pdc_pairs")[t % 2]
-            src = SourceSpec(kind=kind, cutoff=40, mean=float(np.exp(rng.uniform(-5.3, 1.4))))
-            det = DetectorModel(eta=rng.uniform(0.3, 0.99))
-            frequencies = simulate_gate_counts(src, det, int(10 ** rng.uniform(4, 7)), seed=t)
-            h = synthesize_histogram(frequencies, det, 500, seed=t)
-            x = _smooth(h.counts)
-            width = _half_max_width(x, int(np.argmax(x)), h.bin_width)
-            assert_finds_scipy_peaks(x, max(2.0, 2.0 * width / h.bin_width))
+        for h in seeded_histograms():
+            assert_finds_scipy_peaks(*smoothed_and_distance(h))
 
     @pytest.mark.parametrize("x, distance", [
         ([0, 1, 1, 0], 1),              # plateau of two: midpoint rounded down
@@ -143,6 +158,21 @@ class TestDetectPeaks:
         assert fit.converged
         assert [p.photon_number for p in fit.peaks] == [round(p.center / 10.0) for p in fit.peaks]
 
+    def test_guesses_match_the_rule_applied_to_every_maximum(self):
+        # detect_peaks skips the prominence of maxima too low to pass the rule;
+        # the guesses must be those of the rule applied to all of them
+        from scipy.signal import find_peaks
+
+        for h in seeded_histograms():
+            x, distance = smoothed_and_distance(h)
+            peaks, props = find_peaks(x, distance=distance, prominence=0.0)
+            keep = [i for i, prom in zip(peaks, props["prominences"])
+                    if prom >= max(PROMINENCE_FLOOR, PROMINENCE_PER_SQRT * math.sqrt(x[i]))]
+            keep = keep or [int(np.argmax(x))]
+            expected = [(float(h.bin_centers[i]), _half_max_width(x, i, h.bin_width),
+                         float(max(x[i], 1.0))) for i in keep]
+            assert detect_peaks(h) == expected
+
     def test_single_nonzero_bin_yields_guess(self):
         counts = np.zeros(40, dtype=int)
         counts[0] = 3  # edge bin: no interior local maximum exists
@@ -181,6 +211,15 @@ class TestFitPeaks:
         assert peak.width == pytest.approx(1.5, rel=1e-6)
         true_area = 5e6 * 1.5 * SQRT_2PI / h.bin_width
         assert peak.area == pytest.approx(true_area, rel=1e-6)
+
+    def test_zero_height_guess_recovered(self):
+        # at zero height the center and width columns of the Jacobian vanish
+        edges = np.linspace(-5, 25, 121)
+        h = gaussian_comb(edges, [(1000.0, 10.0, 1.5)])
+        fit = fit_peaks(h, [(9.0, 1.0, 0.0)])
+        assert fit.converged
+        assert fit.peaks[0].center == pytest.approx(10.0, abs=0.01)
+        assert fit.peaks[0].area == pytest.approx(1000.0 * 1.5 * SQRT_2PI / h.bin_width, rel=1e-3)
 
     def test_poisson_light_histogram_matches_poisson(self):
         # coherent source: fitted, normalized areas must look Poissonian
@@ -245,6 +284,83 @@ class TestFitPeaks:
         h = AreaHistogram(edges, np.ones(20, dtype=int), n_gates=20)
         with pytest.raises(ValueError, match="guess"):
             fit_peaks(h, [])
+
+
+def least_squares_fit(h, guesses):
+    """fit_peaks's problem handed to scipy.optimize.least_squares (trust-region
+    reflective) with the same residuals, Jacobian, bounds, tolerances and
+    evaluation budget. Returns (converged, areas), ordered by center."""
+    from scipy.optimize import least_squares
+
+    guesses = sorted(guesses, key=lambda g: g[0])
+    x = h.bin_centers
+    y = h.counts.astype(np.float64)
+    sigma = np.sqrt(np.maximum(y, 1.0))
+    bw = h.bin_width
+    p0 = np.array([v for (c, w, amp) in guesses for v in (amp, c, w)])
+    lo = np.tile([0.0, x[0] - bw, bw / 10.0], len(guesses))
+    hi = np.tile([np.inf, x[-1] + bw, x[-1] - x[0]], len(guesses))
+    result = least_squares(
+        lambda params: (_sum_of_gaussians(x, params) - y) / sigma,
+        np.clip(p0, lo, hi),
+        jac=lambda params: _gaussians_jacobian(x, params) / sigma[:, None],
+        bounds=(lo, hi),
+        xtol=XTOL,
+        ftol=1e-12,
+        gtol=1e-12,
+        max_nfev=MAX_ITER * (p0.size + 1),
+    )
+    height, _, width = result.x.reshape(-1, 3)[np.argsort(result.x[1::3])].T
+    return result.status > 0, height * width * SQRT_2PI / bw
+
+
+def assert_matches_least_squares(h, guesses):
+    fit = fit_peaks(h, guesses)
+    converged, areas = least_squares_fit(h, guesses)
+    assert fit.converged == converged
+    # least_squares's peaks are labelled by rank too
+    assert [p.photon_number for p in fit.peaks] == list(range(areas.size))
+    ours = np.array([p.area for p in fit.peaks])
+    std_errors = np.array([p.area_std_error for p in fit.peaks])
+    assert np.all(np.abs(ours - areas) <= 1e-3 * std_errors)
+    np.testing.assert_array_equal(np.rint(ours), np.rint(areas))
+    return fit
+
+
+class TestSolverMatchesLeastSquares:
+    def test_on_the_noisy_histograms_of_criterion_8(self):
+        for trial in range(100):
+            if trial % 2 == 0:
+                source = SourceSpec(kind="poisson", cutoff=20, mean=0.5 + 0.02 * trial)
+            else:
+                source = SourceSpec(kind="pdc_pairs", cutoff=20, mean=0.1 + 0.01 * trial)
+            frequencies = simulate_gate_counts(source, DET, 100_000, 800 + trial)
+            h = synthesize_histogram(frequencies, DET, 500, 800 + trial)
+            fit = assert_matches_least_squares(h, detect_peaks(h))
+            assert fit.converged
+
+    def test_center_held_at_its_upper_bound(self):
+        # a peak centred beyond the range shows only its tail, so its fitted
+        # center stops one bin past the last bin center
+        edges = np.linspace(0.0, 20.0, 81)
+        h = gaussian_comb(edges, [(20000.0, 5.0, 1.0), (5000.0, 22.0, 2.0)])
+        fit = assert_matches_least_squares(h, [(5.0, 1.0, 20000.0), (19.9, 1.5, 3000.0)])
+        assert fit.converged
+        assert fit.peaks[1].center == h.bin_centers[-1] + h.bin_width
+
+    def test_heights_stay_nonnegative(self):
+        # a guess on a notch in a broad peak would carve it out with a
+        # negative height; the bound holds it at zero
+        edges = np.linspace(-5.0, 25.0, 121)
+        x = 0.5 * (edges[:-1] + edges[1:])
+        y = 5000.0 * np.exp(-0.5 * ((x - 10.0) / 2.0) ** 2)
+        y *= 1.0 - 0.4 * np.exp(-0.5 * ((x - 13.0) / 0.5) ** 2)
+        counts = np.rint(y).astype(np.int64)
+        h = AreaHistogram(edges, counts, n_gates=int(counts.sum()))
+        fit = fit_peaks(h, [(10.0, 2.0, 5000.0), (13.0, 0.5, 1000.0)])
+        assert fit.converged
+        assert fit.peaks[1].area == 0.0
+        assert fit.peaks[0].area > 0.0
 
 
 class TestAreasToProbabilities:
