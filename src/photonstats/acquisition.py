@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import apply_channel, binomial_loss_matrix, dark_convolution_matrix, detector_matrix
-from .distributions import SourceSpec, make_distribution
+from .channel import apply_channel, binomial_loss_matrix, detector_matrix
+from .distributions import SourceSpec, _poisson_pmf, make_distribution
 from .ioutil import SCHEMA_VERSION
 
 _COUNT_STREAM = 0
@@ -142,15 +142,14 @@ class AreaHistogram:
 
     @classmethod
     def from_csv(cls, text: str, sidecar: dict | None = None) -> "AreaHistogram":
-        rows = [line for line in text.splitlines() if line.strip()]
-        if not rows or rows[0].strip() != "bin_center,count":
+        lines = text.strip().splitlines()
+        if not lines or lines[0].strip() != "bin_center,count":
             raise ValueError("expected CSV header 'bin_center,count'")
-        centers = np.empty(len(rows) - 1)
-        counts = np.empty(len(rows) - 1, dtype=np.int64)
-        for k, line in enumerate(rows[1:]):
-            c_str, n_str = line.split(",")
-            centers[k] = float(c_str)
-            counts[k] = int(n_str)
+        if len(lines) < 2:
+            raise ValueError("the histogram CSV has no rows below its header")
+        rows = np.loadtxt(lines[1:], dtype=[("center", "f8"), ("count", "i8")],
+                          delimiter=",", comments=None, ndmin=1)
+        centers, counts = rows["center"], rows["count"]
         if sidecar is not None:
             edges = np.asarray(sidecar["bin_edges"], dtype=np.float64)
             return cls(edges, counts, n_gates=int(sidecar["n_gates"]),
@@ -254,10 +253,13 @@ def _detected_count_law(source: SourceSpec, det: DetectorModel) -> np.ndarray:
         except ValueError:  # a Fock number above the window, or mass lost beyond it
             continue
         loss = binomial_loss_matrix(det.eta, window).entries
-        dark = dark_convolution_matrix(det.dark_mean, window).entries
-        # the two factors applied to the vector in turn: O(window^2), not the
-        # O(window^3) of composing them first
-        f = dark @ (loss @ p.probs) if det.dark_after_loss else loss @ (dark @ p.probs)
+        dark = _poisson_pmf(det.dark_mean, window + 1)
+        # dark counts as a convolution with their Poisson law, cut at the
+        # window: channel.dark_convolution_matrix applied without building it
+        if det.dark_after_loss:
+            f = np.convolve(loss @ p.probs, dark)[: window + 1]
+        else:
+            f = loss @ np.convolve(p.probs, dark)[: window + 1]
         if f[window // 2 :].sum() < _TAIL_MASS:
             return f / f.sum()
     raise ValueError(f"the detected-count law does not fit in {_WINDOWS[-1]} photons")

@@ -11,12 +11,15 @@ commands, the experiment scripts and the tests share: ``analyze_histogram``
 
 Exit codes: 0 success, 2 config error, 3 fit failure, 4 numerical warning
 escalated by --strict, 5 I/O failure (an input file that cannot be read or an
-output that cannot be written).
+output that cannot be written), 6 runtime failure (any other ValueError a
+command other than analyze meets while it runs, such as a detected-count law
+too wide to simulate).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -62,6 +65,7 @@ EXIT_CONFIG = 2
 EXIT_FIT = 3
 EXIT_NUMERIC = 4
 EXIT_IO = 5
+EXIT_RUNTIME = 6
 
 _SWEEP_STREAM = 2
 
@@ -369,7 +373,10 @@ def _add_common(sub: argparse.ArgumentParser, config_required: bool = True) -> N
                      help="escalate numerical warnings to exit code 4")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every parse_args call
+    fills a fresh namespace, so nothing carries over between calls of main."""
     parser = argparse.ArgumentParser(
         prog="photonstats",
         description="Simulate and analyze photon-number statistics of a pulsed pair source",
@@ -391,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "analyze":
             out_dir = Path(args.out) if args.out else Path(".")
@@ -417,7 +424,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _emit_error(exc, EXIT_IO)
     except (ValueError, ZeroDivisionError) as exc:
-        return _emit_error(exc, EXIT_CONFIG)
+        return _emit_error(exc, EXIT_RUNTIME)
 
 
 if __name__ == "__main__":

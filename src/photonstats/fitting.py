@@ -148,25 +148,33 @@ def detect_peaks(h) -> list[tuple[float, float, float]]:
     ]
 
 
-def _sum_of_gaussians(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    height, center, width = params.reshape(-1, 3).T
-    return np.exp(-0.5 * ((x[:, None] - center) / width) ** 2) @ height
+def _weighted_gaussians(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
+    """The fit's objective as a function of the flat (height, center, width)
+    parameters of a sum of Gaussians at ``x``.
+
+    Each call computes z = (x - center) / width and g = exp(-z^2 / 2) once and
+    returns the weighted residuals (sum of Gaussians - y) / sigma together
+    with a function that builds their Jacobian from the same z and g, so a
+    caller pays for the Jacobian only at the points it keeps.
+    """
+
+    def evaluate(params: np.ndarray):
+        height, center, width = params.reshape(-1, 3).T
+        z = (x[:, None] - center) / width
+        g = np.exp(-0.5 * z * z)
+
+        def jacobian() -> np.ndarray:
+            d_height = g / sigma[:, None]
+            d_center = d_height * z * (height / width)
+            return np.stack((d_height, d_center, d_center * z), axis=-1).reshape(x.size, -1)
+
+        return (g @ height - y) / sigma, jacobian
+
+    return evaluate
 
 
-def _gaussians_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Derivatives of _sum_of_gaussians with respect to each (height, center, width)."""
-    height, center, width = params.reshape(-1, 3).T
-    z = (x[:, None] - center) / width
-    g = np.exp(-0.5 * z**2)
-    jac = np.empty((x.size, params.size))
-    jac[:, 0::3] = g
-    jac[:, 1::3] = height * g * z / width
-    jac[:, 2::3] = height * g * z**2 / width
-    return jac
-
-
-def _levenberg_marquardt(residuals, jacobian, p0, lo, hi, max_nfev):
-    """Minimize ||residuals(p)||^2 over lo <= p <= hi by projected
+def _levenberg_marquardt(evaluate, p0, lo, hi, max_nfev):
+    """Minimize ||r(p)||^2 over lo <= p <= hi by projected
     Levenberg-Marquardt (More, Lecture Notes in Mathematics 630, 105, 1978).
 
     Each step solves the damped normal equations (J'J + lam diag(J'J)) d = -J'r,
@@ -177,14 +185,16 @@ def _levenberg_marquardt(residuals, jacobian, p0, lo, hi, max_nfev):
     An accepted step (lower cost) divides lam by 10 and a rejected one
     multiplies it by 10. The fit has converged when a step is shorter than
     XTOL relative to p, or an accepted step lowers the cost by less than 1e-12
-    of it; it has not when ``max_nfev`` evaluations of ``residuals`` run out
-    first.
+    of it; it has not when ``max_nfev`` evaluations of r run out first.
 
-    Returns (p, residuals at p, Jacobian at p, converged).
+    ``evaluate(p)`` returns r(p) and a function that builds the Jacobian of r
+    at p; it is called only for p0 and the accepted points.
+
+    Returns (p, r(p), Jacobian at p, converged).
     """
     p = np.clip(p0, lo, hi)
-    r = residuals(p)
-    jac = jacobian(p)
+    r, jacobian = evaluate(p)
+    jac = jacobian()
     cost = r @ r
     scale = np.zeros(p.size)
     lam = 1e-3
@@ -206,13 +216,13 @@ def _levenberg_marquardt(residuals, jacobian, p0, lo, hi, max_nfev):
             continue
         trial = np.clip(p + step, lo, hi)
         step_norm = np.linalg.norm(trial - p)
-        r_trial = residuals(trial)
+        r_trial, trial_jacobian = evaluate(trial)
         nfev += 1
         cost_trial = r_trial @ r_trial
         if cost_trial < cost:
             small_gain = cost - cost_trial <= 1e-12 * cost
             p, r, cost = trial, r_trial, cost_trial
-            jac = jacobian(p)
+            jac = trial_jacobian()
             lam /= 10.0
             if small_gain:
                 return p, r, jac, True
@@ -226,20 +236,18 @@ def _levenberg_marquardt(residuals, jacobian, p0, lo, hi, max_nfev):
 def _area_uncertainties(jac: np.ndarray, params: np.ndarray, bin_width: float) -> np.ndarray:
     """Per-peak area standard errors from the curvature of the weighted
     objective, given its Jacobian ``jac`` at the solution ``params``."""
-    n_peaks = params.size // 3
     try:
         cov = np.linalg.pinv(jac.T @ jac)
     except np.linalg.LinAlgError:
-        cov = np.full((params.size, params.size), np.nan)
-    stds = np.empty(n_peaks)
-    for k in range(n_peaks):
-        height, _, width = params[3 * k : 3 * k + 3]
-        grad = np.zeros(params.size)
-        grad[3 * k] = width * SQRT_2PI / bin_width
-        grad[3 * k + 2] = height * SQRT_2PI / bin_width
-        var = float(grad @ cov @ grad)
-        stds[k] = math.sqrt(var) if math.isfinite(var) and var > 0 else 0.0
-    return stds
+        return np.zeros(params.size // 3)
+    # area = height * width * sqrt(2 pi) / bin_width depends on two parameters
+    # per peak, so its variance needs three entries of cov per peak
+    i_h, i_w = np.arange(0, params.size, 3), np.arange(2, params.size, 3)
+    height, width = params[i_h], params[i_w]
+    var = (SQRT_2PI / bin_width) ** 2 * (
+        width**2 * cov[i_h, i_h] + 2.0 * height * width * cov[i_h, i_w] + height**2 * cov[i_w, i_w]
+    )
+    return np.sqrt(np.where(np.isfinite(var) & (var > 0.0), var, 0.0))
 
 
 def fit_peaks(h, guesses) -> PeakFitResult:
@@ -274,8 +282,7 @@ def fit_peaks(h, guesses) -> PeakFitResult:
     lo = np.tile([0.0, x[0] - bw, bw / 10.0], len(guesses))
     hi = np.tile([np.inf, x[-1] + bw, x[-1] - x[0]], len(guesses))
     params, resid, jac, converged = _levenberg_marquardt(
-        lambda params: (_sum_of_gaussians(x, params) - y) / sigma,
-        lambda params: _gaussians_jacobian(x, params) / sigma[:, None],
+        _weighted_gaussians(x, y, sigma),
         p0,
         lo,
         hi,

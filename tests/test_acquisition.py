@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -308,6 +309,56 @@ class TestAreaHistogramType:
         edges = [-0.5, 0.5, 2.0, 5.0, 9.0]
         h = AreaHistogram.from_csv(text, {"bin_edges": edges, "n_gates": 11})
         np.testing.assert_array_equal(h.bin_edges, edges)
+
+    def test_csv_values_match_per_row_parsing(self):
+        # reference: Python's float() and int() on each field of each row
+        rng = np.random.default_rng(44)
+        for seed in range(200):
+            src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=float(rng.uniform(0.05, 1.5)))
+            det = DetectorModel(eta=float(rng.uniform(0.3, 1.0)), dark_mean=4e-4,
+                                offset=float(rng.uniform(-20.0, 20.0)))
+            freq = simulate_gate_counts(src, det, int(rng.integers(10, 10**6)), seed)
+            h = synthesize_histogram(freq, det, int(rng.integers(10, 800)), seed)
+            text = h.to_csv()
+            rows = [line.split(",") for line in text.splitlines()[1:]]
+            centers = np.array([float(c) for c, _ in rows])
+            counts = np.array([int(n) for _, n in rows])
+            # without a sidecar the edges are built from the parsed centers
+            width = centers[1] - centers[0]
+            edges = np.append(centers - width / 2.0, centers[-1] + width / 2.0)
+            restored = AreaHistogram.from_csv(text)
+            np.testing.assert_array_equal(restored.bin_edges, edges)
+            np.testing.assert_array_equal(restored.counts, counts)
+            np.testing.assert_array_equal(AreaHistogram.from_csv(text, h.sidecar_dict()).counts,
+                                          counts)
+
+    @pytest.mark.parametrize("text", [
+        "bin_center,count\n",
+        "bin_center,count\n0.5,3\n1.5,2.5\n",
+        "bin_center,count\n0.5,3\n1.5,2,7\n",
+        "bin_center,count\n0.5,3\n1.5\n",
+        "bin_center,count\n0.5,3\n# 1.5,2\n",
+    ], ids=["header-only", "non-integer-count", "three-columns", "one-column", "comment-row"])
+    def test_malformed_csv_rejected_without_warning(self, text):
+        sidecar = {"bin_edges": [0.0, 1.0, 2.0], "n_gates": 10}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for side in (None, sidecar):
+                with pytest.raises(ValueError):
+                    AreaHistogram.from_csv(text, side)
+
+    def test_one_row_csv_and_trailing_blank_lines(self):
+        h = AreaHistogram.from_csv("bin_center,count\n0.5,3\n", {"bin_edges": [0.0, 1.0],
+                                                                   "n_gates": 4})
+        np.testing.assert_array_equal(h.counts, [3])
+        assert h.n_gates == 4
+        with pytest.raises(ValueError, match="fewer than two bins"):
+            AreaHistogram.from_csv("bin_center,count\n0.5,3\n")
+        text = "bin_center,count\n0.5,3\n1.5,4\n"
+        padded = AreaHistogram.from_csv(text + "\n\n  \n")
+        plain = AreaHistogram.from_csv(text)
+        np.testing.assert_array_equal(padded.counts, plain.counts)
+        np.testing.assert_array_equal(padded.bin_edges, plain.bin_edges)
 
     def test_sidecar_echoes_detector(self):
         h = synthesize_histogram(np.array([30]), DET, 40, seed=6)

@@ -16,6 +16,7 @@ from photonstats.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
+    EXIT_RUNTIME,
     ConfigError,
     RunConfig,
     load_config,
@@ -187,6 +188,29 @@ class TestSimulateCommand:
         err = stderr_error(capsys)
         assert err["exit_code"] == EXIT_CONFIG
         assert "n_gates" in err["error"]
+
+    def test_law_too_wide_is_runtime_error(self, tmp_path, capsys):
+        # thermal pairs at 20 per gate leave more than 1e-15 of the detected
+        # law above 512 counts: a valid config whose run fails
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, n_gates=1000, source={
+            "kind": "pdc_pairs", "cutoff": 14, "mean": 20.0, "pair_statistics": "thermal"})
+        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_RUNTIME
+        err = stderr_error(capsys)
+        assert err["exit_code"] == EXIT_RUNTIME and err["type"] == "ValueError"
+        assert "does not fit in 1024 photons" in err["error"]
+
+    def test_seed_override_does_not_carry_over(self, tmp_path):
+        # main's parser is built once per process; each call parses afresh
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, n_gates=10_000)
+        assert main(["simulate", "--config", str(cfg_path), "--seed", "5",
+                     "--out", str(tmp_path / "A")]) == EXIT_OK
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "B")]) == EXIT_OK
+        seeds = [json.loads((tmp_path / d / "gate_counts.json").read_text())["seed"]
+                 for d in ("A", "B")]
+        assert seeds == [5, 99]
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

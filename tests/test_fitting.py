@@ -17,12 +17,12 @@ from photonstats.fitting import (
     PROMINENCE_PER_SQRT,
     XTOL,
     PeakOverlapWarning,
-    _gaussians_jacobian,
     _half_max_width,
+    _levenberg_marquardt,
     _maxima_apart,
     _prominences,
     _smooth,
-    _sum_of_gaussians,
+    _weighted_gaussians,
     areas_to_probabilities,
     detect_peaks,
     fit_peaks,
@@ -186,20 +186,54 @@ class TestFitPeaks:
     def test_analytic_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(31)
         x = np.linspace(-5.0, 60.0, 260)
+        y = np.random.default_rng(32).poisson(40.0, x.size).astype(np.float64)
+        evaluate = _weighted_gaussians(x, y, np.sqrt(np.maximum(y, 1.0)))
         for _ in range(20):
             n = int(rng.integers(1, 6))
             params = np.column_stack([rng.uniform(10.0, 1e4, n), rng.uniform(0.0, 55.0, n),
                                       rng.uniform(0.5, 3.0, n)]).ravel()
-            jac = _gaussians_jacobian(x, params)
+            jac = evaluate(params)[1]()
             numeric = np.empty_like(jac)
             for j in range(params.size):
                 step = 1e-6 * max(abs(params[j]), 1.0)
                 up, down = params.copy(), params.copy()
                 up[j] += step
                 down[j] -= step
-                numeric[:, j] = (_sum_of_gaussians(x, up) - _sum_of_gaussians(x, down)) / (2 * step)
+                numeric[:, j] = (evaluate(up)[0] - evaluate(down)[0]) / (2 * step)
             # relative to each column's scale, since most entries are ~0
             assert np.all(np.abs(jac - numeric) <= 1e-6 * np.abs(jac).max(axis=0))
+
+    def test_jacobian_built_only_at_accepted_points(self):
+        # a guess far off the one peak: the solver rejects some trial steps
+        edges = np.linspace(-5, 25, 121)
+        h = gaussian_comb(edges, [(1000.0, 10.0, 1.5)])
+        x = h.bin_centers
+        y = h.counts.astype(np.float64)
+        evaluate = _weighted_gaussians(x, y, np.sqrt(np.maximum(y, 1.0)))
+        evaluated, built = [], []
+
+        def counting(params):
+            r, jacobian = evaluate(params)
+            evaluated.append((params, r @ r))
+
+            def counted_jacobian():
+                built.append(params)
+                return jacobian()
+
+            return r, counted_jacobian
+
+        lo = np.array([0.0, x[0] - 0.25, 0.025])
+        hi = np.array([np.inf, x[-1] + 0.25, x[-1] - x[0]])
+        *_, converged = _levenberg_marquardt(counting, np.array([100.0, 4.0, 3.0]), lo, hi, 800)
+        assert converged
+        kept = [evaluated[0]]
+        for params, cost in evaluated[1:]:
+            if cost < kept[-1][1]:
+                kept.append((params, cost))
+        assert len(evaluated) - len(kept) >= 1  # at least one rejected step
+        assert len(built) == len(kept)
+        for b, (k, _) in zip(built, kept):
+            np.testing.assert_array_equal(b, k)
 
     def test_exact_single_gaussian_recovered(self):
         edges = np.linspace(-5, 25, 121)
@@ -300,10 +334,11 @@ def least_squares_fit(h, guesses):
     p0 = np.array([v for (c, w, amp) in guesses for v in (amp, c, w)])
     lo = np.tile([0.0, x[0] - bw, bw / 10.0], len(guesses))
     hi = np.tile([np.inf, x[-1] + bw, x[-1] - x[0]], len(guesses))
+    evaluate = _weighted_gaussians(x, y, sigma)
     result = least_squares(
-        lambda params: (_sum_of_gaussians(x, params) - y) / sigma,
+        lambda params: evaluate(params)[0],
         np.clip(p0, lo, hi),
-        jac=lambda params: _gaussians_jacobian(x, params) / sigma[:, None],
+        jac=lambda params: evaluate(params)[1](),
         bounds=(lo, hi),
         xtol=XTOL,
         ftol=1e-12,
