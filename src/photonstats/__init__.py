@@ -19,10 +19,6 @@ from .channel import (
     ConditionNumberWarning,
     NegativityReport,
     TransferMatrix,
-    apply_channel,
-    binomial_loss_matrix,
-    compose,
-    dark_convolution_matrix,
     detector_matrix,
     invert_channel,
     truncation_diagnostics,
@@ -71,12 +67,8 @@ __all__ = [
     "SourceSpec",
     "TransferMatrix",
     "TruncationLossError",
-    "apply_channel",
     "areas_to_probabilities",
-    "binomial_loss_matrix",
     "classical_gamma_bound",
-    "compose",
-    "dark_convolution_matrix",
     "default_pairs_per_uw",
     "detect_peaks",
     "detector_matrix",

@@ -8,8 +8,9 @@ overflow rather than binned.
 
 Gates are independent and identically distributed, so the gates themselves
 are never drawn. The detected-count frequencies are one multinomial draw over
-the detected-count law (the detector matrix applied to the source law), and
-the areas of the gates with k counts are one multinomial draw over the bins.
+the detected-count law (the detector law of :mod:`photonstats.channel`
+applied to the source law), and the areas of the gates with k counts are one
+multinomial draw over the bins.
 The cost depends on the number of photon numbers and bins, not on the number
 of gates. Each of the two draws has its own stream seeded by (seed, stream
 tag), so outputs are bit-reproducible for a given seed.
@@ -25,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import apply_channel, binomial_loss_matrix, detector_matrix
-from .distributions import SourceSpec, _poisson_pmf, make_distribution
+from .channel import _detect, detector_matrix
+from .distributions import SourceSpec, make_distribution
 from .ioutil import SCHEMA_VERSION
 
 _COUNT_STREAM = 0
@@ -199,11 +200,11 @@ def _pairs_at_p1(target_p1: float, eta: float, dark_mean: float, cutoff: int) ->
     """Mean pairs per gate whose one-count probability is ``target_p1``:
     bisection of [1e-6, 2] down to 1e-13. Every config whose pump omits
     ``pairs_per_uW`` asks for the same root, so it is cached."""
-    m = detector_matrix(eta, dark_mean, cutoff)
+    m = detector_matrix(eta, dark_mean, cutoff).entries
 
     def p1_above_target(mu: float) -> bool:
         src = SourceSpec(kind="pdc_pairs", cutoff=cutoff, mean=mu)
-        return float(apply_channel(m, make_distribution(src)).probs[1]) > target_p1
+        return float((m @ make_distribution(src).probs)[1]) > target_p1
 
     lo, hi = 1e-6, 2.0
     if p1_above_target(lo) or not p1_above_target(hi):
@@ -245,21 +246,14 @@ def _with_cutoff(spec: SourceSpec, cutoff: int) -> SourceSpec:
 
 def _detected_count_law(source: SourceSpec, det: DetectorModel) -> np.ndarray:
     """Probabilities of 0, 1, 2, ... detected counts in one gate: the detector
-    matrix applied to the source law on a window wide enough that the law is
-    effectively untruncated."""
+    law applied to the source law on the first window wide enough that the
+    result is effectively untruncated."""
     for window in _WINDOWS:
         try:
             p = make_distribution(_with_cutoff(source, window))
         except ValueError:  # a Fock number above the window, or mass lost beyond it
             continue
-        loss = binomial_loss_matrix(det.eta, window).entries
-        dark = _poisson_pmf(det.dark_mean, window + 1)
-        # dark counts as a convolution with their Poisson law, cut at the
-        # window: channel.dark_convolution_matrix applied without building it
-        if det.dark_after_loss:
-            f = np.convolve(loss @ p.probs, dark)[: window + 1]
-        else:
-            f = loss @ np.convolve(p.probs, dark)[: window + 1]
+        f = _detect(p.probs, det.eta, det.dark_mean, det.dark_after_loss)
         if f[window // 2 :].sum() < _TAIL_MASS:
             return f / f.sum()
     raise ValueError(f"the detected-count law does not fit in {_WINDOWS[-1]} photons")

@@ -1,11 +1,13 @@
-"""Detector transfer matrices: binomial loss, additive dark counts, inversion.
+"""The detector law, its transfer matrix, and the matrix's inversion.
 
 The forward model maps a source distribution p to a detected distribution
 f = M p. Loss acts as independent survival of each photon with probability
 eta (binomial thinning); dark counts add a Poisson-distributed number of
-extra counts per gate. The full detector is the composition of the two.
-Reconstruction solves the truncated linear system directly; negative entries
-in the solution are preserved and reported, not clipped.
+extra counts per gate. Both are written once, in ``_detect``: the sampler in
+:mod:`photonstats.acquisition` applies it to a source law, and
+:func:`detector_matrix` applies it to the identity. Reconstruction solves the
+truncated linear system directly; negative entries in the solution are
+preserved and reported, not clipped.
 """
 
 from __future__ import annotations
@@ -16,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    LOST_MASS_TOL,
-    MIN_CUTOFF,
-    SUM_TOL,
-    PhotonDistribution,
-    TruncationLossError,
-    _log_factorials,
-)
+from .distributions import MIN_CUTOFF, PhotonDistribution, _log_factorials, _poisson_pmf
 
 DEFAULT_CUTOFF = 10
 COND_WARN_THRESHOLD = 1e12
@@ -62,81 +57,53 @@ class TransferMatrix:
         object.__setattr__(self, "entries", m)
 
 
-def _check_cutoff(cutoff: int) -> None:
-    if cutoff < MIN_CUTOFF:
-        raise ValueError(f"cutoff must be >= {MIN_CUTOFF}, got {cutoff}")
-
-
-def binomial_loss_matrix(eta: float, cutoff: int = DEFAULT_CUTOFF) -> TransferMatrix:
-    """Binomial thinning matrix: entry (i, j) = C(j, i) eta^i (1-eta)^(j-i).
+def _loss_matrix(eta: float, n: int) -> np.ndarray:
+    """Binomial thinning on photon numbers 0..n-1: entry (i, j) = C(j, i)
+    eta^i (1-eta)^(j-i).
 
     Upper triangular (a detector cannot see more photons than arrived); each
     column sums to 1, and the diagonal is eta^j. Binomial coefficients are
     formed from cumulative log-factorials so the construction stays accurate
     through cutoffs of order 64.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
-    _check_cutoff(cutoff)
-    n = cutoff + 1
     if eta == 1.0:
-        m = np.eye(n)
-    elif eta == 0.0:
+        return np.eye(n)
+    if eta == 0.0:
         m = np.zeros((n, n))
         m[0, :] = 1.0
-    else:
-        logfact = _log_factorials(n)
-        i = np.arange(n)[:, None]
-        j = np.arange(n)[None, :]
-        diff = np.clip(j - i, 0, None)
-        logm = (
-            logfact[j]
-            - logfact[i]
-            - logfact[diff]
-            + i * math.log(eta)
-            + diff * math.log1p(-eta)
-        )
-        m = np.where(j >= i, np.exp(logm), 0.0)
-    return TransferMatrix(m, eta=eta, dark_mean=0.0, cutoff=cutoff)
-
-
-def dark_convolution_matrix(dark_mean: float, cutoff: int = DEFAULT_CUTOFF) -> TransferMatrix:
-    """Additive dark-count matrix: entry (i, j) = e^-nu nu^(i-j) / (i-j)! for i >= j.
-
-    Lower triangular Poisson shift with per-gate mean ``dark_mean``. Columns
-    sum to less than 1 because counts pushed past the cutoff leave the
-    truncated space; apply_channel reports that mass as leakage.
-    """
-    if dark_mean < 0:
-        raise ValueError(f"dark count mean must be >= 0, got {dark_mean}")
-    _check_cutoff(cutoff)
-    n = cutoff + 1
-    if dark_mean == 0.0:
-        m = np.eye(n)
-    else:
-        logfact = _log_factorials(n)
-        i = np.arange(n)[:, None]
-        j = np.arange(n)[None, :]
-        diff = np.clip(i - j, 0, None)
-        logm = -dark_mean + diff * math.log(dark_mean) - logfact[diff]
-        m = np.where(i >= j, np.exp(logm), 0.0)
-    return TransferMatrix(m, eta=1.0, dark_mean=dark_mean, cutoff=cutoff)
-
-
-def compose(outer: TransferMatrix, inner: TransferMatrix) -> TransferMatrix:
-    """Matrix product outer @ inner; the composed channel applies inner first.
-
-    Efficiencies multiply and dark means add, which is exact for the
-    canonical factors (loss carries no dark counts and vice versa).
-    """
-    if outer.cutoff != inner.cutoff:
-        raise ValueError(f"cutoff mismatch: outer {outer.cutoff} vs inner {inner.cutoff}")
-    return TransferMatrix(
-        outer.entries @ inner.entries,
-        eta=outer.eta * inner.eta,
-        dark_mean=outer.dark_mean + inner.dark_mean,
-        cutoff=outer.cutoff,
+        return m
+    logfact = _log_factorials(n)
+    i = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    diff = np.clip(j - i, 0, None)
+    logm = (
+        logfact[j]
+        - logfact[i]
+        - logfact[diff]
+        + i * math.log(eta)
+        + diff * math.log1p(-eta)
     )
+    return np.where(j >= i, np.exp(logm), 0.0)
+
+
+def _detect(x: np.ndarray, eta: float, dark_mean: float, dark_after_loss: bool) -> np.ndarray:
+    """The detector law applied along axis 0 of a vector or matrix ``x`` over
+    photon numbers 0..len(x)-1: each photon survives with probability ``eta``
+    (binomial thinning), and Poisson(``dark_mean``) dark counts are added by
+    convolution, cut at len(x).
+
+    Dark counts are added after the loss (they originate in the detector and
+    are not attenuated), or before it when ``dark_after_loss`` is False, which
+    thins them as well. Mass pushed past len(x) by the dark counts is lost.
+    """
+    n = len(x)
+    loss = _loss_matrix(eta, n)
+    dark = _poisson_pmf(dark_mean, n)
+
+    def add_dark(y):
+        return np.apply_along_axis(lambda col: np.convolve(col, dark)[:n], 0, y)
+
+    return add_dark(loss @ x) if dark_after_loss else loss @ add_dark(x)
 
 
 def detector_matrix(
@@ -146,36 +113,22 @@ def detector_matrix(
     *,
     dark_after_loss: bool = True,
 ) -> TransferMatrix:
-    """Full detector model: loss thinning and dark-count addition composed.
+    """Full detector model on photon numbers 0..cutoff: the detector law
+    applied to the identity, so column j is the detected-count law of j
+    photons. Dark counts pushed past the cutoff leave the truncated space,
+    so columns sum to at most 1.
 
-    The default order adds dark counts after loss (dark events originate in
-    the detector and are not attenuated); ``dark_after_loss=False`` swaps the
-    order, which is equivalent to thinning the dark counts as well.
+    The default order adds dark counts after loss; ``dark_after_loss=False``
+    swaps the order, which is equivalent to thinning the dark counts as well.
     """
-    loss = binomial_loss_matrix(eta, cutoff)
-    dark = dark_convolution_matrix(dark_mean, cutoff)
-    return compose(dark, loss) if dark_after_loss else compose(loss, dark)
-
-
-def apply_channel(m: TransferMatrix, p: PhotonDistribution) -> PhotonDistribution:
-    """Forward map f = M p.
-
-    The output is physical; it is not renormalized, so its total is the input
-    total minus the leakage past the cutoff. Leakage above LOST_MASS_TOL is an
-    error because the truncated window can no longer represent the channel
-    output faithfully.
-    """
-    if m.cutoff != p.cutoff:
-        raise ValueError(f"cutoff mismatch: matrix {m.cutoff} vs distribution {p.cutoff}")
-    f = m.entries @ p.probs
-    leak = float(p.probs.sum() - f.sum())
-    if leak > LOST_MASS_TOL:
-        raise TruncationLossError(leak, context="channel application")
-    return PhotonDistribution(
-        f,
-        normalized=abs(f.sum() - 1.0) <= SUM_TOL,
-        signed=False,
-    )
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
+    if dark_mean < 0:
+        raise ValueError(f"dark count mean must be >= 0, got {dark_mean}")
+    if cutoff < MIN_CUTOFF:
+        raise ValueError(f"cutoff must be >= {MIN_CUTOFF}, got {cutoff}")
+    m = _detect(np.eye(cutoff + 1), eta, dark_mean, dark_after_loss)
+    return TransferMatrix(m, eta=eta, dark_mean=dark_mean, cutoff=cutoff)
 
 
 def invert_channel(
@@ -204,11 +157,7 @@ def invert_channel(
             stacklevel=2,
         )
     p = np.linalg.solve(m.entries, f.probs)
-    return PhotonDistribution(
-        p,
-        normalized=abs(p.sum() - 1.0) <= SUM_TOL,
-        signed=True,
-    )
+    return PhotonDistribution(p, signed=True)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ commands, the experiment scripts and the tests share: ``analyze_histogram``
 Exit codes: 0 success, 2 config error, 3 fit failure, 4 numerical warning
 escalated by --strict, 5 I/O failure (an input file that cannot be read or an
 output that cannot be written), 6 runtime failure (any other ValueError a
-command other than analyze meets while it runs, such as a detected-count law
-too wide to simulate).
+command meets while it runs, such as a detected-count law too wide to
+simulate or a malformed histogram CSV). Once ``analyze`` has loaded its
+histogram, every ValueError it meets is a fit failure.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .channel import (
     invert_channel,
     truncation_diagnostics,
 )
-from .distributions import SUM_TOL, PhotonDistribution, SourceSpec
+from .distributions import PhotonDistribution, SourceSpec
 from .fitting import (
     PeakFitResult,
     PeakOverlapWarning,
@@ -210,9 +211,7 @@ def reconstruct(
     n = cutoff + 1
     padded = np.zeros(n)
     padded[: min(probs.size, n)] = probs[:n]
-    measured = PhotonDistribution(
-        padded, normalized=abs(padded.sum() - 1.0) <= SUM_TOL, signed=False
-    )
+    measured = PhotonDistribution(padded)
     matrix = detector_matrix(
         det.eta, det.dark_mean, cutoff, dark_after_loss=det.dark_after_loss
     )
@@ -285,9 +284,11 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(histogram_csv: Path, out_dir: Path, strict: bool = False) -> int:
-    """Fit the histogram, derive probabilities and classicality reports."""
-    hist = AreaHistogram.load(histogram_csv, histogram_csv.with_suffix(".json"))
+def cmd_analyze(
+    hist: AreaHistogram, histogram_csv: Path, out_dir: Path, strict: bool = False
+) -> int:
+    """Fit the histogram loaded from ``histogram_csv``, derive probabilities
+    and classicality reports."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", PeakOverlapWarning)
         result = analyze_histogram(hist)
@@ -404,8 +405,9 @@ def main(argv=None) -> int:
             out_dir = Path(args.out) if args.out else Path(".")
             if args.config is not None and args.out is None:
                 out_dir = load_config(args.config, args.seed, args.out).output_dir
+            hist = AreaHistogram.load(args.histogram, args.histogram.with_suffix(".json"))
             try:
-                return cmd_analyze(args.histogram, out_dir, strict=args.strict)
+                return cmd_analyze(hist, args.histogram, out_dir, strict=args.strict)
             except (ValueError, ZeroDivisionError) as exc:
                 return _emit_error(exc, EXIT_FIT)
 

@@ -41,13 +41,13 @@ class TruncationLossError(ValueError):
 class PhotonDistribution:
     """Probability vector over photon number 0..cutoff.
 
-    ``normalized`` asserts the entries sum to 1 within SUM_TOL; ``signed``
-    permits negative entries (reconstructed distributions only). Both flags
-    are validated on construction, and the underlying array is made read-only.
+    ``signed`` permits negative entries (reconstructed distributions only) and
+    is validated on construction; the underlying array is made read-only. The
+    entries need not sum to 1: a measured or reconstructed distribution sums
+    to what its data give.
     """
 
     probs: np.ndarray
-    normalized: bool = True
     signed: bool = False
 
     def __post_init__(self):
@@ -60,11 +60,6 @@ class PhotonDistribution:
             raise ValueError("probability vector contains non-finite entries")
         if not self.signed and np.any(p < 0):
             raise ValueError("negative entries in a distribution not flagged signed")
-        if self.normalized and abs(p.sum() - 1.0) > SUM_TOL:
-            raise ValueError(
-                f"entries sum to {p.sum()!r}, not 1 within {SUM_TOL:.0e}; "
-                "construct with normalized=False if that is intended"
-            )
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)

@@ -14,9 +14,10 @@ SCHEMA_VERSION = 2
 
 def json_safe(obj):
     """Recursively turn dataclass instances into dicts and tuples into lists,
-    and replace non-finite floats with None, so output is strict JSON."""
+    and replace non-finite floats with None, so output is strict JSON. One
+    pass: a dataclass's fields are read directly, not from a copy."""
     if dataclasses.is_dataclass(obj):
-        return json_safe(dataclasses.asdict(obj))
+        return {f.name: json_safe(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {k: json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

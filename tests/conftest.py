@@ -6,8 +6,8 @@ def random_physical_distribution(rng, cutoff, tail_decay=0.55):
     """Random normalized physical distribution with geometrically damped tail.
 
     The damping (plus a hard cap on the top entry) keeps mass away from the
-    cutoff so forward channels with dark counts stay within the
-    truncation-leakage tolerance of apply_channel.
+    cutoff, so little of it leaks past the cutoff through forward channels
+    with dark counts.
     """
     while True:
         raw = rng.dirichlet(np.ones(cutoff + 1)) * tail_decay ** np.arange(cutoff + 1)

@@ -18,7 +18,7 @@ from photonstats.acquisition import (
     simulate_gate_counts,
     synthesize_histogram,
 )
-from photonstats.channel import apply_channel, detector_matrix
+from photonstats.channel import detector_matrix
 from photonstats.cli import pump_sweep
 from photonstats.distributions import SourceSpec, TruncationLossError, make_distribution
 from photonstats.ioutil import dumps_canonical
@@ -111,9 +111,8 @@ class TestSimulateGateCounts:
         src = SourceSpec(kind="pdc_pairs", cutoff=20, mean=0.1)
         n = 2_000_000
         emp = simulate_gate_counts(src, DET, n, seed=3)[:21] / n
-        f = apply_channel(detector_matrix(DET.eta, DET.dark_mean, 20),
-                          make_distribution(src))
-        tv = 0.5 * np.abs(emp - f.probs).sum()
+        f = detector_matrix(DET.eta, DET.dark_mean, 20).entries @ make_distribution(src).probs
+        tv = 0.5 * np.abs(emp - f).sum()
         assert tv < 1e-3
 
     @pytest.mark.parametrize("stats", ["poissonian", "thermal"])
@@ -121,9 +120,8 @@ class TestSimulateGateCounts:
         src = SourceSpec(kind="pdc_pairs", cutoff=30, mean=0.3, pair_statistics=stats)
         n = 500_000
         emp = simulate_gate_counts(src, DET, n, seed=4)[:31] / n
-        f = apply_channel(detector_matrix(DET.eta, DET.dark_mean, 30),
-                          make_distribution(src))
-        assert 0.5 * np.abs(emp - f.probs).sum() < 3.0 / math.sqrt(n)
+        f = detector_matrix(DET.eta, DET.dark_mean, 30).entries @ make_distribution(src).probs
+        assert 0.5 * np.abs(emp - f).sum() < 3.0 / math.sqrt(n)
 
     def test_mixture_source_sampled(self):
         spec = SourceSpec(
@@ -150,8 +148,7 @@ class TestSimulateGateCounts:
         # against the analytic law f, summed over 200 seeds. The bound is
         # two-sided, so a sampler that returned n * f itself would fail too.
         src = SourceSpec(kind="pdc_pairs", cutoff=30, mean=0.3)
-        f = apply_channel(detector_matrix(DET.eta, DET.dark_mean, 30),
-                          make_distribution(src)).probs
+        f = detector_matrix(DET.eta, DET.dark_mean, 30).entries @ make_distribution(src).probs
         n, cells = 10_000, 5  # counts 0..3, and 4 or more pooled
         expected = n * np.append(f[: cells - 1], 1.0 - f[: cells - 1].sum())
         total = 0.0
@@ -182,8 +179,7 @@ class TestSimulateGateCounts:
         n = 500_000
         freq = simulate_gate_counts(src, DET, n, seed=10)
         wide = replace(src, cutoff=80)
-        f = apply_channel(detector_matrix(DET.eta, DET.dark_mean, 80),
-                          make_distribution(wide)).probs
+        f = detector_matrix(DET.eta, DET.dark_mean, 80).entries @ make_distribution(wide).probs
         assert freq.sum() == n
         assert 0.5 * np.abs(freq[:81] / n - f).sum() < 3.0 / math.sqrt(n)
 
@@ -371,19 +367,19 @@ class TestPumpModel:
     def test_default_calibration_hits_target_p1(self):
         kappa = default_pairs_per_uw()
         src = SourceSpec(kind="pdc_pairs", cutoff=40, mean=kappa * 1.0)
-        f = apply_channel(detector_matrix(0.67, 4e-4, 40), make_distribution(src))
-        assert f.probs[1] == pytest.approx(0.0818, abs=1e-6)
+        f = detector_matrix(0.67, 4e-4, 40).entries @ make_distribution(src).probs
+        assert f[1] == pytest.approx(0.0818, abs=1e-6)
 
     @pytest.mark.parametrize("target_p1, eta, dark_mean",
                              [(0.0818, 0.67, 4e-4), (0.02, 0.95, 0.0), (0.2, 0.4, 0.01)])
     def test_bisection_matches_brentq(self, target_p1, eta, dark_mean):
         from scipy.optimize import brentq
 
-        m = detector_matrix(eta, dark_mean, 40)
+        m = detector_matrix(eta, dark_mean, 40).entries
 
         def p1_minus_target(mu):
             src = SourceSpec(kind="pdc_pairs", cutoff=40, mean=mu)
-            return float(apply_channel(m, make_distribution(src)).probs[1]) - target_p1
+            return float((m @ make_distribution(src).probs)[1]) - target_p1
 
         root = brentq(p1_minus_target, 1e-6, 2.0, xtol=1e-13)
         kappa = default_pairs_per_uw(target_p1, eta=eta, dark_mean=dark_mean)

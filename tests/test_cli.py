@@ -252,6 +252,16 @@ class TestAnalyzeCommand:
         assert code == EXIT_IO
         assert stderr_error(capsys)["exit_code"] == EXIT_IO
 
+    def test_malformed_histogram_is_runtime_error(self, tmp_path, capsys):
+        # a count of 2.5 is an unreadable input, not a peak fit that failed
+        csv = tmp_path / "histogram.csv"
+        csv.write_text("bin_center,count\n0.5,3\n1.5,2.5\n")
+        code = main(["analyze", "--histogram", str(csv), "--out", str(tmp_path)])
+        assert code == EXIT_RUNTIME
+        err = stderr_error(capsys)
+        assert err["exit_code"] == EXIT_RUNTIME and err["type"] == "ValueError"
+        assert not (tmp_path / "analysis.json").exists()
+
     def test_report_encoding(self, tmp_path):
         # the criterion-9 run config
         cfg_path = tmp_path / "run.json"

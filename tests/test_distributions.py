@@ -31,10 +31,6 @@ class TestPhotonDistribution:
         with pytest.raises(ValueError, match="cutoff"):
             PhotonDistribution([0.5, 0.5])
 
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="sum"):
-            PhotonDistribution([0.5, 0.2, 0.2, 0.2])
-
     def test_rejects_negative_unless_signed(self):
         probs = [0.6, -0.1, 0.3, 0.2]
         with pytest.raises(ValueError, match="signed"):
@@ -64,7 +60,7 @@ class TestPhotonDistribution:
         np.testing.assert_array_equal(self.reread(d), d.probs)
 
     def test_csv_roundtrip_signed(self):
-        d = PhotonDistribution([0.7, -0.001, 0.3, 0.002], normalized=False, signed=True)
+        d = PhotonDistribution([0.7, -0.001, 0.3, 0.002], signed=True)
         np.testing.assert_array_equal(self.reread(d), d.probs)
 
 
@@ -238,6 +234,6 @@ class TestMoments:
         total = sum(raw)
         if total <= 0:
             return
-        d = PhotonDistribution(np.asarray(raw) / total, normalized=False)
+        d = PhotonDistribution(np.asarray(raw) / total)
         # float renormalization can leave the sum off 1 by a few ulps
         assert -1.0 - 1e-12 <= parity_test(d).parity <= 1.0 + 1e-12
