@@ -37,6 +37,7 @@ from .acquisition import (
     AreaHistogram,
     DetectorModel,
     PumpModel,
+    bin_mass,
     default_pairs_per_uw,
     simulate_gate_counts,
     synthesize_histogram,
@@ -47,6 +48,7 @@ from .fitting import (
     PeakOverlapWarning,
     areas_to_probabilities,
     detect_peaks,
+    fit_comb,
     fit_peaks,
 )
 
@@ -68,11 +70,13 @@ __all__ = [
     "TransferMatrix",
     "TruncationLossError",
     "areas_to_probabilities",
+    "bin_mass",
     "classical_gamma_bound",
     "default_pairs_per_uw",
     "detect_peaks",
     "detector_matrix",
     "eta_from_ratio",
+    "fit_comb",
     "fit_peaks",
     "gamma",
     "gamma_significance",

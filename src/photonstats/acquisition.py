@@ -90,12 +90,17 @@ class DetectorModel:
 
 @dataclass(frozen=True, eq=False)
 class AreaHistogram:
-    """Binned pulse-area counts from ``n_gates`` gates plus the overflow tally."""
+    """Binned pulse-area counts from ``n_gates`` gates plus the overflow tally.
+
+    ``detector`` is the pulse-area response the histogram was recorded with,
+    when it is known (a simulated histogram, or a sidecar that echoes it).
+    """
 
     bin_edges: np.ndarray
     counts: np.ndarray
     n_gates: int
     overflow: int = 0
+    detector: DetectorModel | None = None
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=np.float64)
@@ -130,15 +135,15 @@ class AreaHistogram:
             out.write(f"{float(c)!r},{int(n)}\n")
         return out.getvalue()
 
-    def sidecar_dict(self, detector: DetectorModel | None = None) -> dict:
+    def sidecar_dict(self) -> dict:
         d = {
             "schema_version": SCHEMA_VERSION,
             "bin_edges": [float(e) for e in self.bin_edges],
             "n_gates": self.n_gates,
             "overflow": self.overflow,
         }
-        if detector is not None:
-            d["detector"] = asdict(detector)
+        if self.detector is not None:
+            d["detector"] = asdict(self.detector)
         return d
 
     @classmethod
@@ -152,9 +157,16 @@ class AreaHistogram:
                           delimiter=",", comments=None, ndmin=1)
         centers, counts = rows["center"], rows["count"]
         if sidecar is not None:
-            edges = np.asarray(sidecar["bin_edges"], dtype=np.float64)
-            return cls(edges, counts, n_gates=int(sidecar["n_gates"]),
-                       overflow=int(sidecar.get("overflow", 0)))
+            try:
+                edges = np.asarray(sidecar["bin_edges"], dtype=np.float64)
+                n_gates = int(sidecar["n_gates"])
+                overflow = int(sidecar.get("overflow", 0))
+                detector = DetectorModel(**sidecar["detector"]) if "detector" in sidecar else None
+            except KeyError as exc:
+                raise ValueError(f"the histogram sidecar has no {exc}") from exc
+            except (AttributeError, TypeError) as exc:
+                raise ValueError(f"malformed histogram sidecar: {exc}") from exc
+            return cls(edges, counts, n_gates, overflow, detector)
         # No sidecar (e.g. instrument data): require uniform bins, assume no overflow.
         if centers.size < 2:
             raise ValueError("cannot infer bin edges from fewer than two bins")
@@ -286,8 +298,24 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 def _gaussian_cdf(z: np.ndarray) -> np.ndarray:
     """Standard normal CDF elementwise, as 0.5 erfc(-z / sqrt 2), which keeps
-    the lower tail that 0.5 (1 + erf(z / sqrt 2)) rounds to zero."""
-    return 0.5 * _erfc(-np.asarray(z, dtype=np.float64) / math.sqrt(2.0)).astype(np.float64)
+    the lower tail that 0.5 (1 + erf(z / sqrt 2)) rounds to zero. Far tails
+    underflow to subnormals or zero, which are their right values."""
+    with np.errstate(under="ignore"):
+        return 0.5 * _erfc(-np.asarray(z, dtype=np.float64) / math.sqrt(2.0)).astype(np.float64)
+
+
+def bin_mass(det: DetectorModel, edges: np.ndarray, ks) -> np.ndarray:
+    """Probability that a gate with k detected counts puts its pulse area in
+    each bin of ``edges``, one row per k of ``ks``.
+
+    Row k holds the Gaussian mass of each bin for peak k, with the mass below
+    the range clipped into the first bin, and one last entry for the overflow
+    above the last edge, so every row sums to one.
+    """
+    k = np.asarray(ks)[:, None]
+    cdf = _gaussian_cdf((edges - det.peak_center(k)) / det.peak_width(k))
+    cdf[:, 0] = 0.0  # areas below the range are clipped into the first bin
+    return np.diff(cdf, append=1.0)
 
 
 def synthesize_histogram(
@@ -303,6 +331,7 @@ def synthesize_histogram(
     probabilities are the Gaussian mass of each bin. Areas above adc_max are
     tallied as overflow and the rare area below the range is clipped into the
     first bin, so binned counts plus overflow always equal the number of gates.
+    The histogram carries ``det`` as its detector.
     """
     if bins < 10:
         raise ValueError(f"need at least 10 bins, got {bins}")
@@ -310,11 +339,8 @@ def synthesize_histogram(
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     frequencies = np.asarray(frequencies, dtype=np.int64)
     edges = np.linspace(det.offset - 5.0 * det.sigma0, det.adc_max, bins + 1)
-    k = np.flatnonzero(frequencies)[:, None]
-    cdf = _gaussian_cdf((edges - det.peak_center(k)) / det.peak_width(k))
-    cdf[:, 0] = 0.0  # areas below the range are clipped into the first bin
-    cells = np.diff(cdf, append=1.0)  # the last cell is the overflow above adc_max
+    k = np.flatnonzero(frequencies)
     rng = np.random.default_rng([seed, _AREA_STREAM])
-    draws = rng.multinomial(frequencies[k[:, 0]], cells).sum(axis=0)
+    draws = rng.multinomial(frequencies[k], bin_mass(det, edges, k)).sum(axis=0)
     return AreaHistogram(edges, draws[:-1], n_gates=int(frequencies.sum()),
-                         overflow=int(draws[-1]))
+                         overflow=int(draws[-1]), detector=det)

@@ -33,6 +33,7 @@ from .acquisition import (
     AreaHistogram,
     DetectorModel,
     PumpModel,
+    bin_mass,
     simulate_gate_counts,
     synthesize_histogram,
 )
@@ -50,6 +51,7 @@ from .fitting import (
     PeakOverlapWarning,
     areas_to_probabilities,
     detect_peaks,
+    fit_comb,
     fit_peaks,
 )
 from .ioutil import SCHEMA_VERSION, dumps_canonical, write_text_atomic
@@ -177,13 +179,22 @@ class Analysis:
 
 
 def analyze_histogram(hist: AreaHistogram) -> Analysis:
-    """Detect and fit the peaks, normalize their areas, and test classicality.
+    """Fit the peaks, normalize their areas, and test classicality.
 
+    A histogram that carries its detector is fitted on the detector's comb
+    (``fit_comb``, every tooth whose center lies in the histogram's range);
+    one without (instrument data with no detector echo) has its peaks
+    detected and fitted as a free sum of Gaussians labelled by rank.
     Gamma is taken from the rounded event counts of the one-, two- and
     three-count peaks; the efficiency estimate is None when P1 is zero.
     Warnings are left to the caller.
     """
-    fit = fit_peaks(hist, detect_peaks(hist))
+    det = hist.detector
+    if det is None:
+        fit = fit_peaks(hist, detect_peaks(hist))
+    else:
+        teeth = np.arange(int((hist.bin_edges[-1] - det.offset) // det.gain) + 1)
+        fit = fit_comb(hist, bin_mass(det, hist.bin_edges, teeth)[:, :-1])
     if not fit.converged:
         return Analysis(fit)
     dist, event_counts = areas_to_probabilities(fit)
@@ -268,7 +279,7 @@ def cmd_simulate(config: RunConfig) -> int:
 
     out = config.output_dir
     write_text_atomic(out / "histogram.csv", hist.to_csv())
-    write_text_atomic(out / "histogram.json", dumps_canonical(hist.sidecar_dict(config.detector)))
+    write_text_atomic(out / "histogram.json", dumps_canonical(hist.sidecar_dict()))
 
     summary = {
         "schema_version": SCHEMA_VERSION,

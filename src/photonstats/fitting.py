@@ -2,12 +2,16 @@
 
 Peaks in the histogram correspond to photon numbers. Each is a Gaussian; the
 area under a peak counts the events at that photon number, and normalizing
-the areas by their total yields the probability per gate. Peaks are assigned
-photon numbers by the ordinal position of their centers (pedestal first).
+the areas by their total yields the probability per gate.
 
-Peaks are found by a numpy port of ``scipy.signal.find_peaks`` and fitted
-jointly by a projected Levenberg-Marquardt solver written here in numpy, so
-the module needs no scipy.
+When the detector's pulse-area response is known, ``fit_comb`` fits the
+expected gate count at each tooth of its comb (offset + k gain) by Poisson
+maximum likelihood, so tooth k is photon number k by construction. Otherwise
+``detect_peaks`` finds the peaks with a numpy port of
+``scipy.signal.find_peaks``, ``fit_peaks`` fits them jointly as a free sum of
+Gaussians with a projected Levenberg-Marquardt solver written here in numpy,
+and peaks are assigned photon numbers by the ordinal position of their
+centers (pedestal first). The module needs no scipy.
 """
 
 from __future__ import annotations
@@ -311,6 +315,65 @@ def fit_peaks(h, guesses) -> PeakFitResult:
         residual_norm=float(np.linalg.norm(resid)),
         converged=converged,
     )
+
+
+def fit_comb(h, mass: np.ndarray) -> PeakFitResult:
+    """Poisson maximum-likelihood fit of the expected gate count at each tooth
+    of a known detector comb.
+
+    ``mass[k]`` holds the probability that a gate with k detected counts
+    lands in each bin of ``h``, whose ``detector`` places tooth k at
+    ``peak_center(k)`` with width ``peak_width(k)``. The expected bin counts
+    are lam @ mass, and lam is estimated by expectation-maximisation,
+    lam <- lam * mass (y / lam mass) / mass 1, over the bins whose expected
+    count is positive
+    (Richardson, JOSA 62, 55, 1972; Shepp & Vardi, IEEE TMI 1, 113, 1982),
+    which keeps lam nonnegative. It starts from equal counts on every tooth
+    and has converged once no tooth moves by more than XTOL * max(lam, 1);
+    MAX_ITER iterations are allowed.
+
+    Returns a PeakFitResult whose peak k is photon number k, with area lam_k
+    and standard error the larger of its Fisher-information error and
+    sqrt(max(lam_k, 1)). Teeth 0 up to the last with at least one fitted
+    event are reported. ``residual_norm`` uses the Neyman weights of
+    ``fit_peaks``.
+    """
+    y = h.counts.astype(np.float64)
+    if mass.shape[0] == 0:
+        raise ValueError("no tooth of the detector comb lies in the histogram's range")
+    if y.sum() == 0:
+        raise ValueError("empty histogram: no counts to fit")
+    reach = mass.sum(axis=1)
+    lam = np.full(reach.size, y.sum() / reach.size)
+    converged = False
+    # tails far from every tooth underflow to zero, which is their right value
+    with np.errstate(under="ignore"):
+        for _ in range(MAX_ITER):
+            mu = lam @ mass
+            ratio = np.divide(y, mu, out=np.zeros_like(mu), where=mu > 0.0)
+            step = lam * (mass @ ratio) / reach - lam
+            lam = lam + step
+            if np.all(np.abs(step) <= XTOL * np.maximum(lam, 1.0)):
+                converged = True
+                break
+        # Fisher information of lam, sum_i mass_ji mass_ki / mu_i, scaled by
+        # sqrt(lam_j lam_k) so that every entry lies in [0, 1] and an empty
+        # tooth gives a zero row instead of an unbounded one
+        mu = lam @ mass
+        seen = mu > 0.0
+        scaled = mass[:, seen] * np.sqrt(lam)[:, None] / np.sqrt(mu[seen])
+        variance = lam * np.diag(np.linalg.pinv(scaled @ scaled.T))
+    std = np.sqrt(np.maximum(variance, np.maximum(lam, 1.0)))
+
+    fitted = np.flatnonzero(lam >= 1.0)
+    det = h.detector
+    peaks = tuple(
+        FittedPeak(k, float(det.peak_center(k)), float(det.peak_width(k)),
+                   float(lam[k]), float(std[k]))
+        for k in range(fitted[-1] + 1 if fitted.size else 1)
+    )
+    resid = (y - mu) / np.sqrt(np.maximum(y, 1.0))
+    return PeakFitResult(peaks, residual_norm=float(np.linalg.norm(resid)), converged=converged)
 
 
 def areas_to_probabilities(fit: PeakFitResult):

@@ -358,9 +358,14 @@ class TestAreaHistogramType:
 
     def test_sidecar_echoes_detector(self):
         h = synthesize_histogram(np.array([30]), DET, 40, seed=6)
-        side = h.sidecar_dict(DET)
+        assert h.detector == DET
+        side = h.sidecar_dict()
         assert side["detector"]["eta"] == DET.eta
-        json.dumps(side)  # must be serializable
+        # the echo travels back with the histogram
+        side = json.loads(json.dumps(side))
+        assert AreaHistogram.from_csv(h.to_csv(), side).detector == DET
+        side.pop("detector")
+        assert AreaHistogram.from_csv(h.to_csv(), side).detector is None
 
 
 class TestPumpModel:

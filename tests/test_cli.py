@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from photonstats import fitting
-from photonstats.acquisition import AreaHistogram
+from photonstats.acquisition import (
+    AreaHistogram,
+    DetectorModel,
+    _detected_count_law,
+    simulate_gate_counts,
+    synthesize_histogram,
+)
 from photonstats.cli import (
     EXIT_CONFIG,
     EXIT_FIT,
@@ -19,6 +25,7 @@ from photonstats.cli import (
     EXIT_RUNTIME,
     ConfigError,
     RunConfig,
+    analyze_histogram,
     load_config,
     main,
 )
@@ -288,11 +295,53 @@ class TestAnalyzeCommand:
         write_config(cfg_path, n_gates=20_000, detector={"eta": 0.0, "dark_mean": 0.0})
         main(["simulate", "--config", str(cfg_path)])
         out = tmp_path / "out"
-        code = main(["analyze", "--histogram", str(out / "histogram.csv"),
-                     "--out", str(out)])
+        with np.errstate(all="raise"):
+            code = main(["analyze", "--histogram", str(out / "histogram.csv"),
+                         "--out", str(out)])
         assert code == EXIT_FIT
         err = json.loads(capsys.readouterr().err)
-        assert err["exit_code"] == EXIT_FIT
+        assert err["exit_code"] == EXIT_FIT and "gamma is undefined" in err["error"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda side: side.pop("bin_edges"),
+        lambda side: side.pop("n_gates"),
+        lambda side: side["detector"].update(colour="blue"),
+        lambda side: side["detector"].update(eta=1.5),
+        lambda side: side.update(detector=[0.617, 4e-4]),
+    ], ids=["no-bin-edges", "no-n-gates", "detector-unknown-key", "detector-eta-above-one",
+            "detector-not-an-object"])
+    def test_malformed_sidecar_is_runtime_error(self, simulated, capsys, edit):
+        _, out = simulated
+        sidecar = out / "histogram.json"
+        side = json.loads(sidecar.read_text())
+        edit(side)
+        sidecar.write_text(json.dumps(side))
+        code = main(["analyze", "--histogram", str(out / "histogram.csv"), "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        err = stderr_error(capsys)
+        assert err["exit_code"] == EXIT_RUNTIME and err["type"] == "ValueError"
+        assert not (out / "analysis.json").exists()
+
+    def test_sidecar_echo_selects_the_comb_fit(self, simulated):
+        # with the detector echo, peaks sit on the comb; without it, the
+        # peaks are detected and fitted freely, and the probabilities agree
+        _, out = simulated
+        assert main(["analyze", "--histogram", str(out / "histogram.csv"),
+                     "--out", str(out / "comb")]) == EXIT_OK
+        sidecar = out / "histogram.json"
+        side = json.loads(sidecar.read_text())
+        det = DetectorModel(**side.pop("detector"))
+        sidecar.write_text(json.dumps(side))
+        assert main(["analyze", "--histogram", str(out / "histogram.csv"),
+                     "--out", str(out / "free")]) == EXIT_OK
+        comb, free = (json.loads((out / d / "analysis.json").read_text())
+                      for d in ("comb", "free"))
+        for p in comb["fit"]["peaks"]:
+            assert p["center"] == det.peak_center(p["photon_number"])
+        assert any(p["center"] != det.peak_center(p["photon_number"])
+                   for p in free["fit"]["peaks"])
+        np.testing.assert_allclose(comb["probabilities"][:4], free["probabilities"][:4],
+                                   atol=2e-3)
 
     def test_coherent_source_not_violated(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -314,6 +363,26 @@ class TestAnalyzeCommand:
         first = (out / "analysis.json").read_bytes()
         main(["analyze", "--histogram", str(out / "histogram.csv"), "--out", str(out)])
         assert (out / "analysis.json").read_bytes() == first
+
+
+class TestCombLabels:
+    """Peaks are labelled by the detector comb at high efficiency, where a
+    label by rank fails: weak pairs leave the one-count peak at about 40
+    events, below what peak detection can separate from noise."""
+
+    @pytest.mark.parametrize("eta", [0.98, 0.95])
+    def test_labels_and_gamma_over_fixed_seeds(self, eta):
+        det = DetectorModel(eta=eta, dark_mean=0.0)
+        source = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.05)
+        law = _detected_count_law(source, det)
+        expected = law[2] / law[1:4].sum()
+        for seed in range(50):
+            frequencies = simulate_gate_counts(source, det, 20_000, seed)
+            analysis = analyze_histogram(synthesize_histogram(frequencies, det, 500, seed))
+            for p in analysis.fit.peaks:
+                assert p.photon_number == round((p.center - det.offset) / det.gain)
+            report = analysis.gamma_report
+            assert abs(report.gamma - expected) <= 5.0 * report.std_error, f"seed {seed}"
 
 
 class TestReconstructCommand:

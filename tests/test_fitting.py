@@ -7,9 +7,11 @@ import pytest
 from photonstats.acquisition import (
     AreaHistogram,
     DetectorModel,
+    bin_mass,
     simulate_gate_counts,
     synthesize_histogram,
 )
+from photonstats.cli import analyze_histogram
 from photonstats.distributions import SourceSpec
 from photonstats.fitting import (
     MAX_ITER,
@@ -25,6 +27,7 @@ from photonstats.fitting import (
     _weighted_gaussians,
     areas_to_probabilities,
     detect_peaks,
+    fit_comb,
     fit_peaks,
 )
 from photonstats.ioutil import dumps_canonical
@@ -396,6 +399,98 @@ class TestSolverMatchesLeastSquares:
         assert fit.converged
         assert fit.peaks[1].area == 0.0
         assert fit.peaks[0].area > 0.0
+
+
+def comb_mass(det, edges):
+    """Bin masses of the comb teeth whose centers lie in the range of ``edges``."""
+    teeth = np.arange(int((edges[-1] - det.offset) // det.gain) + 1)
+    return bin_mass(det, edges, teeth)[:, :-1]
+
+
+def noiseless_comb(lam, det=DET, bins=500):
+    """A histogram whose counts are the rounded expected counts lam @ mass,
+    on the bins synthesize_histogram uses, and the mass behind it."""
+    edges = np.linspace(det.offset - 5.0 * det.sigma0, det.adc_max, bins + 1)
+    mass = comb_mass(det, edges)
+    counts = np.rint(np.asarray(lam, dtype=np.float64) @ mass).astype(np.int64)
+    return AreaHistogram(edges, counts, n_gates=int(counts.sum()) + 1, detector=det), mass
+
+
+class TestFitComb:
+    def test_noiseless_counts_give_lambda_back(self):
+        # counts large enough that rounding sits far below the tolerance
+        lam = 1e10 * np.array([5.0, 4.0, 3.0, 2.5, 2.0, 1.5, 1.0, 0.8, 0.6, 0.4, 0.3, 0.2, 0.1])
+        h, mass = noiseless_comb(lam)
+        assert mass.shape[0] == lam.size
+        fit = fit_comb(h, mass)
+        assert fit.converged
+        assert [p.photon_number for p in fit.peaks] == list(range(lam.size))
+        np.testing.assert_allclose([p.area for p in fit.peaks], lam, rtol=1e-8)
+        for p in fit.peaks:
+            assert p.center == DET.peak_center(p.photon_number)
+            assert p.width == DET.peak_width(p.photon_number)
+
+    def test_reported_teeth_end_at_the_last_fitted_event(self):
+        # tooth 2 is empty but lies below tooth 3; tooth 4 rounds to no counts
+        lam = np.zeros(13)
+        lam[[0, 1, 3, 4]] = [1000.0, 500.0, 40.0, 0.4]
+        h, mass = noiseless_comb(lam)
+        fit = fit_comb(h, mass)
+        assert fit.converged
+        assert [p.photon_number for p in fit.peaks] == [0, 1, 2, 3]
+        assert fit.peaks[2].area < 1.0 <= fit.peaks[3].area
+        # the error is never below one event, even on an empty tooth
+        assert all(p.area_std_error >= max(1.0, math.sqrt(p.area)) for p in fit.peaks)
+
+    def test_standard_errors_match_poisson_counts(self):
+        # well separated teeth: the Fisher error of a fully binned tooth is sqrt(lam)
+        lam = np.array([40000.0, 9000.0, 2500.0])
+        h, mass = noiseless_comb(np.pad(lam, (0, 10)))
+        fit = fit_comb(h, mass)
+        np.testing.assert_allclose([p.area_std_error for p in fit.peaks], np.sqrt(lam), rtol=1e-3)
+
+    def test_no_iterations_is_not_converged(self, monkeypatch):
+        import photonstats.fitting as fitting
+
+        h, mass = noiseless_comb(np.full(13, 100.0))
+        assert fit_comb(h, mass).converged
+        monkeypatch.setattr(fitting, "MAX_ITER", 0)
+        assert not fit_comb(h, mass).converged
+
+    def test_empty_histogram_and_empty_comb_rejected(self):
+        h, mass = noiseless_comb(np.zeros(13))
+        with pytest.raises(ValueError, match="empty histogram"):
+            fit_comb(h, mass)
+        h, mass = noiseless_comb(np.full(13, 10.0))
+        with pytest.raises(ValueError, match="no tooth"):
+            fit_comb(h, mass[:0])
+
+    def test_fock_source_with_empty_pedestal(self):
+        det = DetectorModel(eta=1.0, dark_mean=0.0)
+        src = SourceSpec(kind="fock", cutoff=14, n=1)
+        h = synthesize_histogram(simulate_gate_counts(src, det, 20_000, 3), det, 500, 3)
+        with np.errstate(all="raise"):
+            analysis = analyze_histogram(h)
+        peaks = analysis.fit.peaks
+        assert [p.photon_number for p in peaks] == [0, 1]
+        assert peaks[0].area < 1.0
+        assert peaks[1].area == pytest.approx(20_000, rel=1e-9)
+        assert analysis.distribution.probs[1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_strong_pump_with_overflow(self):
+        # 16 uW: about 3.6 pairs per gate, so some areas lie above adc_max
+        src = SourceSpec(kind="pdc_pairs", cutoff=20, mean=0.2253 * 16)
+        frequencies = simulate_gate_counts(src, DET, 100_000, 16)
+        h = synthesize_histogram(frequencies, DET, 500, 16)
+        assert h.overflow > 0
+        with np.errstate(all="raise"):
+            analysis = analyze_histogram(h)
+        fit = analysis.fit
+        assert fit.converged
+        # every tooth up to the one centred on adc_max, which is half in range
+        assert [p.photon_number for p in fit.peaks] == list(range(13))
+        for p in fit.peaks:
+            assert abs(p.area - frequencies[p.photon_number]) <= 5.0 * p.area_std_error
 
 
 class TestAreasToProbabilities:
