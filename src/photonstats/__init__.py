@@ -45,9 +45,7 @@ from .acquisition import (
 from .fitting import (
     FittedPeak,
     PeakFitResult,
-    PeakOverlapWarning,
     areas_to_probabilities,
-    detect_peaks,
     fit_comb,
     fit_peaks,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "NegativityReport",
     "ParityReport",
     "PeakFitResult",
-    "PeakOverlapWarning",
     "PhotonDistribution",
     "PumpModel",
     "SourceSpec",
@@ -73,7 +70,6 @@ __all__ = [
     "bin_mass",
     "classical_gamma_bound",
     "default_pairs_per_uw",
-    "detect_peaks",
     "detector_matrix",
     "eta_from_ratio",
     "fit_comb",

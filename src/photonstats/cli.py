@@ -5,8 +5,8 @@ and writes CSV data plus JSON reports. Outputs are deterministic for a fixed
 (config, seed) pair and all file writes are atomic.
 
 The analysis chain itself is written once here, as plain functions the
-commands, the experiment scripts and the tests share: ``analyze_histogram``
-(histogram -> peak fit -> P_n -> gamma, parity and eta), ``reconstruct``
+commands and the tests share: ``analyze_histogram`` (histogram -> comb
+fit -> P_n -> gamma, parity and eta), ``reconstruct``
 (measured P_n -> detector-matrix inversion) and ``pump_sweep``.
 
 Exit codes: 0 success, 2 config error, 3 fit failure, 4 numerical warning
@@ -24,7 +24,7 @@ import functools
 import json
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,14 +46,7 @@ from .channel import (
     truncation_diagnostics,
 )
 from .distributions import PhotonDistribution, SourceSpec
-from .fitting import (
-    PeakFitResult,
-    PeakOverlapWarning,
-    areas_to_probabilities,
-    detect_peaks,
-    fit_comb,
-    fit_peaks,
-)
+from .fitting import PeakFitResult, _fit_unknown_comb, areas_to_probabilities, fit_comb
 from .ioutil import SCHEMA_VERSION, dumps_canonical, write_text_atomic
 from .nonclassical import (
     GammaReport,
@@ -179,24 +172,29 @@ class Analysis:
 
 
 def analyze_histogram(hist: AreaHistogram) -> Analysis:
-    """Fit the peaks, normalize their areas, and test classicality.
+    """Fit the histogram on its detector's comb, normalize the areas, and
+    test classicality.
 
-    A histogram that carries its detector is fitted on the detector's comb
-    (``fit_comb``, every tooth whose center lies in the histogram's range);
-    one without (instrument data with no detector echo) has its peaks
-    detected and fitted as a free sum of Gaussians labelled by rank.
-    Gamma is taken from the rounded event counts of the one-, two- and
-    three-count peaks; the efficiency estimate is None when P1 is zero.
-    Warnings are left to the caller.
+    Every histogram is fitted by ``fit_comb`` on every tooth whose center lies
+    in its range. A histogram that does not carry its detector (instrument
+    data with no detector echo) first has the comb fitted to its counts
+    (``_fit_unknown_comb``), with tooth 0 at the lowest tooth holding an
+    event; the fit has converged only if both fits have. Gamma is taken from
+    the rounded event counts of the one-, two- and three-count peaks; the
+    efficiency estimate is None when P1 is zero. Warnings are left to the
+    caller.
     """
+    converged = True
+    if hist.detector is None:
+        offset, gain, sigma0, per_photon, converged = _fit_unknown_comb(hist)
+        hist = replace(hist, detector=DetectorModel(
+            gain=gain, offset=offset, sigma0=sigma0, sigma_per_photon=per_photon,
+            adc_max=float(hist.bin_edges[-1])))
     det = hist.detector
-    if det is None:
-        fit = fit_peaks(hist, detect_peaks(hist))
-    else:
-        teeth = np.arange(int((hist.bin_edges[-1] - det.offset) // det.gain) + 1)
-        fit = fit_comb(hist, bin_mass(det, hist.bin_edges, teeth)[:, :-1])
-    if not fit.converged:
-        return Analysis(fit)
+    teeth = np.arange(int((hist.bin_edges[-1] - det.offset) // det.gain) + 1)
+    fit = fit_comb(hist, bin_mass(det, hist.bin_edges, teeth)[:, :-1])
+    if not (fit.converged and converged):
+        return Analysis(replace(fit, converged=False))
     dist, event_counts = areas_to_probabilities(fit)
     p = dist.probs
     return Analysis(
@@ -301,7 +299,6 @@ def cmd_analyze(
     """Fit the histogram loaded from ``histogram_csv``, derive probabilities
     and classicality reports."""
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", PeakOverlapWarning)
         result = analyze_histogram(hist)
 
     report = {

@@ -4,20 +4,19 @@ Peaks in the histogram correspond to photon numbers. Each is a Gaussian; the
 area under a peak counts the events at that photon number, and normalizing
 the areas by their total yields the probability per gate.
 
-When the detector's pulse-area response is known, ``fit_comb`` fits the
-expected gate count at each tooth of its comb (offset + k gain) by Poisson
-maximum likelihood, so tooth k is photon number k by construction. Otherwise
-``detect_peaks`` finds the peaks with a numpy port of
-``scipy.signal.find_peaks``, ``fit_peaks`` fits them jointly as a free sum of
-Gaussians with a projected Levenberg-Marquardt solver written here in numpy,
-and peaks are assigned photon numbers by the ordinal position of their
-centers (pedestal first). The module needs no scipy.
+``fit_comb`` fits the expected gate count at each tooth of the detector's
+comb (offset + k gain) by Poisson maximum likelihood, so tooth k is photon
+number k by construction. When the detector's pulse-area response is not
+known, ``_fit_unknown_comb`` first fits the comb itself to the counts: a sum
+of Gaussians whose centers and widths are tied to the comb, solved by the
+projected Levenberg-Marquardt solver written here in numpy. ``fit_peaks``
+fits a free sum of Gaussians with the same solver and labels its peaks by
+rank. The module needs no scipy.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,20 +24,8 @@ import numpy as np
 from .distributions import MIN_CUTOFF, PhotonDistribution
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-SMOOTH_WINDOW = 3
 XTOL = 1e-8
 MAX_ITER = 200
-# A real peak must stand above max(absolute floor, 3 sqrt(height)); Poisson
-# wiggles on the flank of a tall peak have prominence of order 2 sqrt(height)
-# after 3-bin smoothing, so 3 sqrt rejects them with margin.
-PROMINENCE_FLOOR = 4.0
-PROMINENCE_PER_SQRT = 3.0
-# The lowest maximum whose prominence (at most its height) can pass that rule.
-MIN_PEAK_HEIGHT = max(PROMINENCE_FLOOR, PROMINENCE_PER_SQRT**2)
-
-
-class PeakOverlapWarning(UserWarning):
-    """Two fitted peaks sit closer than half a peak width."""
 
 
 @dataclass(frozen=True)
@@ -57,99 +44,6 @@ class PeakFitResult:
     peaks: tuple[FittedPeak, ...]
     residual_norm: float
     converged: bool
-
-
-def _smooth(y: np.ndarray) -> np.ndarray:
-    kernel = np.ones(SMOOTH_WINDOW) / SMOOTH_WINDOW
-    return np.convolve(y.astype(np.float64), kernel, mode="same")
-
-
-def _half_max_width(smoothed: np.ndarray, idx: int, bin_width: float) -> float:
-    """Estimate a Gaussian sigma from the half-maximum crossings around idx."""
-    half = smoothed[idx] / 2.0
-    left = idx
-    while left > 0 and smoothed[left - 1] > half and left > idx - 50:
-        left -= 1
-    right = idx
-    while right < smoothed.size - 1 and smoothed[right + 1] > half and right < idx + 50:
-        right += 1
-    fwhm_bins = max(right - left, 1)
-    return max(fwhm_bins * bin_width / 2.3548, bin_width / 2.0)
-
-
-def _maxima_apart(x: np.ndarray, distance: float) -> np.ndarray:
-    """Indices of the local maxima of ``x`` at least ``distance`` samples
-    apart, as ``scipy.signal.find_peaks(x, distance=distance)`` returns them.
-
-    A maximum is a run of equal samples higher than both neighbours, located
-    at its midpoint rounded down; the first and last samples are never maxima.
-    Maxima are then visited from the highest down, in ``np.argsort`` order
-    over all of them, and each one kept removes every maximum closer than
-    ceil(distance).
-    """
-    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    ends = np.r_[starts[1:], x.size] - 1
-    runs = x[starts]
-    j = np.flatnonzero((runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])) + 1
-    peaks = (starts[j] + ends[j]) // 2
-
-    reach = math.ceil(distance)
-    keep = np.ones(peaks.size, dtype=bool)
-    for i in np.argsort(x[peaks])[::-1].tolist():
-        if keep[i]:
-            keep[np.abs(peaks - peaks[i]) < reach] = False
-            keep[i] = True
-    return peaks[keep]
-
-
-def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-    """Prominence of each of the maxima ``peaks`` of ``x``, as
-    ``scipy.signal.peak_prominences`` computes it: the peak's height above the
-    higher of the two lowest points between it and the nearest higher sample
-    on each side (or the end of ``x``).
-    """
-    # A peak's window runs between the nearest higher samples around it: the
-    # samples that share its count of higher samples to their left.
-    window = np.cumsum(x > x[peaks, None], axis=1)
-    window = window == window[np.arange(peaks.size), peaks][:, None]
-    in_window = np.where(window, x, np.inf)
-    pos = np.arange(x.size)
-    left_min = np.where(pos <= peaks[:, None], in_window, np.inf).min(axis=1)
-    right_min = np.where(pos >= peaks[:, None], in_window, np.inf).min(axis=1)
-    return x[peaks] - np.maximum(left_min, right_min)
-
-
-def detect_peaks(h) -> list[tuple[float, float, float]]:
-    """Initial (center, width, height) guesses, ordered by center.
-
-    Local-maxima scan on a 3-bin moving average, filtered by prominence so
-    counting noise on the flanks of tall peaks is rejected. Maxima closer
-    than twice the width of the tallest peak are one peak split by noise, and
-    only the taller is kept; resolvable peaks (gain above four widths) are
-    always farther apart. Any histogram with a nonzero bin yields at least
-    one guess (falling back to the global maximum).
-    """
-    counts = h.counts
-    if counts.size == 0 or counts.sum() == 0:
-        raise ValueError("empty histogram: no counts to detect peaks in")
-    smoothed = _smooth(counts)
-    centers = h.bin_centers
-    bw = h.bin_width
-
-    tallest_width = _half_max_width(smoothed, int(np.argmax(smoothed)), bw)
-    idxs = _maxima_apart(smoothed, max(2.0, 2.0 * tallest_width / bw))
-    # a prominence never exceeds the height, so lower maxima cannot pass
-    idxs = idxs[smoothed[idxs] >= MIN_PEAK_HEIGHT]
-    keep = []
-    for idx, prom in zip(idxs, _prominences(smoothed, idxs)):
-        if prom >= max(PROMINENCE_FLOOR, PROMINENCE_PER_SQRT * math.sqrt(smoothed[idx])):
-            keep.append(idx)
-    if not keep:
-        keep = [int(np.argmax(smoothed))]
-    return [
-        (float(centers[i]), _half_max_width(smoothed, i, bw), float(max(smoothed[i], 1.0)))
-        for i in keep
-    ]
 
 
 def _weighted_gaussians(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
@@ -301,20 +195,88 @@ def fit_peaks(h, guesses) -> PeakFitResult:
         area = height * width * SQRT_2PI / bw
         std = max(area_stds[k], math.sqrt(max(area, 0.0)))
         peaks.append(FittedPeak(rank, float(center), float(width), float(area), float(std)))
-
-    for a, b in zip(peaks, peaks[1:]):
-        if b.center - a.center < 0.5 * max(a.width, b.width):
-            warnings.warn(
-                f"peaks {a.photon_number} and {b.photon_number} overlap "
-                f"(centers {a.center:.3g} and {b.center:.3g}); consider merging",
-                PeakOverlapWarning,
-                stacklevel=2,
-            )
     return PeakFitResult(
         tuple(peaks),
         residual_norm=float(np.linalg.norm(resid)),
         converged=converged,
     )
+
+
+def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
+    """Least-squares fit of the comb of an unknown detector to the histogram.
+
+    The model is a sum of Gaussians tied to a comb: tooth k sits at
+    offset + k gain with width sqrt(sigma0^2 + k sigma_per_photon^2), and has
+    a free height. Residuals, bounds and solver are those of ``fit_peaks``,
+    with its Jacobian composed with the comb by the chain rule.
+
+    The fit starts with the gain at the first maximum of the counts'
+    autocorrelation past its zero-lag lobe (the highest one sits at twice the
+    gain when two-count events outnumber one-count ones), or, for a single
+    peak, at the end of the lobe; the offset at the lowest comb position in
+    the range through the tallest bin; sigma0 and sigma_per_photon at gain/8
+    and gain/32 (from zero, sigma_per_photon would never move); and each
+    height at the count in the bin under its tooth. The gain stays above
+    half its start, so that teeth cannot crowd onto one peak to fit its noise.
+
+    Returns (offset, gain, sigma0, sigma_per_photon, converged), with offset
+    and sigma0 those of the pedestal: the lowest tooth holding at least one
+    fitted event.
+    """
+    y = h.counts.astype(np.float64)
+    if y.sum() == 0:
+        raise ValueError("empty histogram: no counts to fit")
+    x = h.bin_centers
+    bw = h.bin_width
+    bottom, top = h.bin_edges[0], h.bin_edges[-1]
+    span = top - bottom
+
+    auto = np.correlate(h.counts, h.counts, mode="full")[y.size - 1 :]
+    step = np.diff(auto)
+    rises = np.flatnonzero(step > 0)
+    if rises.size:
+        falls = np.flatnonzero(step[rises[0] :] < 0)
+        lag = rises[0] + (falls[0] if falls.size else step.size - rises[0])
+    else:  # one peak: the lobe never rises again, and ends where the counts do
+        lag = np.count_nonzero(auto)
+    gain = bw * lag
+    tallest = x[np.argmax(y)]
+    offset = tallest - gain * ((tallest - bottom) // gain)
+    k = np.arange(int((top - offset) // gain) + 1)
+    under = np.clip(np.rint((offset + k * gain - x[0]) / bw).astype(int), 0, y.size - 1)
+
+    gaussians = _weighted_gaussians(x, y, np.sqrt(np.maximum(y, 1.0)))
+
+    def evaluate(p: np.ndarray):
+        offset, gain, sigma0, per_photon = p[-4:]
+        width = np.sqrt(sigma0**2 + k * per_photon**2)
+        r, jacobian = gaussians(np.column_stack((p[:-4], offset + k * gain, width)).ravel())
+
+        def comb_jacobian() -> np.ndarray:
+            jac = jacobian()
+            d_center, d_width = jac[:, 1::3], jac[:, 2::3]
+            return np.column_stack((
+                jac[:, 0::3],
+                d_center.sum(axis=1),
+                d_center @ k,
+                d_width @ (sigma0 / width),
+                d_width @ (k * per_photon / width),
+            ))
+
+        return r, comb_jacobian
+
+    p0 = np.concatenate((y[under], [offset, gain, gain / 8.0, gain / 32.0]))
+    lo = np.concatenate((np.zeros(k.size), [x[0] - bw, gain / 2.0, bw / 10.0, 0.0]))
+    hi = np.concatenate((np.full(k.size, np.inf), [x[-1] + bw, span, span, span]))
+    # tails far from every tooth underflow to zero, which is their right value
+    with np.errstate(under="ignore"):
+        p, _, _, converged = _levenberg_marquardt(evaluate, p0, lo, hi, MAX_ITER * (p0.size + 1))
+
+    offset, gain, sigma0, per_photon = (float(v) for v in p[-4:])
+    areas = p[:-4] * np.sqrt(sigma0**2 + k * per_photon**2) * SQRT_2PI / bw
+    pedestal = int(np.argmax(areas >= 1.0))
+    return (offset + pedestal * gain, gain, math.sqrt(sigma0**2 + pedestal * per_photon**2),
+            per_photon, converged)
 
 
 def fit_comb(h, mass: np.ndarray) -> PeakFitResult:

@@ -15,18 +15,10 @@ from photonstats.cli import analyze_histogram
 from photonstats.distributions import SourceSpec
 from photonstats.fitting import (
     MAX_ITER,
-    PROMINENCE_FLOOR,
-    PROMINENCE_PER_SQRT,
     XTOL,
-    PeakOverlapWarning,
-    _half_max_width,
     _levenberg_marquardt,
-    _maxima_apart,
-    _prominences,
-    _smooth,
     _weighted_gaussians,
     areas_to_probabilities,
-    detect_peaks,
     fit_comb,
     fit_peaks,
 )
@@ -49,140 +41,23 @@ def gaussian_comb(edges, peaks):
     return AreaHistogram(edges, counts, n_gates=int(counts.sum()) + 1)
 
 
-def split_peak_histogram():
-    """Five peaks on the comb offset 0, gain 10, whose n=3 peak has a notch
-    at its top: after smoothing it has two maxima, at 29.62 and 30.38."""
-    edges = np.linspace(-5.0, 55.0, 241)
-    x = 0.5 * (edges[:-1] + edges[1:])
-    y = np.zeros_like(x)
-    for k, height in enumerate([20000.0, 6000.0, 2000.0, 500.0, 80.0]):
-        peak = height * np.exp(-0.5 * ((x - 10.0 * k) / math.sqrt(1.0 + 0.09 * k)) ** 2)
-        if k == 3:
-            peak *= 1.0 - 0.3 * np.exp(-0.5 * ((x - 30.0) / 0.5) ** 2)
-        y += peak
-    counts = np.rint(y).astype(np.int64)
-    return AreaHistogram(edges, counts, n_gates=int(counts.sum()))
+def comb_guesses(h, det):
+    """(center, width, height) guesses for fit_peaks at the teeth of ``det``'s
+    comb whose center bin holds at least 9 counts: a free Gaussian given a
+    tooth of a few events is ill-determined."""
+    teeth = np.arange(int((h.bin_edges[-1] - det.offset) // det.gain) + 1)
+    guesses = []
+    for k in teeth:
+        center = float(det.peak_center(k))
+        i = int(np.searchsorted(h.bin_edges, center, side="right")) - 1
+        if 0 <= i < h.counts.size and h.counts[i] >= 9:
+            guesses.append((center, float(det.peak_width(k)), float(h.counts[i])))
+    return guesses
 
 
-def assert_finds_scipy_peaks(x, distance):
-    from scipy.signal import find_peaks
-
-    peaks, props = find_peaks(x, distance=distance, prominence=0.0)
-    x = np.asarray(x, dtype=np.float64)
-    ours = _maxima_apart(x, distance)
-    np.testing.assert_array_equal(ours, peaks)
-    np.testing.assert_array_equal(_prominences(x, ours), props["prominences"])
-
-
-def seeded_histograms():
-    """200 histograms over efficiencies, means and gate counts drawn from one
-    seeded stream."""
-    rng = np.random.default_rng(4242)
-    for t in range(200):
-        kind = ("poisson", "pdc_pairs")[t % 2]
-        src = SourceSpec(kind=kind, cutoff=40, mean=float(np.exp(rng.uniform(-5.3, 1.4))))
-        det = DetectorModel(eta=rng.uniform(0.3, 0.99))
-        frequencies = simulate_gate_counts(src, det, int(10 ** rng.uniform(4, 7)), seed=t)
-        yield synthesize_histogram(frequencies, det, 500, seed=t)
-
-
-def smoothed_and_distance(h):
-    """The smoothed histogram and the peak distance that detect_peaks uses."""
-    x = _smooth(h.counts)
-    width = _half_max_width(x, int(np.argmax(x)), h.bin_width)
-    return x, max(2.0, 2.0 * width / h.bin_width)
-
-
-class TestFindPeaks:
-    def test_matches_scipy_on_simulated_histograms(self):
-        for h in seeded_histograms():
-            assert_finds_scipy_peaks(*smoothed_and_distance(h))
-
-    @pytest.mark.parametrize("x, distance", [
-        ([0, 1, 1, 0], 1),              # plateau of two: midpoint rounded down
-        ([0, 2, 2, 2, 0, 3, 3, 3, 3, 1], 1),
-        ([3, 1, 3, 1, 3], 1),           # the edge samples are never maxima
-        ([0, 1, 2, 2], 1),              # a plateau that reaches the end
-        ([2, 2, 1, 0], 1),
-        ([1, 1, 1], 1),
-        ([0, 5, 0, 5, 0, 5, 0, 5, 0], 3),   # ties of equal height
-        ([0, 5, 0, 5, 0, 5, 0, 5, 0], 2.5),  # distance rounds up to 3
-        ([0, 4, 1, 6, 1, 6, 0, 4, 0], 4),
-        ([0, 3, 1, 2, 1, 3, 0], 1),     # prominence bounded by the higher base
-    ])
-    def test_matches_scipy_on_hand_made_arrays(self, x, distance):
-        assert_finds_scipy_peaks(np.array(x, dtype=np.float64), distance)
-
-    def test_matches_scipy_on_arrays_with_many_ties(self):
-        rng = np.random.default_rng(77)
-        for _ in range(300):
-            x = rng.integers(0, 4, size=int(rng.integers(1, 60))).astype(np.float64)
-            assert_finds_scipy_peaks(x, float(rng.uniform(1.0, 8.0)))
-
-
-class TestDetectPeaks:
-    def test_empty_histogram_rejected(self):
-        h = AreaHistogram(np.linspace(0, 10, 21), np.zeros(20, dtype=int), n_gates=0)
-        with pytest.raises(ValueError, match="empty"):
-            detect_peaks(h)
-
-    def test_single_gaussian_found_within_two_bins(self):
-        edges = np.linspace(-5, 20, 101)
-        h = gaussian_comb(edges, [(1000.0, 7.3, 1.0)])
-        guesses = detect_peaks(h)
-        assert len(guesses) == 1
-        assert abs(guesses[0][0] - 7.3) <= 2 * h.bin_width
-
-    def test_two_separated_gaussians_ordered(self):
-        edges = np.linspace(-5, 30, 141)
-        h = gaussian_comb(edges, [(800.0, 20.0, 1.0), (500.0, 5.0, 1.0)])
-        guesses = detect_peaks(h)
-        assert len(guesses) == 2
-        assert guesses[0][0] < guesses[1][0]
-        assert abs(guesses[0][0] - 5.0) <= 2 * h.bin_width
-        assert abs(guesses[1][0] - 20.0) <= 2 * h.bin_width
-
-    def test_six_peak_comb_spacing_matches_gain(self):
-        # simulated coherent-light histogram shows one peak per photon number
-        src = SourceSpec(kind="poisson", cutoff=20, mean=2.0)
-        det = DetectorModel(eta=1.0, dark_mean=0.0)
-        frequencies = simulate_gate_counts(src, det, 300_000, seed=21)
-        h = synthesize_histogram(frequencies, det, 500, seed=21)
-        guesses = detect_peaks(h)
-        assert len(guesses) >= 6
-        spacings = np.diff([g[0] for g in guesses[:7]])
-        np.testing.assert_allclose(spacings, det.gain, atol=1.0)
-
-    def test_split_maxima_merge_into_one_peak(self):
-        h = split_peak_histogram()
-        guesses = detect_peaks(h)
-        assert [round(c / 10.0) for c, _, _ in guesses] == [0, 1, 2, 3, 4]
-        fit = fit_peaks(h, guesses)
-        assert fit.converged
-        assert [p.photon_number for p in fit.peaks] == [round(p.center / 10.0) for p in fit.peaks]
-
-    def test_guesses_match_the_rule_applied_to_every_maximum(self):
-        # detect_peaks skips the prominence of maxima too low to pass the rule;
-        # the guesses must be those of the rule applied to all of them
-        from scipy.signal import find_peaks
-
-        for h in seeded_histograms():
-            x, distance = smoothed_and_distance(h)
-            peaks, props = find_peaks(x, distance=distance, prominence=0.0)
-            keep = [i for i, prom in zip(peaks, props["prominences"])
-                    if prom >= max(PROMINENCE_FLOOR, PROMINENCE_PER_SQRT * math.sqrt(x[i]))]
-            keep = keep or [int(np.argmax(x))]
-            expected = [(float(h.bin_centers[i]), _half_max_width(x, i, h.bin_width),
-                         float(max(x[i], 1.0))) for i in keep]
-            assert detect_peaks(h) == expected
-
-    def test_single_nonzero_bin_yields_guess(self):
-        counts = np.zeros(40, dtype=int)
-        counts[0] = 3  # edge bin: no interior local maximum exists
-        h = AreaHistogram(np.linspace(0, 10, 41), counts, n_gates=3)
-        guesses = detect_peaks(h)
-        assert len(guesses) == 1
-        assert guesses[0][0] == pytest.approx(h.bin_centers[0])
+def gaussians_on_comb(offset, width):
+    """The comb, gain 10, of gaussian_comb peaks of one width from ``offset`` up."""
+    return DetectorModel(offset=offset, sigma0=width, sigma_per_photon=0.0, adc_max=100.0)
 
 
 class TestFitPeaks:
@@ -266,7 +141,7 @@ class TestFitPeaks:
         n = 400_000
         frequencies = simulate_gate_counts(src, det, n, seed=22)
         h = synthesize_histogram(frequencies, det, 500, seed=22)
-        fit = fit_peaks(h, detect_peaks(h))
+        fit = fit_peaks(h, comb_guesses(h, det))
         assert fit.converged
         dist, _ = areas_to_probabilities(fit)
         for k in range(6):
@@ -278,7 +153,7 @@ class TestFitPeaks:
         src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.21)
         frequencies = simulate_gate_counts(src, DET, 500_000, seed=23)
         h = synthesize_histogram(frequencies, DET, 500, seed=23)
-        fit = fit_peaks(h, detect_peaks(h))
+        fit = fit_peaks(h, comb_guesses(h, DET))
         dist, _ = areas_to_probabilities(fit)
         emp = frequencies / frequencies.sum()
         assert np.abs(dist.probs[: emp.size] - emp[: dist.probs.size]).max() < 0.02
@@ -286,16 +161,9 @@ class TestFitPeaks:
     def test_area_std_error_floored_at_sqrt_area(self):
         edges = np.linspace(-5, 25, 121)
         h = gaussian_comb(edges, [(100.0, 10.0, 1.0)])
-        fit = fit_peaks(h, detect_peaks(h))
+        fit = fit_peaks(h, comb_guesses(h, gaussians_on_comb(10.0, 1.0)))
         for p in fit.peaks:
             assert p.area_std_error >= math.sqrt(p.area) - 1e-9
-
-    def test_overlapping_peaks_warn(self):
-        # two model peaks chasing one true Gaussian end up on top of each other
-        edges = np.linspace(-5, 25, 121)
-        h = gaussian_comb(edges, [(2000.0, 10.0, 2.0)])
-        with pytest.warns(PeakOverlapWarning):
-            fit_peaks(h, [(9.9, 2.0, 1000.0), (10.1, 2.0, 1000.0)])
 
     def test_affine_rescaling_invariance(self):
         # shifting and scaling the area axis must not change areas/probabilities
@@ -306,8 +174,9 @@ class TestFitPeaks:
         scale, shift = 3.7, -11.0
         h2 = AreaHistogram(scale * h.bin_edges + shift, h.counts,
                            n_gates=h.n_gates, overflow=h.overflow)
-        fit1 = fit_peaks(h, detect_peaks(h))
-        fit2 = fit_peaks(h2, detect_peaks(h2))
+        guesses = comb_guesses(h, det)
+        fit1 = fit_peaks(h, guesses)
+        fit2 = fit_peaks(h2, [(scale * c + shift, scale * w, a) for c, w, a in guesses])
         d1, _ = areas_to_probabilities(fit1)
         d2, _ = areas_to_probabilities(fit2)
         np.testing.assert_allclose(d2.probs, d1.probs, rtol=1e-6, atol=1e-9)
@@ -374,7 +243,7 @@ class TestSolverMatchesLeastSquares:
                 source = SourceSpec(kind="pdc_pairs", cutoff=20, mean=0.1 + 0.01 * trial)
             frequencies = simulate_gate_counts(source, DET, 100_000, 800 + trial)
             h = synthesize_histogram(frequencies, DET, 500, 800 + trial)
-            fit = assert_matches_least_squares(h, detect_peaks(h))
+            fit = assert_matches_least_squares(h, comb_guesses(h, DET))
             assert fit.converged
 
     def test_center_held_at_its_upper_bound(self):
@@ -496,7 +365,7 @@ class TestFitComb:
 class TestAreasToProbabilities:
     def test_single_pedestal_gives_p0_one(self):
         h = synthesize_histogram(np.array([60_000]), DET, 200, seed=26)
-        fit = fit_peaks(h, detect_peaks(h))
+        fit = fit_peaks(h, comb_guesses(h, DET))
         dist, event_counts = areas_to_probabilities(fit)
         assert dist.probs[0] == pytest.approx(1.0, abs=1e-9)
         assert dist.probs[1:].sum() == pytest.approx(0.0, abs=1e-9)
@@ -505,7 +374,7 @@ class TestAreasToProbabilities:
     def test_equal_areas_split_evenly(self):
         edges = np.linspace(-5, 30, 141)
         h = gaussian_comb(edges, [(1000.0, 5.0, 1.0), (1000.0, 15.0, 1.0)])
-        fit = fit_peaks(h, detect_peaks(h))
+        fit = fit_peaks(h, comb_guesses(h, gaussians_on_comb(5.0, 1.0)))
         dist, _ = areas_to_probabilities(fit)
         assert dist.probs[0] == pytest.approx(0.5, abs=1e-6)
         assert dist.probs[1] == pytest.approx(0.5, abs=1e-6)
@@ -513,7 +382,7 @@ class TestAreasToProbabilities:
     def test_output_normalized_and_padded(self):
         edges = np.linspace(-5, 30, 141)
         h = gaussian_comb(edges, [(1000.0, 5.0, 1.0)])
-        fit = fit_peaks(h, detect_peaks(h))
+        fit = fit_peaks(h, comb_guesses(h, gaussians_on_comb(5.0, 1.0)))
         dist, event_counts = areas_to_probabilities(fit)
         assert abs(dist.probs.sum() - 1.0) <= 1e-12
         assert dist.probs.size >= 4
@@ -533,7 +402,7 @@ class TestAreasToProbabilities:
     def test_json_dict_structure(self):
         edges = np.linspace(-5, 30, 141)
         h = gaussian_comb(edges, [(1000.0, 5.0, 1.0)])
-        fit = fit_peaks(h, detect_peaks(h))
+        fit = fit_peaks(h, comb_guesses(h, gaussians_on_comb(5.0, 1.0)))
         d = json.loads(dumps_canonical(fit))
         assert d["converged"] is True
         assert d["peaks"][0]["photon_number"] == 0
