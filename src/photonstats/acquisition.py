@@ -293,15 +293,36 @@ def simulate_gate_counts(
     return rng.multinomial(n_gates, _detected_count_law(source, det))
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+# math.erfc(x) is exactly 2.0 for x <= _ERFC_TWO and exactly 0.0 for
+# x >= _ERFC_ZERO, so only the band between them needs the call.
+_ERFC_TWO = -6.5
+_ERFC_ZERO = 27.5
+# Pulse-area responses and bin-edge sets whose bin_mass rows are kept, and the
+# rows kept for each.
+_RESPONSES_KEPT = 8
+_ROWS_KEPT = 256
 
 
 def _gaussian_cdf(z: np.ndarray) -> np.ndarray:
     """Standard normal CDF elementwise, as 0.5 erfc(-z / sqrt 2), which keeps
     the lower tail that 0.5 (1 + erf(z / sqrt 2)) rounds to zero. Far tails
     underflow to subnormals or zero, which are their right values."""
+    x = -np.asarray(z, dtype=np.float64) / math.sqrt(2.0)
+    low = x <= _ERFC_TWO
+    out = np.where(low, 2.0, 0.0)
+    band = ~(low | (x >= _ERFC_ZERO))
+    inside = x[band]
+    out[band] = np.fromiter(map(math.erfc, inside.tolist()), np.float64, inside.size)
     with np.errstate(under="ignore"):
-        return 0.5 * _erfc(-np.asarray(z, dtype=np.float64) / math.sqrt(2.0)).astype(np.float64)
+        return 0.5 * out
+
+
+@functools.lru_cache(maxsize=_RESPONSES_KEPT)
+def _mass_rows(gain: float, offset: float, sigma0: float, sigma_per_photon: float,
+               edges: bytes) -> dict:
+    """The read-only rows of ``bin_mass`` computed so far for one pulse-area
+    response and one set of bin edges (their float64 bytes), by k."""
+    return {}
 
 
 def bin_mass(det: DetectorModel, edges: np.ndarray, ks) -> np.ndarray:
@@ -311,11 +332,27 @@ def bin_mass(det: DetectorModel, edges: np.ndarray, ks) -> np.ndarray:
     Row k holds the Gaussian mass of each bin for peak k, with the mass below
     the range clipped into the first bin, and one last entry for the overflow
     above the last edge, so every row sums to one.
+
+    A row depends only on the pulse-area response (gain, offset, sigma0,
+    sigma_per_photon), the edges and k, so each is computed once per process
+    and kept read-only: up to _ROWS_KEPT rows for each of the last
+    _RESPONSES_KEPT responses and edge sets. The result is a new array.
     """
-    k = np.asarray(ks)[:, None]
-    cdf = _gaussian_cdf((edges - det.peak_center(k)) / det.peak_width(k))
-    cdf[:, 0] = 0.0  # areas below the range are clipped into the first bin
-    return np.diff(cdf, append=1.0)
+    edges = np.asarray(edges, dtype=np.float64)
+    ks = np.asarray(ks).tolist()
+    rows = _mass_rows(det.gain, det.offset, det.sigma0, det.sigma_per_photon, edges.tobytes())
+    missing = sorted(set(ks).difference(rows))
+    if missing:
+        k = np.array(missing)[:, None]
+        cdf = _gaussian_cdf((edges - det.peak_center(k)) / det.peak_width(k))
+        cdf[:, 0] = 0.0  # areas below the range are clipped into the first bin
+        mass = np.diff(cdf, append=1.0)
+        mass.setflags(write=False)
+        rows.update(zip(missing, mass))
+    out = np.array([rows[k] for k in ks]).reshape(len(ks), edges.size)
+    if len(rows) > _ROWS_KEPT:
+        rows.clear()
+    return out
 
 
 def synthesize_histogram(

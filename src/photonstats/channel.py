@@ -12,6 +12,7 @@ preserved and reported, not clipped.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,6 +58,7 @@ class TransferMatrix:
         object.__setattr__(self, "entries", m)
 
 
+@functools.lru_cache(maxsize=4)
 def _loss_matrix(eta: float, n: int) -> np.ndarray:
     """Binomial thinning on photon numbers 0..n-1: entry (i, j) = C(j, i)
     eta^i (1-eta)^(j-i).
@@ -64,26 +66,29 @@ def _loss_matrix(eta: float, n: int) -> np.ndarray:
     Upper triangular (a detector cannot see more photons than arrived); each
     column sums to 1, and the diagonal is eta^j. Binomial coefficients are
     formed from cumulative log-factorials so the construction stays accurate
-    through cutoffs of order 64.
+    through cutoffs of order 64. Every power of a sweep asks for the same
+    matrix, so the last four are kept, read-only.
     """
     if eta == 1.0:
-        return np.eye(n)
-    if eta == 0.0:
+        m = np.eye(n)
+    elif eta == 0.0:
         m = np.zeros((n, n))
         m[0, :] = 1.0
-        return m
-    logfact = _log_factorials(n)
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    diff = np.clip(j - i, 0, None)
-    logm = (
-        logfact[j]
-        - logfact[i]
-        - logfact[diff]
-        + i * math.log(eta)
-        + diff * math.log1p(-eta)
-    )
-    return np.where(j >= i, np.exp(logm), 0.0)
+    else:
+        logfact = _log_factorials(n)
+        i = np.arange(n)[:, None]
+        j = np.arange(n)[None, :]
+        diff = np.clip(j - i, 0, None)
+        logm = (
+            logfact[j]
+            - logfact[i]
+            - logfact[diff]
+            + i * math.log(eta)
+            + diff * math.log1p(-eta)
+        )
+        m = np.where(j >= i, np.exp(logm), 0.0)
+    m.setflags(write=False)
+    return m
 
 
 def _detect(x: np.ndarray, eta: float, dark_mean: float, dark_after_loss: bool) -> np.ndarray:

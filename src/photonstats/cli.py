@@ -179,13 +179,16 @@ def analyze_histogram(hist: AreaHistogram) -> Analysis:
     in its range. A histogram that does not carry its detector (instrument
     data with no detector echo) first has the comb fitted to its counts
     (``_fit_unknown_comb``), with tooth 0 at the lowest tooth holding an
-    event; the fit has converged only if both fits have. Gamma is taken from
+    event; the fit has converged only if both fits have, and a fitted comb
+    whose teeth are not resolvable up to the last reported one (noise, not
+    photon-number peaks) raises ValueError. Gamma is taken from
     the rounded event counts of the one-, two- and three-count peaks; the
     efficiency estimate is None when P1 is zero. Warnings are left to the
     caller.
     """
     converged = True
-    if hist.detector is None:
+    fitted = hist.detector is None
+    if fitted:
         offset, gain, sigma0, per_photon, converged = _fit_unknown_comb(hist)
         hist = replace(hist, detector=DetectorModel(
             gain=gain, offset=offset, sigma0=sigma0, sigma_per_photon=per_photon,
@@ -193,6 +196,8 @@ def analyze_histogram(hist: AreaHistogram) -> Analysis:
     det = hist.detector
     teeth = np.arange(int((hist.bin_edges[-1] - det.offset) // det.gain) + 1)
     fit = fit_comb(hist, bin_mass(det, hist.bin_edges, teeth)[:, :-1])
+    if fitted:
+        det.check_resolvable(fit.peaks[-1].photon_number)
     if not (fit.converged and converged):
         return Analysis(replace(fit, converged=False))
     dist, event_counts = areas_to_probabilities(fit)

@@ -12,8 +12,13 @@ from photonstats.acquisition import (
     AreaHistogram,
     DetectorModel,
     PumpModel,
+    _ERFC_TWO,
+    _ERFC_ZERO,
+    _ROWS_KEPT,
     _detected_count_law,
     _gaussian_cdf,
+    _mass_rows,
+    bin_mass,
     default_pairs_per_uw,
     simulate_gate_counts,
     synthesize_histogram,
@@ -271,6 +276,107 @@ class TestSynthesizeHistogram:
         stat, dof = _chi2_homogeneity(np.append(h.counts, h.overflow), np.append(ref, ref_over))
         assert h.overflow > 0 and ref_over > 0
         assert chi2.sf(stat, dof) > CHI2_MIN_P
+
+
+def oracle_bin_mass(det, edges, ks):
+    """bin_mass entry by entry: the Gaussian CDF 0.5 erfc(-z / sqrt 2) at each
+    edge, zero at the first edge (mass below the range is clipped into the
+    first bin), and one above the last (the overflow column)."""
+    rows = []
+    for k in ks:
+        center = det.offset + k * det.gain
+        width = math.sqrt(det.sigma0**2 + k * det.sigma_per_photon**2)
+        cdf = [0.5 * math.erfc(-((e - center) / width) / math.sqrt(2.0)) for e in edges]
+        cdf[0] = 0.0
+        cdf.append(1.0)
+        rows.append([b - a for a, b in zip(cdf, cdf[1:])])
+    return np.array(rows).reshape(len(ks), len(edges))
+
+
+def _sidecarless_edges():
+    h = synthesize_histogram(np.full(5, 200), DET, 333, seed=2)
+    return AreaHistogram.from_csv(h.to_csv()).bin_edges
+
+
+def _sidecar_edges():
+    edges = np.cumsum(np.linspace(0.05, 0.6, 301)) - 6.0
+    counts = np.zeros(edges.size - 1, dtype=int)
+    side = {"bin_edges": edges.tolist(), "n_gates": 0}
+    return AreaHistogram.from_csv(AreaHistogram(edges, counts, 0).to_csv(), side).bin_edges
+
+
+class TestBinMass:
+    EDGES = np.linspace(-5.0, 120.0, 501)
+
+    @pytest.mark.parametrize("det, edges, ks", [
+        (DET, EDGES, np.arange(13)),
+        (replace(DET, sigma_per_photon=1.5), EDGES, np.arange(13)),
+        (replace(DET, offset=-30.0, adc_max=90.0), np.linspace(-35.0, 90.0, 401), np.arange(13)),
+        (DET, _sidecarless_edges(), np.arange(13)),
+        (DET, _sidecar_edges(), np.arange(20)),
+        (DET, EDGES, np.array([0, 2, 5, 13, 17, 30])),
+    ], ids=["default", "wide-teeth", "negative-offset", "sidecar-less-csv",
+            "non-uniform-sidecar", "non-contiguous-above-adc-max"])
+    def test_matches_per_entry_oracle(self, det, edges, ks):
+        expected = oracle_bin_mass(det, edges.tolist(), ks.tolist())
+        with np.errstate(all="raise"):
+            first = bin_mass(det, edges, ks)
+            again = bin_mass(det, edges, ks[::-1])
+        assert np.array_equal(first, expected)
+        assert np.array_equal(again, expected[::-1])
+
+    def test_erfc_saturates_at_the_kernel_thresholds(self):
+        below = np.linspace(-40.0, _ERFC_TWO, 400_001)
+        above = np.linspace(_ERFC_ZERO, 40.0, 400_001)
+        assert all(math.erfc(x) == 2.0 for x in below.tolist())
+        assert all(math.erfc(x) == 0.0 for x in above.tolist())
+
+    def test_no_teeth_give_no_rows(self):
+        assert bin_mass(DET, self.EDGES, np.arange(0)).shape == (0, self.EDGES.size)
+
+    def test_writing_to_a_result_leaves_the_next_unchanged(self):
+        ks = np.arange(13)
+        first = bin_mass(DET, self.EDGES, ks)
+        first[:] = -1.0
+        assert np.array_equal(bin_mass(DET, self.EDGES, ks),
+                              oracle_bin_mass(DET, self.EDGES.tolist(), ks.tolist()))
+
+    @pytest.mark.parametrize("field, value", [("gain", 10.5), ("offset", 0.25), ("sigma0", 1.1),
+                                              ("sigma_per_photon", 0.31)])
+    def test_each_response_field_gives_new_rows(self, field, value):
+        ks = np.arange(13)
+        base = bin_mass(DET, self.EDGES, ks)
+        det = replace(DET, **{field: value})
+        changed = bin_mass(det, self.EDGES, ks)
+        assert not np.array_equal(changed, base)
+        assert np.array_equal(changed, oracle_bin_mass(det, self.EDGES.tolist(), ks.tolist()))
+
+    @pytest.mark.parametrize("edge", [1, 250, -1], ids=["second", "middle", "last"])
+    def test_one_edge_gives_new_rows(self, edge):
+        ks = np.arange(13)
+        base = bin_mass(DET, self.EDGES, ks)
+        edges = self.EDGES.copy()
+        edges[edge] -= 0.1
+        changed = bin_mass(DET, edges, ks)
+        assert not np.array_equal(changed, base)
+        assert np.array_equal(changed, oracle_bin_mass(DET, edges.tolist(), ks.tolist()))
+
+    def test_histograms_differing_only_in_eta_share_rows(self):
+        hists = [synthesize_histogram(np.full(13, 100), replace(DET, eta=eta), 500, seed=3)
+                 for eta in (0.67, 0.9)]
+        ks = np.arange(13)
+        bin_mass(hists[0].detector, hists[0].bin_edges, ks)
+        before = _mass_rows.cache_info()
+        rows = bin_mass(hists[1].detector, hists[1].bin_edges, ks)
+        after = _mass_rows.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert np.array_equal(rows, bin_mass(hists[0].detector, hists[0].bin_edges, ks))
+
+    def test_rows_kept_are_bounded(self):
+        edges = np.linspace(0.0, 50.0, 51)
+        bin_mass(DET, edges, np.arange(2 * _ROWS_KEPT))
+        kept = _mass_rows(DET.gain, DET.offset, DET.sigma0, DET.sigma_per_photon, edges.tobytes())
+        assert len(kept) <= _ROWS_KEPT
 
 
 class TestAreaHistogramType:

@@ -8,6 +8,7 @@ from conftest import random_physical_distribution
 from photonstats.channel import (
     ConditionNumberWarning,
     TransferMatrix,
+    _loss_matrix,
     detector_matrix,
     invert_channel,
     truncation_diagnostics,
@@ -114,6 +115,23 @@ class TestBinomialLossMatrix:
         detected = rng.binomial(photons, eta)
         n1, n2 = np.count_nonzero(detected == 1), np.count_nonzero(detected == 2)
         assert n1 / n2 == pytest.approx(2 * (1 - eta) / eta, rel=0.1)
+
+
+class TestLossMatrixKept:
+    """``_loss_matrix`` is kept per (eta, n) and handed out read-only."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.67, 1.0])
+    def test_cannot_be_written_into_the_cache(self, eta):
+        m = _loss_matrix(eta, 11)
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.5
+        assert np.array_equal(_loss_matrix(eta, 11), loss_matrix(eta, 10).entries)
+
+    def test_each_argument_gives_a_new_matrix(self):
+        base = _loss_matrix(0.67, 11)
+        assert not np.array_equal(_loss_matrix(0.68, 11), base)
+        assert _loss_matrix(0.67, 12).shape == (12, 12)
+        np.testing.assert_array_equal(_loss_matrix(0.67, 12)[:11, :11], base)
 
 
 class TestDarkMatrix:

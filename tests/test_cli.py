@@ -347,6 +347,18 @@ class TestAnalyzeCommand:
             assert code == EXIT_FIT
             assert json.loads(err or (tmp_path / "analysis.json").read_text())["error"]
 
+    @pytest.mark.parametrize("mean", [5.0, 0.5])
+    def test_noise_without_sidecar_is_fit_error(self, tmp_path, capsys, mean):
+        # Poisson noise on 500 bins of width 0.25: a comb fitted to it crowds
+        # its teeth, and the resolvability rule turns that into a fit failure
+        counts = np.random.default_rng(0).poisson(mean, 500)
+        csv = tmp_path / "histogram.csv"
+        csv.write_text(AreaHistogram(np.arange(501) * 0.25, counts, int(counts.sum())).to_csv())
+        code = main(["analyze", "--histogram", str(csv), "--out", str(tmp_path)])
+        assert code == EXIT_FIT
+        err = stderr_error(capsys)
+        assert err["exit_code"] == EXIT_FIT and "unresolvable" in err["error"]
+
     @pytest.mark.parametrize("edit", [
         lambda side: side.pop("bin_edges"),
         lambda side: side.pop("n_gates"),
