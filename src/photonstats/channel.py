@@ -100,12 +100,15 @@ def _detect(x: np.ndarray, eta: float, dark_mean: float, dark_after_loss: bool) 
     Dark counts are added after the loss (they originate in the detector and
     are not attenuated), or before it when ``dark_after_loss`` is False, which
     thins them as well. Mass pushed past len(x) by the dark counts is lost.
+    A vector, the sampler's case, is convolved in one call.
     """
     n = len(x)
     loss = _loss_matrix(eta, n)
     dark = _poisson_pmf(dark_mean, n)
 
     def add_dark(y):
+        if y.ndim == 1:
+            return np.convolve(y, dark)[:n]
         return np.apply_along_axis(lambda col: np.convolve(col, dark)[:n], 0, y)
 
     return add_dark(loss @ x) if dark_after_loss else loss @ add_dark(x)

@@ -8,6 +8,7 @@ numbers (two photons per pair).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from io import StringIO
@@ -130,10 +131,13 @@ class SourceSpec:
                     raise ValueError("mixture components must share the mixture cutoff")
 
 
+@functools.lru_cache(maxsize=8)
 def _log_factorials(n: int) -> np.ndarray:
-    """log(k!) for k = 0..n-1, as cumulative sums of logs."""
+    """log(k!) for k = 0..n-1, as cumulative sums of logs. Every power of a
+    sweep asks for the same sizes, so the last eight are kept, read-only."""
     logfact = np.zeros(n)
     logfact[1:] = np.cumsum(np.log(np.arange(1, n, dtype=np.float64)))
+    logfact.setflags(write=False)
     return logfact
 
 

@@ -218,6 +218,8 @@ def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
     and gain/32 (from zero, sigma_per_photon would never move); and each
     height at the count in the bin under its tooth. The gain stays above
     half its start, so that teeth cannot crowd onto one peak to fit its noise.
+    A start comb whose teeth in range are not resolvable (noise, not
+    photon-number peaks) raises ValueError before the solver runs.
 
     Returns (offset, gain, sigma0, sigma_per_photon, converged), with offset
     and sigma0 those of the pedestal: the lowest tooth holding at least one
@@ -243,6 +245,15 @@ def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
     tallest = x[np.argmax(y)]
     offset = tallest - gain * ((tallest - bottom) // gain)
     k = np.arange(int((top - offset) // gain) + 1)
+    sigma0, per_photon = gain / 8.0, gain / 32.0
+    # the rule of DetectorModel.check_resolvable, gain > 4 x the widest width,
+    # held to the start comb at its last tooth in range: these start widths
+    # fail it from tooth 48 on, which noise reaches and photon-number peaks
+    # do not, and the solver would spend seconds crowding such a comb
+    widest = math.sqrt(sigma0**2 + k[-1] * per_photon**2)
+    if gain <= 4.0 * widest:
+        raise ValueError(f"peaks unresolvable: the start comb's gain {gain} must exceed "
+                         f"4 x width {widest:.3f} at photon number {k[-1]}")
     under = np.clip(np.rint((offset + k * gain - x[0]) / bw).astype(int), 0, y.size - 1)
 
     gaussians = _weighted_gaussians(x, y, np.sqrt(np.maximum(y, 1.0)))
@@ -265,7 +276,7 @@ def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
 
         return r, comb_jacobian
 
-    p0 = np.concatenate((y[under], [offset, gain, gain / 8.0, gain / 32.0]))
+    p0 = np.concatenate((y[under], [offset, gain, sigma0, per_photon]))
     lo = np.concatenate((np.zeros(k.size), [x[0] - bw, gain / 2.0, bw / 10.0, 0.0]))
     hi = np.concatenate((np.full(k.size, np.inf), [x[-1] + bw, span, span, span]))
     # tails far from every tooth underflow to zero, which is their right value
@@ -287,8 +298,9 @@ def fit_comb(h, mass: np.ndarray) -> PeakFitResult:
     lands in each bin of ``h``, whose ``detector`` places tooth k at
     ``peak_center(k)`` with width ``peak_width(k)``. The expected bin counts
     are lam @ mass, and lam is estimated by expectation-maximisation,
-    lam <- lam * mass (y / lam mass) / mass 1, over the bins whose expected
-    count is positive
+    lam <- lam * mass (y / lam mass) / mass 1, over the bins that hold counts
+    and whose expected count is positive (an empty bin adds nothing to
+    mass (y / lam mass))
     (Richardson, JOSA 62, 55, 1972; Shepp & Vardi, IEEE TMI 1, 113, 1982),
     which keeps lam nonnegative. It starts from equal counts on every tooth
     and has converged once no tooth moves by more than XTOL * max(lam, 1);
@@ -296,9 +308,10 @@ def fit_comb(h, mass: np.ndarray) -> PeakFitResult:
 
     Returns a PeakFitResult whose peak k is photon number k, with area lam_k
     and standard error the larger of its Fisher-information error and
-    sqrt(max(lam_k, 1)). Teeth 0 up to the last with at least one fitted
-    event are reported. ``residual_norm`` uses the Neyman weights of
-    ``fit_peaks``.
+    sqrt(max(lam_k, 1)). The Fisher information is inverted directly; a
+    tooth with lam_k = 0 gets no variance from it. Teeth 0 up to the last
+    with at least one fitted event are reported. ``residual_norm`` uses the
+    Neyman weights of ``fit_peaks``.
     """
     y = h.counts.astype(np.float64)
     if mass.shape[0] == 0:
@@ -306,33 +319,43 @@ def fit_comb(h, mass: np.ndarray) -> PeakFitResult:
     if y.sum() == 0:
         raise ValueError("empty histogram: no counts to fit")
     reach = mass.sum(axis=1)
+    held = y > 0.0
+    counts, held_mass = y[held], mass[:, held]
     lam = np.full(reach.size, y.sum() / reach.size)
     converged = False
     # tails far from every tooth underflow to zero, which is their right value
     with np.errstate(under="ignore"):
         for _ in range(MAX_ITER):
-            mu = lam @ mass
-            ratio = np.divide(y, mu, out=np.zeros_like(mu), where=mu > 0.0)
-            step = lam * (mass @ ratio) / reach - lam
+            mu = lam @ held_mass
+            ratio = np.divide(counts, mu, out=np.zeros_like(mu), where=mu > 0.0)
+            step = lam * (held_mass @ ratio) / reach - lam
             lam = lam + step
-            if np.all(np.abs(step) <= XTOL * np.maximum(lam, 1.0)):
+            if (np.abs(step) <= XTOL * np.maximum(lam, 1.0)).all():
                 converged = True
                 break
         # Fisher information of lam, sum_i mass_ji mass_ki / mu_i, scaled by
-        # sqrt(lam_j lam_k) so that every entry lies in [0, 1] and an empty
-        # tooth gives a zero row instead of an unbounded one
+        # sqrt(lam_j lam_k) before the division so that every entry lies in
+        # [0, 1]; an empty tooth's zero row and column get a unit diagonal
         mu = lam @ mass
-        seen = mu > 0.0
-        scaled = mass[:, seen] * np.sqrt(lam)[:, None] / np.sqrt(mu[seen])
-        variance = lam * np.diag(np.linalg.pinv(scaled @ scaled.T))
+        scaled = mass * np.sqrt(lam)[:, None]
+        info = np.divide(scaled, mu, out=np.zeros_like(scaled), where=mu > 0.0) @ scaled.T
+        empty = np.flatnonzero(lam == 0.0)
+        info[empty, empty] = 1.0
+        try:
+            cov = np.linalg.inv(info)
+        except np.linalg.LinAlgError:  # exactly singular: teeth with one bin mass
+            cov = np.linalg.pinv(info)
+        variance = lam * np.diag(cov)
     std = np.sqrt(np.maximum(variance, np.maximum(lam, 1.0)))
 
     fitted = np.flatnonzero(lam >= 1.0)
+    ks = range(fitted[-1] + 1 if fitted.size else 1)
     det = h.detector
     peaks = tuple(
-        FittedPeak(k, float(det.peak_center(k)), float(det.peak_width(k)),
-                   float(lam[k]), float(std[k]))
-        for k in range(fitted[-1] + 1 if fitted.size else 1)
+        FittedPeak(k, center, width, area, err)
+        for k, center, width, area, err in zip(
+            ks, det.peak_center(ks).tolist(), det.peak_width(ks).tolist(),
+            lam.tolist(), std.tolist())
     )
     resid = (y - mu) / np.sqrt(np.maximum(y, 1.0))
     return PeakFitResult(peaks, residual_norm=float(np.linalg.norm(resid)), converged=converged)

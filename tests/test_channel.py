@@ -8,12 +8,18 @@ from conftest import random_physical_distribution
 from photonstats.channel import (
     ConditionNumberWarning,
     TransferMatrix,
+    _detect,
     _loss_matrix,
     detector_matrix,
     invert_channel,
     truncation_diagnostics,
 )
-from photonstats.distributions import PhotonDistribution, SourceSpec, make_distribution
+from photonstats.distributions import (
+    PhotonDistribution,
+    SourceSpec,
+    _poisson_pmf,
+    make_distribution,
+)
 from photonstats.ioutil import dumps_canonical
 from photonstats.nonclassical import gamma
 
@@ -132,6 +138,24 @@ class TestLossMatrixKept:
         assert not np.array_equal(_loss_matrix(0.68, 11), base)
         assert _loss_matrix(0.67, 12).shape == (12, 12)
         np.testing.assert_array_equal(_loss_matrix(0.67, 12)[:11, :11], base)
+
+
+class TestDetectOnAVector:
+    """The sampler's vector goes through one convolution; a matrix goes
+    through one per column. Both must give the same numbers."""
+
+    @pytest.mark.parametrize("dark_after_loss", [True, False], ids=["after-loss", "before-loss"])
+    @pytest.mark.parametrize("n", [65, 129, 1025])
+    def test_matches_the_column_formula(self, rng, n, dark_after_loss):
+        eta, dark_mean = 0.67, 0.3
+        x = random_physical_distribution(rng, n - 1)
+        loss, dark = _loss_matrix(eta, n), _poisson_pmf(dark_mean, n)
+
+        def add_dark(y):
+            return np.apply_along_axis(lambda col: np.convolve(col, dark)[:n], 0, y)
+
+        expected = add_dark(loss @ x) if dark_after_loss else loss @ add_dark(x)
+        assert np.array_equal(_detect(x, eta, dark_mean, dark_after_loss), expected)
 
 
 class TestDarkMatrix:

@@ -347,16 +347,32 @@ class TestAnalyzeCommand:
             assert code == EXIT_FIT
             assert json.loads(err or (tmp_path / "analysis.json").read_text())["error"]
 
-    @pytest.mark.parametrize("mean", [5.0, 0.5])
-    def test_noise_without_sidecar_is_fit_error(self, tmp_path, capsys, mean):
-        # Poisson noise on 500 bins of width 0.25: a comb fitted to it crowds
-        # its teeth, and the resolvability rule turns that into a fit failure
+    @staticmethod
+    def analyze_noise(tmp_path, capsys, mean):
+        """Analyze Poisson noise on 500 bins of width 0.25, without a sidecar;
+        the JSON error line it must end with."""
         counts = np.random.default_rng(0).poisson(mean, 500)
         csv = tmp_path / "histogram.csv"
         csv.write_text(AreaHistogram(np.arange(501) * 0.25, counts, int(counts.sum())).to_csv())
         code = main(["analyze", "--histogram", str(csv), "--out", str(tmp_path)])
         assert code == EXIT_FIT
-        err = stderr_error(capsys)
+        return stderr_error(capsys)
+
+    @pytest.mark.parametrize("mean", [5.0, 0.5])
+    def test_noise_without_sidecar_is_fit_error(self, tmp_path, capsys, mean):
+        # a comb fitted to noise crowds its teeth, and the resolvability rule
+        # turns that into a fit failure
+        err = self.analyze_noise(tmp_path, capsys, mean)
+        assert err["exit_code"] == EXIT_FIT and "unresolvable" in err["error"]
+
+    @pytest.mark.parametrize("mean", [5.0, 0.5])
+    def test_noise_is_refused_before_the_solver(self, tmp_path, capsys, monkeypatch, mean):
+        # the start combs of these noise CSVs have 83 and 167 teeth in range
+        def solver(*args):
+            raise AssertionError("the solver ran on a comb started on noise")
+
+        monkeypatch.setattr(fitting, "_levenberg_marquardt", solver)
+        err = self.analyze_noise(tmp_path, capsys, mean)
         assert err["exit_code"] == EXIT_FIT and "unresolvable" in err["error"]
 
     @pytest.mark.parametrize("edit", [

@@ -12,6 +12,7 @@ from photonstats.distributions import (
     PhotonDistribution,
     SourceSpec,
     TruncationLossError,
+    _log_factorials,
     _poisson_pmf,
     make_distribution,
 )
@@ -130,6 +131,20 @@ class TestPoissonPmf:
 
     def test_mean_zero_is_point_mass(self):
         np.testing.assert_array_equal(_poisson_pmf(0.0, 5), [1.0, 0.0, 0.0, 0.0, 0.0])
+
+
+class TestLogFactorials:
+    """``_log_factorials`` is kept per size and handed out read-only."""
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 41, 65, 129, 1025])
+    def test_matches_cumulative_logs(self, n):
+        expected = np.zeros(n)
+        expected[1:] = np.cumsum(np.log(np.arange(1, n, dtype=np.float64)))
+        logfact = _log_factorials(n)
+        assert np.array_equal(logfact, expected)
+        with pytest.raises(ValueError, match="read-only"):
+            logfact[0] = 1.0
+        assert np.array_equal(_log_factorials(n), expected)
 
 
 class TestMakeDistribution:

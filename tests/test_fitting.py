@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from photonstats.distributions import SourceSpec
 from photonstats.fitting import (
     MAX_ITER,
     XTOL,
+    _fit_unknown_comb,
     _levenberg_marquardt,
     _weighted_gaussians,
     areas_to_probabilities,
@@ -360,6 +362,148 @@ class TestFitComb:
         assert [p.photon_number for p in fit.peaks] == list(range(13))
         for p in fit.peaks:
             assert abs(p.area - frequencies[p.photon_number]) <= 5.0 * p.area_std_error
+
+
+def pinv_comb_fit(h, mass):
+    """fit_comb's areas and standard errors as first written: the EM over
+    every bin, and sqrt(max(lam diag(pinv(S)), lam, 1)), with S the Fisher
+    information over the bins of positive expected count scaled by
+    sqrt(lam_j lam_k). Returns the areas and errors of every tooth, and the
+    number of teeth reported."""
+    y = h.counts.astype(np.float64)
+    reach = mass.sum(axis=1)
+    lam = np.full(reach.size, y.sum() / reach.size)
+    with np.errstate(under="ignore"):
+        for _ in range(MAX_ITER):
+            mu = lam @ mass
+            ratio = np.divide(y, mu, out=np.zeros_like(mu), where=mu > 0.0)
+            step = lam * (mass @ ratio) / reach - lam
+            lam = lam + step
+            if np.all(np.abs(step) <= XTOL * np.maximum(lam, 1.0)):
+                break
+        mu = lam @ mass
+        seen = mu > 0.0
+        scaled = mass[:, seen] * np.sqrt(lam)[:, None] / np.sqrt(mu[seen])
+        variance = lam * np.diag(np.linalg.pinv(scaled @ scaled.T))
+    std = np.sqrt(np.maximum(variance, np.maximum(lam, 1.0)))
+    fitted = np.flatnonzero(lam >= 1.0)
+    return lam, std, fitted[-1] + 1 if fitted.size else 1
+
+
+def simulated(source, det, n_gates, seed):
+    return synthesize_histogram(simulate_gate_counts(source, det, n_gates, seed), det, 500, seed)
+
+
+def fitted_comb(h):
+    """``h`` on the comb fitted to its counts, as analyze_histogram fits it."""
+    offset, gain, sigma0, per_photon, converged = _fit_unknown_comb(replace(h, detector=None))
+    assert converged
+    return replace(h, detector=DetectorModel(gain=gain, offset=offset, sigma0=sigma0,
+                                             sigma_per_photon=per_photon,
+                                             adc_max=float(h.bin_edges[-1])))
+
+
+class TestFitCombMatchesPinvErrors:
+    """The Fisher information is inverted directly, with a unit diagonal on
+    empty teeth; areas and errors stay those of the pseudo-inverse."""
+
+    @staticmethod
+    def assert_matches(fit, h, mass):
+        areas, errors, n = pinv_comb_fit(h, mass)
+        assert len(fit.peaks) == n
+        np.testing.assert_allclose([p.area for p in fit.peaks], areas[:n], rtol=1e-12, atol=0)
+        np.testing.assert_allclose([p.area_std_error for p in fit.peaks], errors[:n],
+                                   rtol=1e-9, atol=0)
+        return areas
+
+    @pytest.fixture
+    def check(self, monkeypatch):
+        """Fit ``h`` on its comb, with the pseudo-inverse out of reach, and
+        hold it to the oracle; the oracle's areas of every tooth."""
+        pinv = np.linalg.pinv
+
+        def check(h):
+            mass = comb_mass(h.detector, h.bin_edges)
+            monkeypatch.setattr(np.linalg, "pinv", None)
+            fit = fit_comb(h, mass)
+            monkeypatch.setattr(np.linalg, "pinv", pinv)
+            assert fit.converged
+            return self.assert_matches(fit, h, mass)
+
+        return check
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("source", [
+        SourceSpec(kind="poisson", cutoff=20, mean=1.0),
+        SourceSpec(kind="pdc_pairs", cutoff=20, mean=0.2253),
+    ], ids=["poisson", "pairs"])
+    def test_seeded_histograms(self, check, source, seed):
+        check(simulated(source, DET, 100_000, seed))
+
+    def test_fock_source_with_empty_pedestal(self, check):
+        det = DetectorModel(eta=1.0, dark_mean=0.0)
+        areas = check(simulated(SourceSpec(kind="fock", cutoff=14, n=1), det, 20_000, 3))
+        # the teeth far above the one-count peak see no mass from its counts
+        assert np.any(areas == 0.0)
+
+    def test_strong_pump_with_overflow(self, check):
+        h = simulated(SourceSpec(kind="pdc_pairs", cutoff=20, mean=0.2253 * 16), DET, 100_000, 16)
+        assert h.overflow > 0
+        check(h)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_comb_fitted_without_a_sidecar(self, check, seed):
+        det = DetectorModel(eta=0.98, dark_mean=0.0)
+        source = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.05)
+        check(fitted_comb(simulated(source, det, 20_000, seed)))
+
+    def test_twin_teeth_fall_back_to_pinv(self, monkeypatch):
+        # two teeth with one bin mass share every EM step, so their Fisher
+        # rows are equal and the 2 x 2 matrix is exactly singular
+        h, mass = noiseless_comb(np.full(13, 100.0))
+        twin = mass[[1, 1]]
+        calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a) or pinv(a))
+        fit = fit_comb(h, twin)
+        assert len(calls) == 1
+        self.assert_matches(fit, h, twin)
+
+
+class TestUnknownCombStart:
+    """A start comb whose teeth in range fail DetectorModel.check_resolvable
+    is refused before the solver runs."""
+
+    @staticmethod
+    def even_peaks(n_peaks, spacing=8):
+        """Equal unit-width peaks every ``spacing`` bins of width 1, the last
+        ``spacing - 1`` bins past the last peak: a start comb of
+        ``n_peaks`` teeth in range."""
+        bins = 3 + (n_peaks - 1) * spacing + spacing - 1
+        x = np.arange(bins) + 0.5
+        y = sum(1000.0 * np.exp(-0.5 * (x - (3.5 + j * spacing)) ** 2) for j in range(n_peaks))
+        counts = np.rint(y).astype(np.int64)
+        return AreaHistogram(np.arange(bins + 1.0), counts, int(counts.sum()))
+
+    def test_refused_from_tooth_48_on(self, monkeypatch):
+        import photonstats.fitting as fitting
+
+        class SolverRan(Exception):
+            pass
+
+        def solver(*args):
+            raise SolverRan
+
+        monkeypatch.setattr(fitting, "_levenberg_marquardt", solver)
+        start = DetectorModel(gain=8.0, offset=3.5, sigma0=1.0, sigma_per_photon=0.25,
+                              adc_max=1000.0)
+        start.check_resolvable(47)
+        with pytest.raises(SolverRan):
+            _fit_unknown_comb(self.even_peaks(48))
+        with pytest.raises(ValueError, match="unresolvable"):
+            start.check_resolvable(48)
+        with pytest.raises(ValueError, match="unresolvable.*photon number 48"):
+            _fit_unknown_comb(self.even_peaks(49))
 
 
 class TestAreasToProbabilities:
