@@ -218,8 +218,9 @@ def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
     and gain/32 (from zero, sigma_per_photon would never move); and each
     height at the count in the bin under its tooth. The gain stays above
     half its start, so that teeth cannot crowd onto one peak to fit its noise.
-    A start comb whose teeth in range are not resolvable (noise, not
-    photon-number peaks) raises ValueError before the solver runs.
+    A start comb that is not resolvable over the gains the counts span
+    (noise, not photon-number peaks) raises ValueError before the solver
+    runs.
 
     Returns (offset, gain, sigma0, sigma_per_photon, converged), with offset
     and sigma0 those of the pedestal: the lowest tooth holding at least one
@@ -247,13 +248,16 @@ def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
     k = np.arange(int((top - offset) // gain) + 1)
     sigma0, per_photon = gain / 8.0, gain / 32.0
     # the rule of DetectorModel.check_resolvable, gain > 4 x the widest width,
-    # held to the start comb at its last tooth in range: these start widths
-    # fail it from tooth 48 on, which noise reaches and photon-number peaks
-    # do not, and the solver would spend seconds crowding such a comb
-    widest = math.sqrt(sigma0**2 + k[-1] * per_photon**2)
+    # held to the start comb over the gains the counts span (empty bins
+    # around them do not count): these start widths fail it from 48 gains
+    # on, which noise reaches and photon-number peaks do not, and the solver
+    # would spend seconds crowding such a comb
+    held = np.flatnonzero(y)
+    spanned = int((x[held[-1]] - x[held[0]]) // gain)
+    widest = math.sqrt(sigma0**2 + spanned * per_photon**2)
     if gain <= 4.0 * widest:
         raise ValueError(f"peaks unresolvable: the start comb's gain {gain} must exceed "
-                         f"4 x width {widest:.3f} at photon number {k[-1]}")
+                         f"4 x width {widest:.3f} at photon number {spanned}")
     under = np.clip(np.rint((offset + k * gain - x[0]) / bw).astype(int), 0, y.size - 1)
 
     gaussians = _weighted_gaussians(x, y, np.sqrt(np.maximum(y, 1.0)))

@@ -333,6 +333,22 @@ class TestAnalyzeCommand:
             np.testing.assert_allclose(wide.distribution.probs[:4],
                                        plain.distribution.probs[:4], atol=1e-5)
 
+    @pytest.mark.parametrize("pad", [0, 2400], ids=["plain", "padded-60-gains"])
+    def test_wide_range_without_sidecar_is_analyzed(self, tmp_path, pad):
+        # the default detector binned up to adc_max 600 gives a range of 60
+        # gains, and padding adds 60 more below the pedestal: the start comb
+        # is held to the rule only over the gains the counts span
+        det = DetectorModel(adc_max=600.0)
+        source = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2253)
+        hist = synthesize_histogram(simulate_gate_counts(source, det, 20_000, 0), det, 2400, 0)
+        edges = np.concatenate((hist.bin_edges[0] - hist.bin_width * np.arange(pad, 0, -1),
+                                hist.bin_edges))
+        csv = tmp_path / "histogram.csv"
+        csv.write_text(AreaHistogram(edges, np.pad(hist.counts, (pad, 0)), hist.n_gates).to_csv())
+        code = main(["analyze", "--histogram", str(csv), "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert "gamma_report" in json.loads((tmp_path / "analysis.json").read_text())
+
     @pytest.mark.parametrize("edge", [0, -1], ids=["first-bin", "last-bin"])
     def test_single_nonzero_edge_bin_gives_json(self, tmp_path, capsys, edge):
         counts = np.zeros(40, dtype=int)
@@ -367,7 +383,7 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("mean", [5.0, 0.5])
     def test_noise_is_refused_before_the_solver(self, tmp_path, capsys, monkeypatch, mean):
-        # the start combs of these noise CSVs have 83 and 167 teeth in range
+        # the counts of these noise CSVs span 166 and 82 start gains
         def solver(*args):
             raise AssertionError("the solver ran on a comb started on noise")
 

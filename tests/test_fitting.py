@@ -506,6 +506,24 @@ class TestUnknownCombStart:
             _fit_unknown_comb(self.even_peaks(49))
 
 
+    def test_empty_bins_around_the_counts_do_not_count(self, monkeypatch):
+        import photonstats.fitting as fitting
+
+        class SolverRan(Exception):
+            pass
+
+        def solver(*args):
+            raise SolverRan
+
+        monkeypatch.setattr(fitting, "_levenberg_marquardt", solver)
+        h = self.even_peaks(3)
+        # 400 empty bins either side: the range reaches 100 start gains
+        wide = AreaHistogram(np.arange(-400.0, h.counts.size + 401.0),
+                             np.pad(h.counts, (400, 400)), h.n_gates)
+        with pytest.raises(SolverRan):
+            _fit_unknown_comb(wide)
+
+
 class TestAreasToProbabilities:
     def test_single_pedestal_gives_p0_one(self):
         h = synthesize_histogram(np.array([60_000]), DET, 200, seed=26)
