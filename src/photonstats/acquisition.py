@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
 from .channel import _detect, detector_matrix
-from .distributions import SourceSpec, make_distribution
+from .distributions import SourceSpec, _source_pmf, make_distribution
 from .ioutil import SCHEMA_VERSION
 
 _COUNT_STREAM = 0
@@ -251,21 +251,16 @@ class PumpModel:
         return self.pairs_per_uW * power_uw
 
 
-def _with_cutoff(spec: SourceSpec, cutoff: int) -> SourceSpec:
-    components = tuple(_with_cutoff(c, cutoff) for c in spec.components or ()) or None
-    return replace(spec, cutoff=cutoff, components=components)
-
-
 def _detected_count_law(source: SourceSpec, det: DetectorModel) -> np.ndarray:
     """Probabilities of 0, 1, 2, ... detected counts in one gate: the detector
     law applied to the source law on the first window wide enough that the
     result is effectively untruncated."""
     for window in _WINDOWS:
         try:
-            p = make_distribution(_with_cutoff(source, window))
+            p = _source_pmf(source, window)
         except ValueError:  # a Fock number above the window, or mass lost beyond it
             continue
-        f = _detect(p.probs, det.eta, det.dark_mean, det.dark_after_loss)
+        f = _detect(p, det.eta, det.dark_mean, det.dark_after_loss)
         if f[window // 2 :].sum() < _TAIL_MASS:
             return f / f.sum()
     raise ValueError(f"the detected-count law does not fit in {_WINDOWS[-1]} photons")

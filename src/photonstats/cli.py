@@ -46,7 +46,13 @@ from .channel import (
     truncation_diagnostics,
 )
 from .distributions import PhotonDistribution, SourceSpec
-from .fitting import PeakFitResult, _fit_unknown_comb, areas_to_probabilities, fit_comb
+from .fitting import (
+    PeakFitResult,
+    _fit_comb_stack,
+    _fit_unknown_comb,
+    areas_to_probabilities,
+    fit_comb,
+)
 from .ioutil import SCHEMA_VERSION, dumps_canonical, write_text_atomic
 from .nonclassical import (
     GammaReport,
@@ -181,10 +187,7 @@ def analyze_histogram(hist: AreaHistogram) -> Analysis:
     (``_fit_unknown_comb``), with tooth 0 at the lowest tooth holding an
     event; the fit has converged only if both fits have, and a fitted comb
     whose teeth are not resolvable up to the last reported one (noise, not
-    photon-number peaks) raises ValueError. Gamma is taken from
-    the rounded event counts of the one-, two- and three-count peaks; the
-    efficiency estimate is None when P1 is zero. Warnings are left to the
-    caller.
+    photon-number peaks) raises ValueError. Warnings are left to the caller.
     """
     converged = True
     fitted = hist.detector is None
@@ -193,13 +196,27 @@ def analyze_histogram(hist: AreaHistogram) -> Analysis:
         hist = replace(hist, detector=DetectorModel(
             gain=gain, offset=offset, sigma0=sigma0, sigma_per_photon=per_photon,
             adc_max=float(hist.bin_edges[-1])))
+    fit = fit_comb(hist, _comb_mass(hist))
+    if fitted:
+        hist.detector.check_resolvable(fit.peaks[-1].photon_number)
+    return _analysis(fit if converged else replace(fit, converged=False))
+
+
+def _comb_mass(hist: AreaHistogram) -> np.ndarray:
+    """``bin_mass`` of every tooth of the histogram's detector whose center
+    lies in its range, over its bins (the overflow column dropped)."""
     det = hist.detector
     teeth = np.arange(int((hist.bin_edges[-1] - det.offset) // det.gain) + 1)
-    fit = fit_comb(hist, bin_mass(det, hist.bin_edges, teeth)[:, :-1])
-    if fitted:
-        det.check_resolvable(fit.peaks[-1].photon_number)
-    if not (fit.converged and converged):
-        return Analysis(replace(fit, converged=False))
+    return bin_mass(det, hist.bin_edges, teeth)[:, :-1]
+
+
+def _analysis(fit: PeakFitResult) -> Analysis:
+    """What a comb fit yields: only the fit when it did not converge;
+    otherwise its areas normalized, and gamma (from the rounded event counts
+    of the one-, two- and three-count peaks), parity and the efficiency
+    estimate (None when P1 is zero)."""
+    if not fit.converged:
+        return Analysis(fit)
     dist, event_counts = areas_to_probabilities(fit)
     p = dist.probs
     return Analysis(
@@ -210,6 +227,25 @@ def analyze_histogram(hist: AreaHistogram) -> Analysis:
         parity_test(dist),
         eta_from_ratio(float(p[1]), float(p[2])) if p[1] > 0 else None,
     )
+
+
+def _analyze_stack(hists: list[AreaHistogram]):
+    """``analyze_histogram`` of each histogram, in order, for histograms that
+    carry one detector and share their bin edges: their counts are fitted as
+    one stack. Each Analysis is built when it is asked for, so the first
+    histogram that fails raises first. A stack holding an empty histogram
+    is not fitted; each histogram is analyzed alone instead, so that its
+    failure comes in its turn."""
+    if not hists:
+        return
+    mass = _comb_mass(hists[0])
+    counts = np.array([h.counts for h in hists], dtype=np.float64)
+    try:
+        fits = _fit_comb_stack(counts, mass, hists[0].detector)
+    except ValueError:
+        yield from map(analyze_histogram, hists)
+        return
+    yield from map(_analysis, fits)
 
 
 def reconstruct(
@@ -246,24 +282,34 @@ def pump_sweep(
 
     Returns one (power, GammaReport) row per entry of ``pump.powers``. Each
     power gets an independent deterministic seed derived from (seed, index).
-    Raises FitError at the first power whose peak fit does not converge.
+    Every power's histogram is drawn first, and their counts are fitted as
+    one stack. The first power that fails, in power order, raises: FitError
+    if its peak fit does not converge, else the error that stopped it.
     """
     det.check_resolvable(cutoff)
-    rows: list[tuple[float, GammaReport]] = []
+    hists: list[AreaHistogram] = []
+    failure = None
     for i, power in enumerate(pump.powers):
         sub = np.random.SeedSequence([seed, _SWEEP_STREAM, i]).generate_state(2)
-        source = SourceSpec(
-            kind="pdc_pairs",
-            cutoff=cutoff,
-            mean=pump.mean_pairs(power),
-            pair_statistics=pump.pair_statistics,
-        )
-        frequencies = simulate_gate_counts(source, det, n_gates, seed=int(sub[0]))
-        hist = synthesize_histogram(frequencies, det, bins, seed=int(sub[1]))
-        report = analyze_histogram(hist).gamma_report
-        if report is None:
+        try:
+            source = SourceSpec(
+                kind="pdc_pairs",
+                cutoff=cutoff,
+                mean=pump.mean_pairs(power),
+                pair_statistics=pump.pair_statistics,
+            )
+            frequencies = simulate_gate_counts(source, det, n_gates, seed=int(sub[0]))
+            hists.append(synthesize_histogram(frequencies, det, bins, seed=int(sub[1])))
+        except (ValueError, ZeroDivisionError) as exc:  # raised after the powers before it
+            failure = exc
+            break
+    rows: list[tuple[float, GammaReport]] = []
+    for power, analysis in zip(pump.powers, _analyze_stack(hists)):
+        if analysis.gamma_report is None:
             raise FitError(f"peak fit did not converge at {power!r} uW")
-        rows.append((power, report))
+        rows.append((power, analysis.gamma_report))
+    if failure is not None:
+        raise failure
     return rows
 
 

@@ -168,30 +168,43 @@ def make_distribution(spec: SourceSpec) -> PhotonDistribution:
     only when the mass lost to truncation is below LOST_MASS_TOL; otherwise a
     :class:`TruncationLossError` is raised.
     """
-    size = spec.cutoff + 1
+    return PhotonDistribution(_source_pmf(spec, spec.cutoff))
+
+
+def _source_pmf(spec: SourceSpec, cutoff: int) -> np.ndarray:
+    """The law of ``spec`` on photon numbers 0..``cutoff``, whatever
+    ``spec.cutoff`` says: the one place each source law is written, for
+    ``make_distribution`` and for the sampler, which widens the window
+    until the law fits.
+
+    Raises ValueError for a Fock number above ``cutoff``, and
+    TruncationLossError when more than LOST_MASS_TOL of the law lies beyond
+    it; otherwise the law is renormalized on the window.
+    """
+    size = cutoff + 1
     if spec.kind == "fock":
+        if spec.n > cutoff:
+            raise ValueError(f"fock n={spec.n} exceeds cutoff {cutoff}")
         p = np.zeros(size)
         p[spec.n] = 1.0
-        return PhotonDistribution(p)
+        return p
 
     if spec.kind == "mixture":
-        parts = [make_distribution(c) for c in spec.components]
         w = np.asarray(spec.weights)
         w = w / w.sum()
         p = np.zeros(size)
-        for wi, di in zip(w, parts):
-            p += wi * di.probs
-        return PhotonDistribution(p)
+        for wi, component in zip(w, spec.components):
+            p += wi * _source_pmf(component, cutoff)
+        return p
 
     if spec.kind == "poisson":
         raw = _poisson_pmf(spec.mean, size)
     else:  # pdc_pairs: photon number = 2 * pair number
         raw = np.zeros(size)
-        pair_pmf = _pair_number_pmf(spec.mean, spec.pair_statistics, spec.cutoff // 2)
-        raw[0 : 2 * (spec.cutoff // 2) + 1 : 2] = pair_pmf
+        pair_pmf = _pair_number_pmf(spec.mean, spec.pair_statistics, cutoff // 2)
+        raw[0 : 2 * (cutoff // 2) + 1 : 2] = pair_pmf
 
     lost = 1.0 - raw.sum()
     if lost > LOST_MASS_TOL:
-        raise TruncationLossError(lost, context=f"{spec.kind} source at cutoff {spec.cutoff}")
-    return PhotonDistribution(raw / raw.sum())
-
+        raise TruncationLossError(lost, context=f"{spec.kind} source at cutoff {cutoff}")
+    return raw / raw.sum()

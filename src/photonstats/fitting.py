@@ -317,52 +317,92 @@ def fit_comb(h, mass: np.ndarray) -> PeakFitResult:
     with at least one fitted event are reported. ``residual_norm`` uses the
     Neyman weights of ``fit_peaks``.
     """
-    y = h.counts.astype(np.float64)
+    return _fit_comb_stack(h.counts.astype(np.float64)[None], mass, h.detector)[0]
+
+
+def _fit_comb_stack(y: np.ndarray, mass: np.ndarray, det) -> list[PeakFitResult]:
+    """``fit_comb`` of each row of ``y``, a stack of histograms recorded on
+    one detector comb ``det`` and binned alike, so that ``mass`` is theirs
+    too.
+
+    One EM runs on every row at once, over the bins where any row holds
+    counts (a row's empty bin adds exactly zero, as in a lone fit). A row
+    that meets the stopping rule keeps its lam from then on, and only its
+    own flag says it converged. The Fisher informations are inverted as one
+    stack; if that stack is singular, each is inverted alone and only a
+    singular one goes to the pseudo-inverse. The matrix products group their
+    sums by the stack's shape, so a row's areas can differ from a lone fit's
+    in the last digits.
+    """
     if mass.shape[0] == 0:
         raise ValueError("no tooth of the detector comb lies in the histogram's range")
-    if y.sum() == 0:
+    totals = y.sum(axis=1)
+    if np.count_nonzero(totals) < totals.size:
         raise ValueError("empty histogram: no counts to fit")
-    reach = mass.sum(axis=1)
-    held = y > 0.0
-    counts, held_mass = y[held], mass[:, held]
-    lam = np.full(reach.size, y.sum() / reach.size)
-    converged = False
+    # one row, so that a stack of one divides by it without broadcasting
+    reach = mass.sum(axis=1)[None, :]
+    held = np.logical_or.reduce(y, axis=0).nonzero()[0]
+    held_mass = mass[:, held]
+    held_mass_t = held_mass.T
+    lam = np.empty((totals.size, reach.size))
+    lam[:] = (totals / reach.size)[:, None]
+    converged = np.zeros(totals.size, dtype=bool)
+    # the rows still iterating, with their lam and their counts in the held bins
+    rows, part, counts = np.arange(totals.size), lam, y[:, held]
     # tails far from every tooth underflow to zero, which is their right value
     with np.errstate(under="ignore"):
         for _ in range(MAX_ITER):
-            mu = lam @ held_mass
-            ratio = np.divide(counts, mu, out=np.zeros_like(mu), where=mu > 0.0)
-            step = lam * (held_mass @ ratio) / reach - lam
-            lam = lam + step
-            if (np.abs(step) <= XTOL * np.maximum(lam, 1.0)).all():
-                converged = True
-                break
+            mu = part @ held_mass
+            ratio = np.divide(counts, mu, out=np.zeros(mu.shape), where=mu > 0.0)
+            step = part * (ratio @ held_mass_t) / reach - part
+            part = part + step
+            going = np.logical_or.reduce(np.abs(step) > XTOL * np.maximum(part, 1.0), axis=1)
+            left = np.count_nonzero(going)
+            if left < rows.size:  # some rows have met the rule: freeze them
+                lam[rows] = part
+                if not left:
+                    converged[rows] = True
+                    break
+                converged[rows[~going]] = True
+                rows, part, counts = rows[going], part[going], counts[going]
+        else:
+            lam[rows] = part
         # Fisher information of lam, sum_i mass_ji mass_ki / mu_i, scaled by
         # sqrt(lam_j lam_k) before the division so that every entry lies in
         # [0, 1]; an empty tooth's zero row and column get a unit diagonal
         mu = lam @ mass
-        scaled = mass * np.sqrt(lam)[:, None]
-        info = np.divide(scaled, mu, out=np.zeros_like(scaled), where=mu > 0.0) @ scaled.T
-        empty = np.flatnonzero(lam == 0.0)
-        info[empty, empty] = 1.0
+        scaled = mass * np.sqrt(lam)[:, :, None]
+        seen = mu[:, None, :]
+        info = np.divide(scaled, seen, out=np.zeros(scaled.shape), where=seen > 0.0)
+        info = info @ scaled.transpose(0, 2, 1)
+        row, empty = np.nonzero(lam == 0.0)
+        info[row, empty, empty] = 1.0
         try:
             cov = np.linalg.inv(info)
         except np.linalg.LinAlgError:  # exactly singular: teeth with one bin mass
-            cov = np.linalg.pinv(info)
-        variance = lam * np.diag(cov)
+            cov = np.array([_inverse(m) for m in info])
+        variance = lam * cov.diagonal(0, 1, 2)
     std = np.sqrt(np.maximum(variance, np.maximum(lam, 1.0)))
-
-    fitted = np.flatnonzero(lam >= 1.0)
-    ks = range(fitted[-1] + 1 if fitted.size else 1)
-    det = h.detector
-    peaks = tuple(
-        FittedPeak(k, center, width, area, err)
-        for k, center, width, area, err in zip(
-            ks, det.peak_center(ks).tolist(), det.peak_width(ks).tolist(),
-            lam.tolist(), std.tolist())
-    )
     resid = (y - mu) / np.sqrt(np.maximum(y, 1.0))
-    return PeakFitResult(peaks, residual_norm=float(np.linalg.norm(resid)), converged=converged)
+
+    teeth = np.arange(reach.size)
+    centers, widths = det.peak_center(teeth).tolist(), det.peak_width(teeth).tolist()
+    fits = []
+    for lam_p, std_p, resid_p, converged_p in zip(lam, std, resid, converged.tolist()):
+        fitted = (lam_p >= 1.0).nonzero()[0]
+        n = fitted[-1] + 1 if fitted.size else 1
+        peaks = tuple(map(FittedPeak, range(n), centers[:n], widths[:n],
+                          lam_p[:n].tolist(), std_p[:n].tolist()))
+        fits.append(PeakFitResult(peaks, float(np.linalg.norm(resid_p)), converged_p))
+    return fits
+
+
+def _inverse(info: np.ndarray) -> np.ndarray:
+    """``info``'s inverse, or its pseudo-inverse when it is exactly singular."""
+    try:
+        return np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(info)
 
 
 def areas_to_probabilities(fit: PeakFitResult):

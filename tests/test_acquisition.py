@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from photonstats.acquisition import (
     _ERFC_TWO,
     _ERFC_ZERO,
     _ROWS_KEPT,
+    _WINDOWS,
     _detected_count_law,
     _gaussian_cdf,
     _mass_rows,
@@ -25,7 +27,12 @@ from photonstats.acquisition import (
 )
 from photonstats.channel import detector_matrix
 from photonstats.cli import pump_sweep
-from photonstats.distributions import SourceSpec, TruncationLossError, make_distribution
+from photonstats.distributions import (
+    SourceSpec,
+    TruncationLossError,
+    _source_pmf,
+    make_distribution,
+)
 from photonstats.ioutil import dumps_canonical
 from photonstats.nonclassical import classical_gamma_bound, gamma_under_loss
 
@@ -93,6 +100,31 @@ ORACLE_SOURCES = {
         ),
     ),
 }
+
+
+# Sources whose laws need windows from 64 up to 1024 photons.
+WINDOW_SOURCES = {
+    "poisson": SourceSpec(kind="poisson", cutoff=10, mean=60.0),
+    "pairs": SourceSpec(kind="pdc_pairs", cutoff=10, mean=0.4),
+    "wide_pairs": SourceSpec(kind="pdc_pairs", cutoff=10, mean=90.0),
+    "thermal_pairs": SourceSpec(kind="pdc_pairs", cutoff=14, mean=8.0, pair_statistics="thermal"),
+    "fock": SourceSpec(kind="fock", cutoff=200, n=200),
+    "mixture": SourceSpec(
+        kind="mixture",
+        cutoff=10,
+        weights=(0.3, 0.7),
+        components=(
+            SourceSpec(kind="fock", cutoff=10, n=4),
+            SourceSpec(kind="pdc_pairs", cutoff=10, mean=3.0, pair_statistics="thermal"),
+        ),
+    ),
+}
+
+
+def recut(spec: SourceSpec, cutoff: int) -> SourceSpec:
+    """``spec`` with its cutoff, and its components' cutoffs, set to ``cutoff``."""
+    components = tuple(recut(c, cutoff) for c in spec.components or ()) or None
+    return replace(spec, cutoff=cutoff, components=components)
 
 
 class TestSimulateGateCounts:
@@ -199,6 +231,21 @@ class TestSimulateGateCounts:
         m = detector_matrix(det.eta, det.dark_mean, window, dark_after_loss=dark_after_loss)
         f = m.entries @ make_distribution(replace(src, cutoff=window)).probs
         np.testing.assert_allclose(law, f / f.sum(), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("window", _WINDOWS)
+    @pytest.mark.parametrize("name", sorted(WINDOW_SOURCES))
+    def test_window_law_is_the_spec_recut_at_the_window(self, name, window):
+        # the sampler takes the source law at each window it tries without
+        # building a SourceSpec and a PhotonDistribution for it; the law, or
+        # the error, is the one the spec re-cut at that window gives
+        src = WINDOW_SOURCES[name]
+        try:
+            want = make_distribution(recut(src, window)).probs
+        except ValueError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _source_pmf(src, window)
+        else:
+            assert np.array_equal(_source_pmf(src, window), want)
 
     def test_law_wider_than_largest_window_rejected(self):
         src = SourceSpec(kind="fock", cutoff=2000, n=2000)

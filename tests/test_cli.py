@@ -13,6 +13,7 @@ from photonstats import fitting
 from photonstats.acquisition import (
     AreaHistogram,
     DetectorModel,
+    PumpModel,
     _detected_count_law,
     simulate_gate_counts,
     synthesize_histogram,
@@ -29,6 +30,7 @@ from photonstats.cli import (
     analyze_histogram,
     load_config,
     main,
+    pump_sweep,
 )
 from photonstats.distributions import SourceSpec
 from photonstats.ioutil import dumps_canonical
@@ -615,6 +617,42 @@ class TestSweepCommand:
         assert not (out / "sweep.csv").exists()
         assert main(["analyze", "--histogram", str(out / "histogram.csv"),
                      "--out", str(out)]) == EXIT_FIT
+
+    def test_rows_are_the_analyses_of_each_power(self):
+        # the sweep fits its powers as one stack; each row is what
+        # analyze_histogram reports on that power's histogram alone
+        det = DetectorModel(eta=0.67, dark_mean=4e-4)
+        pump = PumpModel(powers=(0.01, 0.3, 1.0, 16.0), pairs_per_uW=0.2253)
+        rows = pump_sweep(pump, det, 200_000, seed=4, cutoff=14, bins=400)
+        assert [power for power, _ in rows] == list(pump.powers)
+        for i, (power, report) in enumerate(rows):
+            sub = np.random.SeedSequence([4, 2, i]).generate_state(2)
+            source = SourceSpec(kind="pdc_pairs", cutoff=14, mean=pump.mean_pairs(power))
+            hist = synthesize_histogram(simulate_gate_counts(source, det, 200_000, int(sub[0])),
+                                        det, 400, int(sub[1]))
+            assert report == analyze_histogram(hist).gamma_report
+
+    @pytest.mark.parametrize("case", ["law-too-wide", "empty-histogram"])
+    def test_first_failing_power_decides(self, tmp_path, capsys, monkeypatch, case):
+        # the second power fails on its own (exit 6); once the first power's
+        # fit cannot converge, that failure comes first (exit 3)
+        cfg_path = tmp_path / "run.json"
+        if case == "law-too-wide":  # thermal pairs at 20 per gate
+            write_config(cfg_path, n_gates=100_000, pump={
+                "powers": [0.1, 100.0], "pairs_per_uW": 0.2, "pair_statistics": "thermal"})
+            message = "does not fit in 1024 photons"
+        else:  # about 68 pairs per gate: every area lies above adc_max
+            write_config(cfg_path, n_gates=10_000, bins=100,
+                         detector={"eta": 0.67, "dark_mean": 4e-4, "adc_max": 25.0},
+                         pump={"powers": [0.1, 300.0], "pairs_per_uW": 0.2253})
+            message = "empty histogram"
+        assert main(["sweep", "--config", str(cfg_path)]) == EXIT_RUNTIME
+        assert message in stderr_error(capsys)["error"]
+
+        monkeypatch.setattr(fitting, "MAX_ITER", 0)
+        assert main(["sweep", "--config", str(cfg_path)]) == EXIT_FIT
+        err = stderr_error(capsys)
+        assert err["type"] == "FitError" and "at 0.1 uW" in err["error"]
 
     def test_determinism(self, tmp_path):
         cfg_path = tmp_path / "run.json"

@@ -12,11 +12,13 @@ from photonstats.acquisition import (
     simulate_gate_counts,
     synthesize_histogram,
 )
+import photonstats.fitting as fitting
 from photonstats.cli import analyze_histogram
 from photonstats.distributions import SourceSpec
 from photonstats.fitting import (
     MAX_ITER,
     XTOL,
+    _fit_comb_stack,
     _fit_unknown_comb,
     _levenberg_marquardt,
     _weighted_gaussians,
@@ -468,6 +470,84 @@ class TestFitCombMatchesPinvErrors:
         fit = fit_comb(h, twin)
         assert len(calls) == 1
         self.assert_matches(fit, h, twin)
+
+
+class TestFitCombStack:
+    """A stack of histograms on one comb fits row by row as each fits alone."""
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        """The sweep benchmark's six powers (overflow at 16 uW) and a Fock
+        histogram with an empty pedestal, all on the default pulse-area
+        response and bins, and their comb's mass."""
+        hists = [simulated(SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2253 * power), DET,
+                           200_000, seed)
+                 for seed, power in enumerate((0.01, 0.03, 0.3, 1.0, 3.0, 16.0))]
+        fock = DetectorModel(eta=1.0, dark_mean=0.0)
+        hists.append(simulated(SourceSpec(kind="fock", cutoff=14, n=1), fock, 20_000, 3))
+        assert hists[5].overflow > 0 and hists[6].counts[:10].sum() == 0
+        return hists, comb_mass(DET, hists[0].bin_edges)
+
+    @staticmethod
+    def assert_rows_match_lone_fits(hists, mass):
+        counts = np.array([h.counts for h in hists], dtype=np.float64)
+        fits = _fit_comb_stack(counts, mass, DET)
+        assert len(fits) == len(hists)
+        for h, fit in zip(hists, fits):
+            lone = fit_comb(h, mass)
+            assert fit.converged == lone.converged
+            assert [p.photon_number for p in fit.peaks] == [p.photon_number for p in lone.peaks]
+            for got, want in zip(fit.peaks, lone.peaks):
+                assert (got.center, got.width) == (want.center, want.width)
+            np.testing.assert_allclose([p.area for p in fit.peaks],
+                                       [p.area for p in lone.peaks], rtol=1e-12, atol=0)
+            np.testing.assert_allclose([p.area_std_error for p in fit.peaks],
+                                       [p.area_std_error for p in lone.peaks], rtol=1e-9, atol=0)
+        return fits
+
+    def test_rows_match_lone_fits(self, stack):
+        fits = self.assert_rows_match_lone_fits(*stack)
+        assert all(fit.converged for fit in fits)
+
+    def test_each_row_stops_on_its_own(self, stack, monkeypatch):
+        # these rows need 3 to 5 EM iterations each
+        monkeypatch.setattr(fitting, "MAX_ITER", 3)
+        flags = [fit.converged for fit in self.assert_rows_match_lone_fits(*stack)]
+        assert any(flags) and not all(flags)
+
+    def test_no_row_converges_without_iterations(self, stack, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITER", 0)
+        fits = self.assert_rows_match_lone_fits(*stack)
+        assert not any(fit.converged for fit in fits)
+
+    def test_only_the_singular_row_reaches_pinv(self, monkeypatch):
+        # teeth 1 and 2 both have tooth 5's bin mass; the first row holds
+        # only pedestal counts, where that mass is exactly zero, so its twin
+        # teeth fit to zero and get unit diagonals; the second fills them,
+        # and its Fisher information is exactly singular
+        _, mass = noiseless_comb(np.zeros(13))
+        twin = mass[[0, 5, 5]]
+        hists = [noiseless_comb(lam, DET)[0] for lam in (np.eye(13)[0] * 1000.0,
+                                                          np.eye(13)[0] * 1000.0
+                                                          + np.eye(13)[5] * 200.0)]
+        calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a) or pinv(a))
+        fits = self.assert_rows_match_lone_fits(hists, twin)
+        # the stack's second row, then the same row's lone fit; the first
+        # row's twin teeth would be uncoupled
+        assert len(calls) == 2
+        for info in calls:
+            assert info[1, 1] == info[1, 2] == info[2, 2] > 0.0
+        assert [p.photon_number for p in fits[0].peaks] == [0]
+        assert [p.photon_number for p in fits[1].peaks] == [0, 1, 2]
+
+    def test_empty_row_rejected(self, stack):
+        hists, mass = stack
+        counts = np.array([h.counts for h in hists], dtype=np.float64)
+        counts[2] = 0.0
+        with pytest.raises(ValueError, match="empty histogram"):
+            _fit_comb_stack(counts, mass, DET)
 
 
 class TestUnknownCombStart:

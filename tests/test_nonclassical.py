@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import poisson_mixture_oracle
@@ -45,13 +45,18 @@ class TestGamma:
             gamma(d)
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=20))
+    @example([0.0, 0.0, 0.0, 5e-324, 1.0, 1.0])  # P3 underflows to 0 once normalized
     @settings(max_examples=100, deadline=None)
     def test_gamma_in_unit_interval_for_physical(self, raw):
         total = sum(raw)
-        if total <= 0 or sum(raw[1:4]) <= 0:
+        if total <= 0:
             return
         d = PhotonDistribution(np.asarray(raw) / total)
-        assert 0.0 <= gamma(d) <= 1.0
+        if d.probs[1] + d.probs[2] + d.probs[3] <= 0.0:
+            with pytest.raises(ZeroDivisionError):
+                gamma(d)
+        else:
+            assert 0.0 <= gamma(d) <= 1.0
 
 
 class TestClassicalBound:
