@@ -37,7 +37,8 @@ _AREA_STREAM = 1
 # any run or reconstruction cutoff.
 _WINDOWS = (64, 128, 256, 512, 1024)
 _TAIL_MASS = 1e-15
-# Largest relative deviation of a sidecar-less CSV's center spacings from its first one.
+# Largest deviation, relative to the bin width, of a sidecar-less CSV's center
+# spacings from its first one, and of a CSV's centers from its sidecar's midpoints.
 UNIFORM_BIN_RTOL = 1e-6
 
 
@@ -105,12 +106,16 @@ class AreaHistogram:
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=np.float64)
         counts = np.asarray(self.counts, dtype=np.int64)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+        if not np.isfinite(edges).all():
+            raise ValueError("bin edges must be finite")
+        if edges.ndim != 1 or edges.size < 2 or not (np.diff(edges) > 0).all():
             raise ValueError("bin edges must be a strictly increasing 1-D sequence")
         if counts.shape != (edges.size - 1,):
             raise ValueError("counts length must be number of bins")
         if np.any(counts < 0):
             raise ValueError("bin counts must be nonnegative")
+        if self.overflow < 0:
+            raise ValueError(f"overflow must be nonnegative, got {self.overflow}")
         if int(counts.sum()) + self.overflow > self.n_gates:
             raise ValueError("binned counts plus overflow exceed the number of gates")
         edges = edges.copy()
@@ -166,7 +171,12 @@ class AreaHistogram:
                 raise ValueError(f"the histogram sidecar has no {exc}") from exc
             except (AttributeError, TypeError) as exc:
                 raise ValueError(f"malformed histogram sidecar: {exc}") from exc
-            return cls(edges, counts, n_gates, overflow, detector)
+            hist = cls(edges, counts, n_gates, overflow, detector)
+            off = np.abs(centers - hist.bin_centers)
+            if not (off <= UNIFORM_BIN_RTOL * np.diff(hist.bin_edges)).all():
+                raise ValueError("the CSV's bin centers are not the midpoints "
+                                 "of the sidecar's bin_edges")
+            return hist
         # No sidecar (e.g. instrument data): require uniform bins, assume no overflow.
         if centers.size < 2:
             raise ValueError("cannot infer bin edges from fewer than two bins")

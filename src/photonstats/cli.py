@@ -233,19 +233,14 @@ def _analyze_stack(hists: list[AreaHistogram]):
     """``analyze_histogram`` of each histogram, in order, for histograms that
     carry one detector and share their bin edges: their counts are fitted as
     one stack. Each Analysis is built when it is asked for, so the first
-    histogram that fails raises first. A stack holding an empty histogram
-    is not fitted; each histogram is analyzed alone instead, so that its
-    failure comes in its turn."""
+    histogram that fails, an empty one included, raises first."""
     if not hists:
         return
-    mass = _comb_mass(hists[0])
     counts = np.array([h.counts for h in hists], dtype=np.float64)
-    try:
-        fits = _fit_comb_stack(counts, mass, hists[0].detector)
-    except ValueError:
-        yield from map(analyze_histogram, hists)
-        return
-    yield from map(_analysis, fits)
+    for row, fit in zip(counts, _fit_comb_stack(counts, _comb_mass(hists[0]), hists[0].detector)):
+        if not row.any():
+            raise ValueError("empty histogram: no counts to fit")
+        yield _analysis(fit)
 
 
 def reconstruct(

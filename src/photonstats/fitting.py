@@ -5,13 +5,13 @@ area under a peak counts the events at that photon number, and normalizing
 the areas by their total yields the probability per gate.
 
 ``fit_comb`` fits the expected gate count at each tooth of the detector's
-comb (offset + k gain) by Poisson maximum likelihood, so tooth k is photon
-number k by construction. When the detector's pulse-area response is not
-known, ``_fit_unknown_comb`` first fits the comb itself to the counts: a sum
-of Gaussians whose centers and widths are tied to the comb, solved by the
-projected Levenberg-Marquardt solver written here in numpy. ``fit_peaks``
-fits a free sum of Gaussians with the same solver and labels its peaks by
-rank. The module needs no scipy.
+comb (offset + k gain) by Poisson maximum likelihood, in ``_poisson_em``, the
+EM kernel on a design matrix, so tooth k is photon number k by construction.
+When the detector's pulse-area response is not known, ``_fit_unknown_comb``
+first fits the comb itself to the counts: a sum of Gaussians whose centers
+and widths are tied to the comb, solved by the projected Levenberg-Marquardt
+solver written here in numpy. ``fit_peaks`` fits a free sum of Gaussians with
+the same solver and labels its peaks by rank. The module needs no scipy.
 """
 
 from __future__ import annotations
@@ -301,60 +301,83 @@ def fit_comb(h, mass: np.ndarray) -> PeakFitResult:
     ``mass[k]`` holds the probability that a gate with k detected counts
     lands in each bin of ``h``, whose ``detector`` places tooth k at
     ``peak_center(k)`` with width ``peak_width(k)``. The expected bin counts
-    are lam @ mass, and lam is estimated by expectation-maximisation,
-    lam <- lam * mass (y / lam mass) / mass 1, over the bins that hold counts
-    and whose expected count is positive (an empty bin adds nothing to
-    mass (y / lam mass))
-    (Richardson, JOSA 62, 55, 1972; Shepp & Vardi, IEEE TMI 1, 113, 1982),
-    which keeps lam nonnegative. It starts from equal counts on every tooth
-    and has converged once no tooth moves by more than XTOL * max(lam, 1);
-    MAX_ITER iterations are allowed.
+    are lam @ mass, and lam is fitted by ``_poisson_em`` with ``mass`` as its
+    design.
 
     Returns a PeakFitResult whose peak k is photon number k, with area lam_k
     and standard error the larger of its Fisher-information error and
-    sqrt(max(lam_k, 1)). The Fisher information is inverted directly; a
-    tooth with lam_k = 0 gets no variance from it. Teeth 0 up to the last
-    with at least one fitted event are reported. ``residual_norm`` uses the
-    Neyman weights of ``fit_peaks``.
+    sqrt(max(lam_k, 1)). Teeth 0 up to the last with at least one fitted
+    event are reported. ``residual_norm`` uses the Neyman weights of
+    ``fit_peaks``.
     """
+    if not h.counts.any():
+        raise ValueError("empty histogram: no counts to fit")
     return _fit_comb_stack(h.counts.astype(np.float64)[None], mass, h.detector)[0]
 
 
 def _fit_comb_stack(y: np.ndarray, mass: np.ndarray, det) -> list[PeakFitResult]:
     """``fit_comb`` of each row of ``y``, a stack of histograms recorded on
     one detector comb ``det`` and binned alike, so that ``mass`` is theirs
-    too.
-
-    One EM runs on every row at once, over the bins where any row holds
-    counts (a row's empty bin adds exactly zero, as in a lone fit). A row
-    that meets the stopping rule keeps its lam from then on, and only its
-    own flag says it converged. The Fisher informations are inverted as one
-    stack; if that stack is singular, each is inverted alone and only a
-    singular one goes to the pseudo-inverse. The matrix products group their
+    too. An empty row fits to no events. The matrix products group their
     sums by the stack's shape, so a row's areas can differ from a lone fit's
     in the last digits.
     """
     if mass.shape[0] == 0:
         raise ValueError("no tooth of the detector comb lies in the histogram's range")
+    lam, cov, converged = _poisson_em(y, mass)
+    # a near-empty tooth's variance underflows to zero, which is its right value
+    with np.errstate(under="ignore"):
+        std = np.sqrt(np.maximum(lam * cov.diagonal(0, 1, 2), np.maximum(lam, 1.0)))
+        resid = (y - lam @ mass) / np.sqrt(np.maximum(y, 1.0))
+
+    teeth = np.arange(mass.shape[0])
+    centers, widths = det.peak_center(teeth).tolist(), det.peak_width(teeth).tolist()
+    fits = []
+    for lam_p, std_p, resid_p, converged_p in zip(lam, std, resid, converged.tolist()):
+        fitted = (lam_p >= 1.0).nonzero()[0]
+        n = fitted[-1] + 1 if fitted.size else 1
+        peaks = tuple(map(FittedPeak, range(n), centers[:n], widths[:n],
+                          lam_p[:n].tolist(), std_p[:n].tolist()))
+        fits.append(PeakFitResult(peaks, float(np.linalg.norm(resid_p)), converged_p))
+    return fits
+
+
+def _poisson_em(y: np.ndarray, design: np.ndarray):
+    """Poisson maximum-likelihood weights lam >= 0 for each row of ``y``, a
+    stack of counts whose expected values are lam @ ``design``.
+
+    Every outcome that a weight can reach must be a column of ``design``:
+    counts lost to an overflow are a column too, or the weights that reach
+    it soak up the wrong mass. Expectation-maximisation,
+    lam <- lam * design (y / lam design) / design 1 (Richardson, JOSA 62, 55,
+    1972; Shepp & Vardi, IEEE TMI 1, 113, 1982), runs over the columns where
+    any row holds counts, from each row's total spread equally. A row has
+    converged, and keeps its lam, once no weight moves by more than
+    XTOL * max(lam_j, 1); MAX_ITER iterations are allowed. An all-zero row
+    stays at lam = 0.
+
+    Returns (lam, cov, converged): cov[p] inverts row p's Fisher information
+    scaled by sqrt(lam_j lam_k), so lam_j has variance lam_j cov_jj and a zero
+    weight (unit diagonal) has none. The stack is inverted at once; if it is
+    singular, each row alone, and only a singular one by its pseudo-inverse.
+    """
     totals = y.sum(axis=1)
-    if np.count_nonzero(totals) < totals.size:
-        raise ValueError("empty histogram: no counts to fit")
     # one row, so that a stack of one divides by it without broadcasting
-    reach = mass.sum(axis=1)[None, :]
+    reach = design.sum(axis=1)[None, :]
     held = np.logical_or.reduce(y, axis=0).nonzero()[0]
-    held_mass = mass[:, held]
-    held_mass_t = held_mass.T
+    held_design = design[:, held]
+    held_design_t = held_design.T
     lam = np.empty((totals.size, reach.size))
     lam[:] = (totals / reach.size)[:, None]
     converged = np.zeros(totals.size, dtype=bool)
-    # the rows still iterating, with their lam and their counts in the held bins
+    # the rows still iterating, with their lam and their counts in the held columns
     rows, part, counts = np.arange(totals.size), lam, y[:, held]
-    # tails far from every tooth underflow to zero, which is their right value
+    # tails far from every weight's mass underflow to zero, their right value
     with np.errstate(under="ignore"):
         for _ in range(MAX_ITER):
-            mu = part @ held_mass
+            mu = part @ held_design
             ratio = np.divide(counts, mu, out=np.zeros(mu.shape), where=mu > 0.0)
-            step = part * (ratio @ held_mass_t) / reach - part
+            step = part * (ratio @ held_design_t) / reach - part
             part = part + step
             going = np.logical_or.reduce(np.abs(step) > XTOL * np.maximum(part, 1.0), axis=1)
             left = np.count_nonzero(going)
@@ -367,42 +390,26 @@ def _fit_comb_stack(y: np.ndarray, mass: np.ndarray, det) -> list[PeakFitResult]
                 rows, part, counts = rows[going], part[going], counts[going]
         else:
             lam[rows] = part
-        # Fisher information of lam, sum_i mass_ji mass_ki / mu_i, scaled by
-        # sqrt(lam_j lam_k) before the division so that every entry lies in
-        # [0, 1]; an empty tooth's zero row and column get a unit diagonal
-        mu = lam @ mass
-        scaled = mass * np.sqrt(lam)[:, :, None]
+        # Fisher information of lam, sum_i design_ji design_ki / mu_i, scaled
+        # by sqrt(lam_j lam_k) before the division so that every entry lies
+        # in [0, 1]; a zero weight's zero row and column get a unit diagonal
+        mu = lam @ design
+        scaled = design * np.sqrt(lam)[:, :, None]
         seen = mu[:, None, :]
         info = np.divide(scaled, seen, out=np.zeros(scaled.shape), where=seen > 0.0)
         info = info @ scaled.transpose(0, 2, 1)
         row, empty = np.nonzero(lam == 0.0)
         info[row, empty, empty] = 1.0
         try:
-            cov = np.linalg.inv(info)
-        except np.linalg.LinAlgError:  # exactly singular: teeth with one bin mass
-            cov = np.array([_inverse(m) for m in info])
-        variance = lam * cov.diagonal(0, 1, 2)
-    std = np.sqrt(np.maximum(variance, np.maximum(lam, 1.0)))
-    resid = (y - mu) / np.sqrt(np.maximum(y, 1.0))
-
-    teeth = np.arange(reach.size)
-    centers, widths = det.peak_center(teeth).tolist(), det.peak_width(teeth).tolist()
-    fits = []
-    for lam_p, std_p, resid_p, converged_p in zip(lam, std, resid, converged.tolist()):
-        fitted = (lam_p >= 1.0).nonzero()[0]
-        n = fitted[-1] + 1 if fitted.size else 1
-        peaks = tuple(map(FittedPeak, range(n), centers[:n], widths[:n],
-                          lam_p[:n].tolist(), std_p[:n].tolist()))
-        fits.append(PeakFitResult(peaks, float(np.linalg.norm(resid_p)), converged_p))
-    return fits
-
-
-def _inverse(info: np.ndarray) -> np.ndarray:
-    """``info``'s inverse, or its pseudo-inverse when it is exactly singular."""
-    try:
-        return np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(info)
+            return lam, np.linalg.inv(info), converged
+        except np.linalg.LinAlgError:  # exactly singular: two weights, one design row
+            cov = np.empty_like(info)
+            for p, single in enumerate(info):
+                try:
+                    cov[p] = np.linalg.inv(single)
+                except np.linalg.LinAlgError:
+                    cov[p] = np.linalg.pinv(single)
+    return lam, cov, converged
 
 
 def areas_to_probabilities(fit: PeakFitResult):

@@ -431,6 +431,29 @@ class TestAreaHistogramType:
         with pytest.raises(ValueError, match="increasing"):
             AreaHistogram(np.array([0.0, 1.0, 1.0]), np.array([1, 2]), n_gates=3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_edges_must_be_finite(self, bad):
+        for edges in ([0.0, 1.0, bad], [bad, 1.0, 2.0], [0.0, bad, 2.0]):
+            with pytest.raises(ValueError, match="finite"):
+                AreaHistogram(np.array(edges), np.array([1, 2]), n_gates=3)
+
+    def test_overflow_must_be_nonnegative(self):
+        # a negative overflow would let the binned counts exceed the gates
+        with pytest.raises(ValueError, match="overflow must be nonnegative"):
+            AreaHistogram(np.array([0.0, 1.0, 2.0]), np.array([3, 3]), n_gates=5, overflow=-1)
+
+    def test_sidecar_edges_must_bisect_the_centers(self):
+        h = synthesize_histogram(np.full(7, 15), DET, 50, seed=4)
+        side = h.sidecar_dict()
+        width = h.bin_width
+        for edges in (2.0 * h.bin_edges, h.bin_edges + 1e-4 * width):
+            with pytest.raises(ValueError, match="midpoints"):
+                AreaHistogram.from_csv(h.to_csv(), dict(side, bin_edges=edges.tolist()))
+        # a shift within UNIFORM_BIN_RTOL of a bin width is rounding, not a mismatch
+        shifted = dict(side, bin_edges=(h.bin_edges + 1e-7 * width).tolist())
+        np.testing.assert_array_equal(AreaHistogram.from_csv(h.to_csv(), shifted).counts,
+                                      h.counts)
+
     def test_counts_bounded_by_gates(self):
         with pytest.raises(ValueError, match="exceed"):
             AreaHistogram(np.array([0.0, 1.0, 2.0]), np.array([3, 3]), n_gates=5)
@@ -454,8 +477,8 @@ class TestAreaHistogramType:
         text = "bin_center,count\n0,5\n1,3\n3,2\n7,1\n"
         with pytest.raises(ValueError, match="evenly spaced"):
             AreaHistogram.from_csv(text)
-        # the same centers load when a sidecar gives the edges
-        edges = [-0.5, 0.5, 2.0, 5.0, 9.0]
+        # the same centers load when a sidecar gives the edges they bisect
+        edges = [-0.5, 0.5, 1.5, 4.5, 9.5]
         h = AreaHistogram.from_csv(text, {"bin_edges": edges, "n_gates": 11})
         np.testing.assert_array_equal(h.bin_edges, edges)
 

@@ -399,8 +399,13 @@ class TestAnalyzeCommand:
         lambda side: side["detector"].update(colour="blue"),
         lambda side: side["detector"].update(eta=1.5),
         lambda side: side.update(detector=[0.617, 4e-4]),
+        lambda side: side.update(overflow=-5),
+        lambda side: side.update(bin_edges=[2.0 * e for e in side["bin_edges"]]),
+        lambda side: side.update(bin_edges=[e + 0.1 for e in side["bin_edges"]]),
+        lambda side: side["bin_edges"].__setitem__(-1, math.inf),
     ], ids=["no-bin-edges", "no-n-gates", "detector-unknown-key", "detector-eta-above-one",
-            "detector-not-an-object"])
+            "detector-not-an-object", "negative-overflow", "doubled-edges", "shifted-edges",
+            "infinite-edge"])
     def test_malformed_sidecar_is_runtime_error(self, simulated, capsys, edit):
         _, out = simulated
         sidecar = out / "histogram.json"
@@ -411,6 +416,22 @@ class TestAnalyzeCommand:
         assert code == EXIT_RUNTIME
         err = stderr_error(capsys)
         assert err["exit_code"] == EXIT_RUNTIME and err["type"] == "ValueError"
+        assert not (out / "analysis.json").exists()
+
+    @pytest.mark.parametrize("row", [0, 7], ids=["first", "inner"])
+    def test_nan_bin_center_is_runtime_error(self, simulated, capsys, row):
+        # without a sidecar the edges are built from the centers, so a NaN
+        # center makes one edge, or every edge, NaN
+        _, out = simulated
+        (out / "histogram.json").unlink()
+        csv = out / "histogram.csv"
+        lines = csv.read_text().splitlines()
+        lines[row + 1] = "nan," + lines[row + 1].split(",")[1]
+        csv.write_text("\n".join(lines) + "\n")
+        code = main(["analyze", "--histogram", str(csv), "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        err = stderr_error(capsys)
+        assert err["exit_code"] == EXIT_RUNTIME and "finite" in err["error"]
         assert not (out / "analysis.json").exists()
 
     def test_sidecar_echo_selects_the_comb_fit(self, simulated):

@@ -13,14 +13,16 @@ from photonstats.acquisition import (
     synthesize_histogram,
 )
 import photonstats.fitting as fitting
-from photonstats.cli import analyze_histogram
-from photonstats.distributions import SourceSpec
+from photonstats.cli import _analyze_stack, analyze_histogram
+from photonstats.channel import detector_matrix
+from photonstats.distributions import SourceSpec, make_distribution
 from photonstats.fitting import (
     MAX_ITER,
     XTOL,
     _fit_comb_stack,
     _fit_unknown_comb,
     _levenberg_marquardt,
+    _poisson_em,
     _weighted_gaussians,
     areas_to_probabilities,
     fit_comb,
@@ -543,11 +545,45 @@ class TestFitCombStack:
         assert [p.photon_number for p in fits[1].peaks] == [0, 1, 2]
 
     def test_empty_row_rejected(self, stack):
-        hists, mass = stack
-        counts = np.array([h.counts for h in hists], dtype=np.float64)
-        counts[2] = 0.0
+        # the stack is fitted whole; the rows before the empty one yield
+        # their analyses, and the empty row raises in its turn
+        hists = stack[0][2:6]
+        hists[2] = replace(hists[2], counts=np.zeros_like(hists[2].counts))
+        analyses = _analyze_stack(hists)
+        for h in hists[:2]:
+            assert next(analyses).gamma_report == analyze_histogram(h).gamma_report
         with pytest.raises(ValueError, match="empty histogram"):
-            _fit_comb_stack(counts, mass, DET)
+            next(analyses)
+
+
+class TestPoissonEM:
+    """The kernel on the source design: the expected bin counts of a source
+    law p over N gates are N p @ (M^T B), with M the detector matrix and B
+    the bin mass, so lam / sum(lam) estimates p."""
+
+    @pytest.fixture(scope="class")
+    def weak_pump(self):
+        """Criterion 6's weak-pump histogram, the true p_n for n <= 10 and
+        the source design over photon numbers 0-40, overflow column kept."""
+        source = SourceSpec(kind="pdc_pairs", cutoff=40, mean=0.5)
+        h = simulated(source, DET, 2_000_000, 61)
+        design = detector_matrix(0.67, 4e-4, 40).entries.T @ bin_mass(DET, h.bin_edges, range(41))
+        return h, make_distribution(source).probs[:11], design
+
+    @staticmethod
+    def worst_error(y, design, truth):
+        lam = _poisson_em(y[None], design)[0][0]
+        return np.abs(lam[: truth.size] / lam.sum() - truth).max()
+
+    def test_source_law_needs_the_overflow_column(self, weak_pump, monkeypatch):
+        # at MAX_ITER 200 both designs stop at about 0.0128
+        monkeypatch.setattr(fitting, "MAX_ITER", 2000)
+        h, truth, design = weak_pump
+        y = np.append(h.counts, h.overflow).astype(np.float64)
+        # photon numbers above the range are identifiable only through the
+        # overflow; without it they soak up mass
+        assert self.worst_error(y, design, truth) < 0.005
+        assert self.worst_error(y[:-1], design[:, :-1], truth) > 0.05
 
 
 class TestUnknownCombStart:
