@@ -62,6 +62,10 @@ class DetectorModel:
     dark_after_loss: bool = True
 
     def __post_init__(self):
+        for name in ("eta", "dark_mean", "gain", "offset", "sigma0", "sigma_per_photon",
+                     "adc_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"efficiency must lie in [0, 1], got {self.eta}")
         if self.dark_mean < 0:
@@ -252,10 +256,14 @@ class PumpModel:
         object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
         if not self.powers or any(p <= 0 for p in self.powers):
             raise ValueError("pump powers must be a nonempty list of positive values")
+        if not all(map(math.isfinite, self.powers)):
+            raise ValueError(f"pump powers must be finite, got {list(self.powers)}")
         if self.pairs_per_uW is None:
             object.__setattr__(self, "pairs_per_uW", default_pairs_per_uw())
         if self.pairs_per_uW <= 0:
             raise ValueError(f"pairs_per_uW must be positive, got {self.pairs_per_uW}")
+        if not math.isfinite(self.pairs_per_uW):
+            raise ValueError(f"pairs_per_uW must be finite, got {self.pairs_per_uW}")
 
     def mean_pairs(self, power_uw: float) -> float:
         return self.pairs_per_uW * power_uw

@@ -1,8 +1,9 @@
 """Command-line pipeline: simulate, analyze, reconstruct, sweep.
 
-Every command reads a JSON run config, takes ``--seed``/``--out`` overrides,
-and writes CSV data plus JSON reports. Outputs are deterministic for a fixed
-(config, seed) pair and all file writes are atomic.
+Every command reads a JSON run config (optional for ``analyze``), takes an
+``--out`` override, and writes CSV data plus JSON reports; ``simulate`` and
+``sweep`` take a ``--seed`` override too. Outputs are deterministic for a
+fixed (config, seed) pair and all file writes are atomic.
 
 The analysis chain itself is written once here, as plain functions the
 commands and the tests share: ``analyze_histogram`` (histogram -> comb
@@ -10,11 +11,12 @@ fit -> P_n -> gamma, parity and eta), ``reconstruct``
 (measured P_n -> detector-matrix inversion) and ``pump_sweep``.
 
 Exit codes: 0 success, 2 config error, 3 fit failure, 4 numerical warning
-escalated by --strict, 5 I/O failure (an input file that cannot be read or an
-output that cannot be written), 6 runtime failure (any other ValueError a
-command meets while it runs, such as a detected-count law too wide to
-simulate or a malformed histogram CSV). Once ``analyze`` has loaded its
-histogram, every ValueError it meets is a fit failure.
+escalated by ``--strict`` (``analyze`` and ``reconstruct``), 5 I/O failure
+(an input file that cannot be read or an output that cannot be written), 6
+runtime failure (any other ValueError a command meets while it runs, such as
+a detected-count law too wide to simulate or a malformed histogram CSV).
+Once ``analyze`` has loaded its histogram, every ValueError it meets is a
+fit failure.
 """
 
 from __future__ import annotations
@@ -46,13 +48,7 @@ from .channel import (
     truncation_diagnostics,
 )
 from .distributions import PhotonDistribution, SourceSpec
-from .fitting import (
-    PeakFitResult,
-    _fit_comb_stack,
-    _fit_unknown_comb,
-    areas_to_probabilities,
-    fit_comb,
-)
+from .fitting import PeakFitResult, _fit_unknown_comb, areas_to_probabilities, fit_comb
 from .ioutil import SCHEMA_VERSION, dumps_canonical, write_text_atomic
 from .nonclassical import (
     GammaReport,
@@ -147,6 +143,9 @@ def load_config(path: str | Path, seed: int | None = None, out: str | None = Non
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"invalid run config: the config must be a JSON object, "
+                          f"got {type(raw).__name__}")
     if seed is not None:
         raw["seed"] = seed
     if out is not None:
@@ -181,13 +180,14 @@ def analyze_histogram(hist: AreaHistogram) -> Analysis:
     """Fit the histogram on its detector's comb, normalize the areas, and
     test classicality.
 
-    Every histogram is fitted by ``fit_comb`` on every tooth whose center lies
-    in its range. A histogram that does not carry its detector (instrument
-    data with no detector echo) first has the comb fitted to its counts
-    (``_fit_unknown_comb``), with tooth 0 at the lowest tooth holding an
-    event; the fit has converged only if both fits have, and a fitted comb
-    whose teeth are not resolvable up to the last reported one (noise, not
-    photon-number peaks) raises ValueError. Warnings are left to the caller.
+    Every histogram is fitted by ``fit_comb``, as a stack of one, on every
+    tooth whose center lies in its range. A histogram that does not carry its
+    detector (instrument data with no detector echo) first has the comb
+    fitted to its counts (``_fit_unknown_comb``), with tooth 0 at the lowest
+    tooth holding an event; the fit has converged only if both fits have,
+    and a fitted comb whose teeth are not resolvable up to the last reported
+    one (noise, not photon-number peaks) raises ValueError. Warnings are
+    left to the caller.
     """
     converged = True
     fitted = hist.detector is None
@@ -196,18 +196,10 @@ def analyze_histogram(hist: AreaHistogram) -> Analysis:
         hist = replace(hist, detector=DetectorModel(
             gain=gain, offset=offset, sigma0=sigma0, sigma_per_photon=per_photon,
             adc_max=float(hist.bin_edges[-1])))
-    fit = fit_comb(hist, _comb_mass(hist))
+    (fit,) = _comb_fits([hist])
     if fitted:
         hist.detector.check_resolvable(fit.peaks[-1].photon_number)
     return _analysis(fit if converged else replace(fit, converged=False))
-
-
-def _comb_mass(hist: AreaHistogram) -> np.ndarray:
-    """``bin_mass`` of every tooth of the histogram's detector whose center
-    lies in its range, over its bins (the overflow column dropped)."""
-    det = hist.detector
-    teeth = np.arange(int((hist.bin_edges[-1] - det.offset) // det.gain) + 1)
-    return bin_mass(det, hist.bin_edges, teeth)[:, :-1]
 
 
 def _analysis(fit: PeakFitResult) -> Analysis:
@@ -229,18 +221,21 @@ def _analysis(fit: PeakFitResult) -> Analysis:
     )
 
 
-def _analyze_stack(hists: list[AreaHistogram]):
-    """``analyze_histogram`` of each histogram, in order, for histograms that
-    carry one detector and share their bin edges: their counts are fitted as
-    one stack. Each Analysis is built when it is asked for, so the first
-    histogram that fails, an empty one included, raises first."""
+def _comb_fits(hists: list[AreaHistogram]):
+    """The comb fit of each histogram, in order, for histograms that carry
+    one detector and share their bin edges: their counts are fitted as one
+    stack by ``fit_comb``, on every tooth whose center lies in their range
+    (the overflow column dropped). Each fit is yielded in its turn, so an
+    empty histogram raises after the fits before it."""
     if not hists:
         return
+    det, edges = hists[0].detector, hists[0].bin_edges
+    teeth = np.arange(int((edges[-1] - det.offset) // det.gain) + 1)
     counts = np.array([h.counts for h in hists], dtype=np.float64)
-    for row, fit in zip(counts, _fit_comb_stack(counts, _comb_mass(hists[0]), hists[0].detector)):
+    for row, fit in zip(counts, fit_comb(counts, bin_mass(det, edges, teeth)[:, :-1], det)):
         if not row.any():
             raise ValueError("empty histogram: no counts to fit")
-        yield _analysis(fit)
+        yield fit
 
 
 def reconstruct(
@@ -299,7 +294,8 @@ def pump_sweep(
             failure = exc
             break
     rows: list[tuple[float, GammaReport]] = []
-    for power, analysis in zip(pump.powers, _analyze_stack(hists)):
+    for power, fit in zip(pump.powers, _comb_fits(hists)):
+        analysis = _analysis(fit)
         if analysis.gamma_report is None:
             raise FitError(f"peak fit did not converge at {power!r} uW")
         rows.append((power, analysis.gamma_report))
@@ -378,6 +374,8 @@ def cmd_analyze(
 def cmd_reconstruct(analysis_json: Path, config: RunConfig, strict: bool = False) -> int:
     """Invert the detector matrix against measured probabilities."""
     analysis = json.loads(Path(analysis_json).read_text())
+    if not isinstance(analysis, dict):
+        raise ValueError(f"{analysis_json} is not an analysis: it must hold a JSON object")
     if "probabilities" not in analysis:
         reason = analysis.get("error", "no probabilities")
         return _emit_error(ValueError(f"{analysis_json} holds no probabilities: {reason}"), EXIT_FIT)
@@ -419,13 +417,18 @@ def cmd_sweep(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, config_required: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, config_required: bool = True, *,
+                seed: bool = False, strict: bool = False) -> None:
+    """--config and --out, plus --seed for a command that draws random
+    numbers and --strict for one that records numerical warnings."""
     sub.add_argument("--config", type=Path, required=config_required,
                      help="JSON run configuration")
-    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
+    if seed:
+        sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--out", type=str, default=None, help="override the output directory")
-    sub.add_argument("--strict", action="store_true",
-                     help="escalate numerical warnings to exit code 4")
+    if strict:
+        sub.add_argument("--strict", action="store_true",
+                         help="escalate numerical warnings to exit code 4")
 
 
 @functools.cache
@@ -438,17 +441,19 @@ def _parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(subs.add_parser("simulate", help="simulate gates and write the histogram"))
+    _add_common(subs.add_parser("simulate", help="simulate gates and write the histogram"),
+                seed=True)
 
     p_an = subs.add_parser("analyze", help="fit a histogram into probabilities and reports")
     p_an.add_argument("--histogram", type=Path, required=True, help="histogram CSV to analyze")
-    _add_common(p_an, config_required=False)
+    _add_common(p_an, config_required=False, strict=True)
 
     p_re = subs.add_parser("reconstruct", help="invert the detector model on an analysis")
     p_re.add_argument("--analysis", type=Path, required=True, help="analysis JSON to invert")
-    _add_common(p_re)
+    _add_common(p_re, strict=True)
 
-    _add_common(subs.add_parser("sweep", help="run the pipeline across pump powers"))
+    _add_common(subs.add_parser("sweep", help="run the pipeline across pump powers"),
+                seed=True)
     return parser
 
 
@@ -458,18 +463,19 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             out_dir = Path(args.out) if args.out else Path(".")
             if args.config is not None and args.out is None:
-                out_dir = load_config(args.config, args.seed, args.out).output_dir
+                out_dir = load_config(args.config).output_dir
             hist = AreaHistogram.load(args.histogram, args.histogram.with_suffix(".json"))
             try:
                 return cmd_analyze(hist, args.histogram, out_dir, strict=args.strict)
             except (ValueError, ZeroDivisionError) as exc:
                 return _emit_error(exc, EXIT_FIT)
 
+        if args.command == "reconstruct":
+            config = load_config(args.config, out=args.out)
+            return cmd_reconstruct(args.analysis, config, strict=args.strict)
         config = load_config(args.config, args.seed, args.out)
         if args.command == "simulate":
             return cmd_simulate(config)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(args.analysis, config, strict=args.strict)
         if args.command == "sweep":
             return cmd_sweep(config)
         raise ConfigError(f"unknown command {args.command!r}")

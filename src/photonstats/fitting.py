@@ -7,6 +7,7 @@ the areas by their total yields the probability per gate.
 ``fit_comb`` fits the expected gate count at each tooth of the detector's
 comb (offset + k gain) by Poisson maximum likelihood, in ``_poisson_em``, the
 EM kernel on a design matrix, so tooth k is photon number k by construction.
+It fits a stack of histograms at once; a lone histogram is a stack of one.
 When the detector's pulse-area response is not known, ``_fit_unknown_comb``
 first fits the comb itself to the counts: a sum of Gaussians whose centers
 and widths are tied to the comb, solved by the projected Levenberg-Marquardt
@@ -294,33 +295,24 @@ def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
             per_photon, converged)
 
 
-def fit_comb(h, mass: np.ndarray) -> PeakFitResult:
+def fit_comb(y: np.ndarray, mass: np.ndarray, det) -> list[PeakFitResult]:
     """Poisson maximum-likelihood fit of the expected gate count at each tooth
-    of a known detector comb.
+    of a known detector comb, for each row of ``y``: a stack of histograms'
+    counts, recorded on the comb of ``det`` and binned alike.
 
     ``mass[k]`` holds the probability that a gate with k detected counts
-    lands in each bin of ``h``, whose ``detector`` places tooth k at
-    ``peak_center(k)`` with width ``peak_width(k)``. The expected bin counts
-    are lam @ mass, and lam is fitted by ``_poisson_em`` with ``mass`` as its
-    design.
+    lands in each bin, where ``det`` places tooth k at ``peak_center(k)``
+    with width ``peak_width(k)``. The expected bin counts of a row are
+    lam @ mass, and lam is fitted by ``_poisson_em`` with ``mass`` as its
+    design. An empty row fits to no events. The matrix products group their
+    sums by the stack's shape, so a row's areas can differ from those of a
+    stack of one in the last digits.
 
-    Returns a PeakFitResult whose peak k is photon number k, with area lam_k
-    and standard error the larger of its Fisher-information error and
-    sqrt(max(lam_k, 1)). Teeth 0 up to the last with at least one fitted
+    Returns one PeakFitResult per row, whose peak k is photon number k, with
+    area lam_k and standard error the larger of its Fisher-information error
+    and sqrt(max(lam_k, 1)). Teeth 0 up to the last with at least one fitted
     event are reported. ``residual_norm`` uses the Neyman weights of
     ``fit_peaks``.
-    """
-    if not h.counts.any():
-        raise ValueError("empty histogram: no counts to fit")
-    return _fit_comb_stack(h.counts.astype(np.float64)[None], mass, h.detector)[0]
-
-
-def _fit_comb_stack(y: np.ndarray, mass: np.ndarray, det) -> list[PeakFitResult]:
-    """``fit_comb`` of each row of ``y``, a stack of histograms recorded on
-    one detector comb ``det`` and binned alike, so that ``mass`` is theirs
-    too. An empty row fits to no events. The matrix products group their
-    sums by the stack's shape, so a row's areas can differ from a lone fit's
-    in the last digits.
     """
     if mass.shape[0] == 0:
         raise ValueError("no tooth of the detector comb lies in the histogram's range")

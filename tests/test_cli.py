@@ -125,11 +125,37 @@ class TestRunConfig:
         write_config(cfg_path, schema_version=version)
         assert load_config(cfg_path).bins == 500
 
-    def test_section_not_an_object_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("overrides", [[], ["--seed", "3"]], ids=["plain", "seed"])
+    @pytest.mark.parametrize("top", [None, [1, 2], "abc"], ids=["section", "array", "string"])
+    def test_section_not_an_object_is_config_error(self, tmp_path, capsys, top, overrides):
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, source=5)
-        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
-        assert stderr_error(capsys)["type"] == "ConfigError"
+        if top is not None:
+            cfg_path.write_text(json.dumps(top))
+        assert main(["simulate", "--config", str(cfg_path), *overrides]) == EXIT_CONFIG
+        err = stderr_error(capsys)
+        assert err["type"] == "ConfigError"
+        if top is not None:
+            assert "must be a JSON object" in err["error"]
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("detector", "dark_mean", math.nan),
+        ("detector", "gain", math.nan),
+        ("detector", "adc_max", math.inf),
+        ("pump", "powers", [0.3, math.nan]),
+        ("pump", "pairs_per_uW", math.inf),
+    ], ids=["nan-dark-mean", "nan-gain", "infinite-adc-max", "nan-power",
+            "infinite-pairs-per-uw"])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, section, key, value):
+        # JSON NaN and Infinity are refused where they are read, naming the
+        # field, not where a later stage trips over them
+        cfg_path = tmp_path / "run.json"
+        cfg = write_config(cfg_path, pump={"powers": [0.3, 1.0], "pairs_per_uW": 0.2253})
+        cfg[section][key] = value
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(cfg_path)]) == EXIT_CONFIG
+        err = stderr_error(capsys)
+        assert err["type"] == "ConfigError" and key in err["error"] and "finite" in err["error"]
 
     def test_seed_and_out_overrides(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -403,9 +429,10 @@ class TestAnalyzeCommand:
         lambda side: side.update(bin_edges=[2.0 * e for e in side["bin_edges"]]),
         lambda side: side.update(bin_edges=[e + 0.1 for e in side["bin_edges"]]),
         lambda side: side["bin_edges"].__setitem__(-1, math.inf),
+        lambda side: side["detector"].update(gain=math.nan),
     ], ids=["no-bin-edges", "no-n-gates", "detector-unknown-key", "detector-eta-above-one",
             "detector-not-an-object", "negative-overflow", "doubled-edges", "shifted-edges",
-            "infinite-edge"])
+            "infinite-edge", "detector-nan-gain"])
     def test_malformed_sidecar_is_runtime_error(self, simulated, capsys, edit):
         _, out = simulated
         sidecar = out / "histogram.json"
@@ -572,6 +599,18 @@ class TestReconstructCommand:
         assert err["exit_code"] == EXIT_FIT and "did not converge" in err["error"]
         assert not (tmp_path / "out" / "negativity.json").exists()
 
+    @pytest.mark.parametrize("held", [[1], "abc"], ids=["array", "string"])
+    def test_analysis_not_an_object_is_runtime_error(self, tmp_path, capsys, held):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path)
+        analysis = tmp_path / "analysis.json"
+        analysis.write_text(json.dumps(held))
+        code = main(["reconstruct", "--analysis", str(analysis), "--config", str(cfg_path)])
+        assert code == EXIT_RUNTIME
+        err = stderr_error(capsys)
+        assert err["exit_code"] == EXIT_RUNTIME and "JSON object" in err["error"]
+        assert not (tmp_path / "out" / "negativity.json").exists()
+
     def test_strict_escalates_ill_conditioned(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         write_config(
@@ -686,6 +725,23 @@ class TestSweepCommand:
         first = (tmp_path / "out" / "sweep.csv").read_bytes()
         main(["sweep", "--config", str(cfg_path)])
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--strict"],
+    ["sweep", "--strict"],
+    ["analyze", "--histogram", "h.csv", "--seed", "1"],
+    ["reconstruct", "--analysis", "a.json", "--seed", "1"],
+], ids=["simulate-strict", "sweep-strict", "analyze-seed", "reconstruct-seed"])
+def test_option_the_command_does_not_read_is_usage_error(tmp_path, capsys, argv):
+    # the command does not read the option, so it is refused
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, pump={"powers": [1.0], "pairs_per_uW": 0.2253}, n_gates=10_000)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(cfg_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def src_env():

@@ -13,13 +13,12 @@ from photonstats.acquisition import (
     synthesize_histogram,
 )
 import photonstats.fitting as fitting
-from photonstats.cli import _analyze_stack, analyze_histogram
+from photonstats.cli import _analysis, _comb_fits, analyze_histogram
 from photonstats.channel import detector_matrix
 from photonstats.distributions import SourceSpec, make_distribution
 from photonstats.fitting import (
     MAX_ITER,
     XTOL,
-    _fit_comb_stack,
     _fit_unknown_comb,
     _levenberg_marquardt,
     _poisson_em,
@@ -297,7 +296,7 @@ class TestFitComb:
         lam = 1e10 * np.array([5.0, 4.0, 3.0, 2.5, 2.0, 1.5, 1.0, 0.8, 0.6, 0.4, 0.3, 0.2, 0.1])
         h, mass = noiseless_comb(lam)
         assert mass.shape[0] == lam.size
-        fit = fit_comb(h, mass)
+        fit = fit_comb(h.counts[None].astype(float), mass, h.detector)[0]
         assert fit.converged
         assert [p.photon_number for p in fit.peaks] == list(range(lam.size))
         np.testing.assert_allclose([p.area for p in fit.peaks], lam, rtol=1e-8)
@@ -310,7 +309,7 @@ class TestFitComb:
         lam = np.zeros(13)
         lam[[0, 1, 3, 4]] = [1000.0, 500.0, 40.0, 0.4]
         h, mass = noiseless_comb(lam)
-        fit = fit_comb(h, mass)
+        fit = fit_comb(h.counts[None].astype(float), mass, h.detector)[0]
         assert fit.converged
         assert [p.photon_number for p in fit.peaks] == [0, 1, 2, 3]
         assert fit.peaks[2].area < 1.0 <= fit.peaks[3].area
@@ -321,24 +320,25 @@ class TestFitComb:
         # well separated teeth: the Fisher error of a fully binned tooth is sqrt(lam)
         lam = np.array([40000.0, 9000.0, 2500.0])
         h, mass = noiseless_comb(np.pad(lam, (0, 10)))
-        fit = fit_comb(h, mass)
+        fit = fit_comb(h.counts[None].astype(float), mass, h.detector)[0]
         np.testing.assert_allclose([p.area_std_error for p in fit.peaks], np.sqrt(lam), rtol=1e-3)
 
     def test_no_iterations_is_not_converged(self, monkeypatch):
         import photonstats.fitting as fitting
 
         h, mass = noiseless_comb(np.full(13, 100.0))
-        assert fit_comb(h, mass).converged
+        assert fit_comb(h.counts[None].astype(float), mass, h.detector)[0].converged
         monkeypatch.setattr(fitting, "MAX_ITER", 0)
-        assert not fit_comb(h, mass).converged
+        assert not fit_comb(h.counts[None].astype(float), mass, h.detector)[0].converged
 
     def test_empty_histogram_and_empty_comb_rejected(self):
+        # fit_comb fits an empty row to no events; the analysis refuses it
         h, mass = noiseless_comb(np.zeros(13))
         with pytest.raises(ValueError, match="empty histogram"):
-            fit_comb(h, mass)
+            analyze_histogram(h)
         h, mass = noiseless_comb(np.full(13, 10.0))
         with pytest.raises(ValueError, match="no tooth"):
-            fit_comb(h, mass[:0])
+            fit_comb(h.counts[None].astype(float), mass[:0], h.detector)[0]
 
     def test_fock_source_with_empty_pedestal(self):
         det = DetectorModel(eta=1.0, dark_mean=0.0)
@@ -429,7 +429,7 @@ class TestFitCombMatchesPinvErrors:
         def check(h):
             mass = comb_mass(h.detector, h.bin_edges)
             monkeypatch.setattr(np.linalg, "pinv", None)
-            fit = fit_comb(h, mass)
+            fit = fit_comb(h.counts[None].astype(float), mass, h.detector)[0]
             monkeypatch.setattr(np.linalg, "pinv", pinv)
             assert fit.converged
             return self.assert_matches(fit, h, mass)
@@ -469,7 +469,7 @@ class TestFitCombMatchesPinvErrors:
         calls = []
         pinv = np.linalg.pinv
         monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a) or pinv(a))
-        fit = fit_comb(h, twin)
+        fit = fit_comb(h.counts[None].astype(float), twin, h.detector)[0]
         assert len(calls) == 1
         self.assert_matches(fit, h, twin)
 
@@ -493,10 +493,10 @@ class TestFitCombStack:
     @staticmethod
     def assert_rows_match_lone_fits(hists, mass):
         counts = np.array([h.counts for h in hists], dtype=np.float64)
-        fits = _fit_comb_stack(counts, mass, DET)
+        fits = fit_comb(counts, mass, DET)
         assert len(fits) == len(hists)
         for h, fit in zip(hists, fits):
-            lone = fit_comb(h, mass)
+            lone = fit_comb(h.counts[None].astype(float), mass, h.detector)[0]
             assert fit.converged == lone.converged
             assert [p.photon_number for p in fit.peaks] == [p.photon_number for p in lone.peaks]
             for got, want in zip(fit.peaks, lone.peaks):
@@ -546,14 +546,14 @@ class TestFitCombStack:
 
     def test_empty_row_rejected(self, stack):
         # the stack is fitted whole; the rows before the empty one yield
-        # their analyses, and the empty row raises in its turn
+        # their fits, and the empty row raises in its turn
         hists = stack[0][2:6]
         hists[2] = replace(hists[2], counts=np.zeros_like(hists[2].counts))
-        analyses = _analyze_stack(hists)
+        fits = _comb_fits(hists)
         for h in hists[:2]:
-            assert next(analyses).gamma_report == analyze_histogram(h).gamma_report
+            assert _analysis(next(fits)).gamma_report == analyze_histogram(h).gamma_report
         with pytest.raises(ValueError, match="empty histogram"):
-            next(analyses)
+            next(fits)
 
 
 class TestPoissonEM:
