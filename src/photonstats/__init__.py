@@ -47,7 +47,6 @@ from .fitting import (
     PeakFitResult,
     areas_to_probabilities,
     fit_comb,
-    fit_peaks,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +72,6 @@ __all__ = [
     "detector_matrix",
     "eta_from_ratio",
     "fit_comb",
-    "fit_peaks",
     "gamma",
     "gamma_significance",
     "gamma_under_loss",

@@ -243,11 +243,15 @@ def reconstruct(
 ) -> tuple[PhotonDistribution, PhotonDistribution, NegativityReport]:
     """Invert the detector matrix on measured probabilities.
 
-    ``probs`` is zero-padded (or cut) to photon numbers 0..cutoff. Returns the
-    padded measured distribution, the reconstruction and its negativity
-    diagnostics. Warnings are left to the caller.
+    ``probs`` is zero-padded (or cut) to photon numbers 0..cutoff; anything
+    but a 1-D sequence of numbers raises ValueError. Returns the padded
+    measured distribution, the reconstruction and its negativity diagnostics.
+    Warnings are left to the caller.
     """
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = np.asarray(probs)
+    if probs.ndim != 1 or probs.dtype.kind not in "iuf":
+        raise ValueError(f"probabilities must be a 1-D list of numbers, got {probs.tolist()!r}")
+    probs = probs.astype(np.float64)
     n = cutoff + 1
     padded = np.zeros(n)
     padded[: min(probs.size, n)] = probs[:n]

@@ -10,9 +10,9 @@ EM kernel on a design matrix, so tooth k is photon number k by construction.
 It fits a stack of histograms at once; a lone histogram is a stack of one.
 When the detector's pulse-area response is not known, ``_fit_unknown_comb``
 first fits the comb itself to the counts: a sum of Gaussians whose centers
-and widths are tied to the comb, solved by the projected Levenberg-Marquardt
-solver written here in numpy. ``fit_peaks`` fits a free sum of Gaussians with
-the same solver and labels its peaks by rank. The module needs no scipy.
+and widths are tied to the comb (``_comb_gaussians``), by Neyman-weighted
+least squares with the projected Levenberg-Marquardt solver written here in
+numpy. The module needs no scipy.
 """
 
 from __future__ import annotations
@@ -40,32 +40,43 @@ class FittedPeak:
 
 @dataclass(frozen=True)
 class PeakFitResult:
-    """Sum-of-Gaussians fit: per-peak parameters plus convergence status."""
+    """Comb fit: per-tooth center, width and fitted gate count, the norm of
+    the residuals (count - expected) / sqrt(max(count, 1)), and convergence
+    status."""
 
     peaks: tuple[FittedPeak, ...]
     residual_norm: float
     converged: bool
 
 
-def _weighted_gaussians(x: np.ndarray, y: np.ndarray, sigma: np.ndarray):
-    """The fit's objective as a function of the flat (height, center, width)
-    parameters of a sum of Gaussians at ``x``.
+def _comb_gaussians(x: np.ndarray, y: np.ndarray, k: np.ndarray):
+    """The Neyman-weighted residuals (sum of Gaussians - y) / sqrt(max(y, 1))
+    of an unknown comb at bin centers ``x`` with counts ``y``, as a function
+    of p = (heights of teeth ``k``, offset, gain, sigma0, v): tooth k sits at
+    offset + k gain with width w = sqrt(sigma0^2 + k v), v = sigma_per_photon^2.
 
-    Each call computes z = (x - center) / width and g = exp(-z^2 / 2) once and
-    returns the weighted residuals (sum of Gaussians - y) / sigma together
-    with a function that builds their Jacobian from the same z and g, so a
-    caller pays for the Jacobian only at the points it keeps.
+    Each call computes z = (x - center) / w and g = exp(-z^2 / 2) once and
+    returns the residuals with a function that builds their Jacobian from the
+    same z and g, so a caller pays for it only at the points it keeps. Its
+    columns are d/d height, the center derivatives summed (offset) and
+    weighted by k (gain), and the width derivatives weighted by sigma0 / w
+    (sigma0) and k / 2w (v).
     """
+    sigma = np.sqrt(np.maximum(y, 1.0))
 
-    def evaluate(params: np.ndarray):
-        height, center, width = params.reshape(-1, 3).T
-        z = (x[:, None] - center) / width
+    def evaluate(p: np.ndarray):
+        height = p[:-4]
+        offset, gain, sigma0, v = p[-4:]
+        width = np.sqrt(sigma0**2 + k * v)
+        z = (x[:, None] - (offset + k * gain)) / width
         g = np.exp(-0.5 * z * z)
 
         def jacobian() -> np.ndarray:
             d_height = g / sigma[:, None]
             d_center = d_height * z * (height / width)
-            return np.stack((d_height, d_center, d_center * z), axis=-1).reshape(x.size, -1)
+            d_width = d_center * z
+            return np.column_stack((d_height, d_center.sum(axis=1), d_center @ k,
+                                    d_width @ (sigma0 / width), d_width @ (k / (2.0 * width))))
 
         return (g @ height - y) / sigma, jacobian
 
@@ -132,96 +143,24 @@ def _levenberg_marquardt(evaluate, p0, lo, hi, max_nfev):
     return p, r, jac, False
 
 
-def _area_uncertainties(jac: np.ndarray, params: np.ndarray, bin_width: float) -> np.ndarray:
-    """Per-peak area standard errors from the curvature of the weighted
-    objective, given its Jacobian ``jac`` at the solution ``params``."""
-    try:
-        cov = np.linalg.pinv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        return np.zeros(params.size // 3)
-    # area = height * width * sqrt(2 pi) / bin_width depends on two parameters
-    # per peak, so its variance needs three entries of cov per peak
-    i_h, i_w = np.arange(0, params.size, 3), np.arange(2, params.size, 3)
-    height, width = params[i_h], params[i_w]
-    var = (SQRT_2PI / bin_width) ** 2 * (
-        width**2 * cov[i_h, i_h] + 2.0 * height * width * cov[i_h, i_w] + height**2 * cov[i_w, i_w]
-    )
-    return np.sqrt(np.where(np.isfinite(var) & (var > 0.0), var, 0.0))
-
-
-def fit_peaks(h, guesses) -> PeakFitResult:
-    """Weighted nonlinear least squares of a sum of Gaussians to the histogram.
-
-    All peaks are fitted jointly, so overlapping tails are shared between
-    neighbours. Residuals carry Neyman weights sqrt(max(count, 1)); heights
-    stay nonnegative, centers within a bin of the histogram's range and
-    widths between a tenth of a bin and the range. The solver is a projected
-    Levenberg-Marquardt iteration on the model's analytic Jacobian, which
-    also gives the area standard errors.
-
-    Args:
-        h: AreaHistogram to fit.
-        guesses: iterable of (center, width, height) initial guesses.
-
-    Returns:
-        PeakFitResult with peak areas in event-count units. When the budget
-        of MAX_ITER * (parameters + 1) model evaluations runs out, the best
-        iterate is returned with converged=False.
-    """
-    guesses = sorted(guesses, key=lambda g: g[0])
-    if not guesses:
-        raise ValueError("need at least one peak guess")
-
-    x = h.bin_centers
-    y = h.counts.astype(np.float64)
-    sigma = np.sqrt(np.maximum(y, 1.0))
-    bw = h.bin_width
-
-    p0 = np.array([v for (c, w, amp) in guesses for v in (amp, c, w)])
-    lo = np.tile([0.0, x[0] - bw, bw / 10.0], len(guesses))
-    hi = np.tile([np.inf, x[-1] + bw, x[-1] - x[0]], len(guesses))
-    params, resid, jac, converged = _levenberg_marquardt(
-        _weighted_gaussians(x, y, sigma),
-        p0,
-        lo,
-        hi,
-        MAX_ITER * (p0.size + 1),
-    )
-    area_stds = _area_uncertainties(jac, params, bw)
-
-    peaks = []
-    for rank, k in enumerate(np.argsort(params[1::3])):
-        height, center, width = params[3 * k : 3 * k + 3]
-        width = abs(width)
-        area = height * width * SQRT_2PI / bw
-        std = max(area_stds[k], math.sqrt(max(area, 0.0)))
-        peaks.append(FittedPeak(rank, float(center), float(width), float(area), float(std)))
-    return PeakFitResult(
-        tuple(peaks),
-        residual_norm=float(np.linalg.norm(resid)),
-        converged=converged,
-    )
-
-
 def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
     """Least-squares fit of the comb of an unknown detector to the histogram.
 
-    The model is a sum of Gaussians tied to a comb: tooth k sits at
-    offset + k gain with width sqrt(sigma0^2 + k sigma_per_photon^2), and has
-    a free height. Residuals, bounds and solver are those of ``fit_peaks``,
-    with its Jacobian composed with the comb by the chain rule.
+    The model is ``_comb_gaussians``, fitted by ``_levenberg_marquardt`` with
+    heights >= 0, the offset within a bin of the range, sigma0 between a
+    tenth of a bin and the range, and v = sigma_per_photon^2 in [0, range^2]:
+    unlike sigma_per_photon, v can leave 0 once a step reaches it.
 
     The fit starts with the gain at the first maximum of the counts'
     autocorrelation past its zero-lag lobe (the highest one sits at twice the
     gain when two-count events outnumber one-count ones), or, for a single
     peak, at the end of the lobe; the offset at the lowest comb position in
     the range through the tallest bin; sigma0 and sigma_per_photon at gain/8
-    and gain/32 (from zero, sigma_per_photon would never move); and each
-    height at the count in the bin under its tooth. The gain stays above
-    half its start, so that teeth cannot crowd onto one peak to fit its noise.
-    A start comb that is not resolvable over the gains the counts span
-    (noise, not photon-number peaks) raises ValueError before the solver
-    runs.
+    and gain/32; and each height at the count in the bin under its tooth. The
+    gain stays above half its start, so that teeth cannot crowd onto one peak
+    to fit its noise. A start comb that is not resolvable over the gains the
+    counts span (noise, not photon-number peaks) raises ValueError before
+    the solver runs.
 
     Returns (offset, gain, sigma0, sigma_per_photon, converged), with offset
     and sigma0 those of the pedestal: the lowest tooth holding at least one
@@ -261,38 +200,19 @@ def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
                          f"4 x width {widest:.3f} at photon number {spanned}")
     under = np.clip(np.rint((offset + k * gain - x[0]) / bw).astype(int), 0, y.size - 1)
 
-    gaussians = _weighted_gaussians(x, y, np.sqrt(np.maximum(y, 1.0)))
-
-    def evaluate(p: np.ndarray):
-        offset, gain, sigma0, per_photon = p[-4:]
-        width = np.sqrt(sigma0**2 + k * per_photon**2)
-        r, jacobian = gaussians(np.column_stack((p[:-4], offset + k * gain, width)).ravel())
-
-        def comb_jacobian() -> np.ndarray:
-            jac = jacobian()
-            d_center, d_width = jac[:, 1::3], jac[:, 2::3]
-            return np.column_stack((
-                jac[:, 0::3],
-                d_center.sum(axis=1),
-                d_center @ k,
-                d_width @ (sigma0 / width),
-                d_width @ (k * per_photon / width),
-            ))
-
-        return r, comb_jacobian
-
-    p0 = np.concatenate((y[under], [offset, gain, sigma0, per_photon]))
+    p0 = np.concatenate((y[under], [offset, gain, sigma0, per_photon**2]))
     lo = np.concatenate((np.zeros(k.size), [x[0] - bw, gain / 2.0, bw / 10.0, 0.0]))
-    hi = np.concatenate((np.full(k.size, np.inf), [x[-1] + bw, span, span, span]))
+    hi = np.concatenate((np.full(k.size, np.inf), [x[-1] + bw, span, span, span**2]))
     # tails far from every tooth underflow to zero, which is their right value
     with np.errstate(under="ignore"):
-        p, _, _, converged = _levenberg_marquardt(evaluate, p0, lo, hi, MAX_ITER * (p0.size + 1))
+        p, _, _, converged = _levenberg_marquardt(_comb_gaussians(x, y, k), p0, lo, hi,
+                                                  MAX_ITER * (p0.size + 1))
 
-    offset, gain, sigma0, per_photon = (float(v) for v in p[-4:])
-    areas = p[:-4] * np.sqrt(sigma0**2 + k * per_photon**2) * SQRT_2PI / bw
+    offset, gain, sigma0, v = (float(value) for value in p[-4:])
+    areas = p[:-4] * np.sqrt(sigma0**2 + k * v) * SQRT_2PI / bw
     pedestal = int(np.argmax(areas >= 1.0))
-    return (offset + pedestal * gain, gain, math.sqrt(sigma0**2 + pedestal * per_photon**2),
-            per_photon, converged)
+    return (offset + pedestal * gain, gain, math.sqrt(sigma0**2 + pedestal * v),
+            math.sqrt(v), converged)
 
 
 def fit_comb(y: np.ndarray, mass: np.ndarray, det) -> list[PeakFitResult]:
@@ -311,8 +231,8 @@ def fit_comb(y: np.ndarray, mass: np.ndarray, det) -> list[PeakFitResult]:
     Returns one PeakFitResult per row, whose peak k is photon number k, with
     area lam_k and standard error the larger of its Fisher-information error
     and sqrt(max(lam_k, 1)). Teeth 0 up to the last with at least one fitted
-    event are reported. ``residual_norm`` uses the Neyman weights of
-    ``fit_peaks``.
+    event are reported. ``residual_norm`` is the norm of the residuals
+    (count - expected) / sqrt(max(count, 1)), with Neyman weights.
     """
     if mass.shape[0] == 0:
         raise ValueError("no tooth of the detector comb lies in the histogram's range")

@@ -9,8 +9,10 @@ import pytest
 
 from conftest import poisson_mixture_oracle, random_physical_distribution
 from photonstats.acquisition import (
+    AreaHistogram,
     DetectorModel,
     PumpModel,
+    bin_mass,
     simulate_gate_counts,
     synthesize_histogram,
 )
@@ -21,7 +23,7 @@ from photonstats.channel import (
 )
 from photonstats.cli import analyze_histogram, main, pump_sweep, reconstruct
 from photonstats.distributions import PhotonDistribution, SourceSpec, make_distribution
-from photonstats.fitting import fit_peaks
+from photonstats.fitting import _fit_unknown_comb, fit_comb
 from photonstats.nonclassical import (
     eta_from_ratio,
     gamma,
@@ -161,26 +163,42 @@ def test_criterion_7_pump_sweep_interior_maximum():
 
 
 def test_criterion_8_fit_fidelity():
-    # noiseless: parameters recovered to 1e-6 relative
-    from photonstats.acquisition import AreaHistogram
-
-    # heights large enough that integer-count quantization sits below the
-    # 1e-6 recovery tolerance being checked
+    # noiseless: parameters recovered to 1e-6 relative by the two fits the
+    # pipeline runs, the comb fitted to the counts of an unknown detector
+    # and the tooth areas fitted on a known comb
     edges = np.linspace(-5.0, 60.0, 401)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    truth = [(4e7, 0.0, 1.0), (2e7, 10.0, 1.2), (5e6, 20.0, 1.4)]
+    bin_width = edges[1] - edges[0]
+    # heights large enough that integer-count quantization sits below the
+    # 1e-6 recovery tolerance being checked; widths on the comb,
+    # sqrt(sigma0^2 + k sigma_per_photon^2) with sigma0 1 and sigma_per_photon^2 0.44
+    det = DetectorModel(offset=0.0, gain=10.0, sigma0=1.0, sigma_per_photon=math.sqrt(0.44),
+                        adc_max=60.0)
+    truth = [(4e7, 0.0, 1.0), (2e7, 10.0, 1.2), (5e6, 20.0, math.sqrt(1.0 + 2 * 0.44))]
     y = np.zeros_like(centers)
     for height, center, width in truth:
         y += height * np.exp(-0.5 * ((centers - center) / width) ** 2)
     counts = np.rint(y).astype(np.int64)
-    hist = AreaHistogram(edges, counts, n_gates=int(counts.sum()) + 1)
-    fit = fit_peaks(hist, [(c + 0.3, w * 1.2, h * 0.8) for h, c, w in truth])
+    offset, gain, sigma0, per_photon, converged = _fit_unknown_comb(
+        AreaHistogram(edges, counts, n_gates=int(counts.sum()) + 1))
+    assert converged
+    fitted = DetectorModel(offset=offset, gain=gain, sigma0=sigma0, sigma_per_photon=per_photon,
+                           adc_max=60.0)
+    for k, (_, center, width) in enumerate(truth):
+        assert fitted.peak_center(k) == pytest.approx(center, abs=1e-6 * max(1.0, abs(center)))
+        assert fitted.peak_width(k) == pytest.approx(width, rel=1e-6)
+    assert per_photon == pytest.approx(det.sigma_per_photon, rel=1e-6)
+
+    # the expected counts of every tooth in range, rounded
+    lam = np.array([height * width * math.sqrt(2 * math.pi) / bin_width
+                    for height, _, width in truth])
+    mass = bin_mass(det, edges, range(7))[:, :-1]
+    counts = np.rint(np.pad(lam, (0, 4)) @ mass)
+    (fit,) = fit_comb(counts[None], mass, det)
     assert fit.converged
-    for peak, (height, center, width) in zip(fit.peaks, truth):
-        assert peak.center == pytest.approx(center, abs=1e-6 * max(1.0, abs(center)))
-        assert peak.width == pytest.approx(width, rel=1e-6)
-        true_area = height * width * math.sqrt(2 * math.pi) / hist.bin_width
-        assert peak.area == pytest.approx(true_area, rel=1e-6)
+    assert [peak.photon_number for peak in fit.peaks] == [0, 1, 2]
+    for peak, area in zip(fit.peaks, lam):
+        assert peak.area == pytest.approx(area, rel=1e-6)
 
     # noisy: fitted probabilities track empirical per-gate frequencies
     det = DetectorModel(eta=0.67, dark_mean=4e-4)

@@ -611,6 +611,20 @@ class TestReconstructCommand:
         assert err["exit_code"] == EXIT_RUNTIME and "JSON object" in err["error"]
         assert not (tmp_path / "out" / "negativity.json").exists()
 
+    @pytest.mark.parametrize("probabilities", [None, 0.5, [[0.5, 0.5]], {"0": 0.5}, ["0.5"]],
+                             ids=["null", "number", "nested", "object", "strings"])
+    def test_probabilities_not_a_list_of_numbers_is_runtime_error(self, tmp_path, capsys,
+                                                                  probabilities):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path)
+        analysis = tmp_path / "analysis.json"
+        analysis.write_text(json.dumps({"probabilities": probabilities}))
+        code = main(["reconstruct", "--analysis", str(analysis), "--config", str(cfg_path)])
+        assert code == EXIT_RUNTIME
+        err = stderr_error(capsys)
+        assert err["exit_code"] == EXIT_RUNTIME and "1-D list of numbers" in err["error"]
+        assert not (tmp_path / "out" / "negativity.json").exists()
+
     def test_strict_escalates_ill_conditioned(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         write_config(

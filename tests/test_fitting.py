@@ -19,63 +19,62 @@ from photonstats.distributions import SourceSpec, make_distribution
 from photonstats.fitting import (
     MAX_ITER,
     XTOL,
+    _comb_gaussians,
     _fit_unknown_comb,
     _levenberg_marquardt,
     _poisson_em,
-    _weighted_gaussians,
     areas_to_probabilities,
     fit_comb,
-    fit_peaks,
 )
 from photonstats.ioutil import dumps_canonical
 
 DET = DetectorModel(eta=0.67, dark_mean=4e-4)
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def gaussian_comb(edges, peaks):
-    """Noiseless histogram: sum of Gaussians evaluated at bin centers.
-
-    peaks: list of (height, center, width).
-    """
+def point_comb(edges, heights, offset=0.0, gain=10.0, sigma0=1.0, per_photon=0.3):
+    """Noiseless histogram: the comb's Gaussians, tooth k of height
+    ``heights[k]`` at offset + k gain with width
+    sqrt(sigma0^2 + k per_photon^2), evaluated at the bin centers."""
     centers = 0.5 * (edges[:-1] + edges[1:])
-    y = np.zeros_like(centers)
-    for height, center, width in peaks:
-        y += height * np.exp(-0.5 * ((centers - center) / width) ** 2)
+    k = np.arange(len(heights))
+    width = np.sqrt(sigma0**2 + k * per_photon**2)
+    y = np.exp(-0.5 * ((centers[:, None] - (offset + k * gain)) / width) ** 2) @ np.asarray(
+        heights, dtype=np.float64)
     counts = np.rint(y).astype(np.int64)
     return AreaHistogram(edges, counts, n_gates=int(counts.sum()) + 1)
 
 
-def comb_guesses(h, det):
-    """(center, width, height) guesses for fit_peaks at the teeth of ``det``'s
-    comb whose center bin holds at least 9 counts: a free Gaussian given a
-    tooth of a few events is ill-determined."""
-    teeth = np.arange(int((h.bin_edges[-1] - det.offset) // det.gain) + 1)
-    guesses = []
-    for k in teeth:
-        center = float(det.peak_center(k))
-        i = int(np.searchsorted(h.bin_edges, center, side="right")) - 1
-        if 0 <= i < h.counts.size and h.counts[i] >= 9:
-            guesses.append((center, float(det.peak_width(k)), float(h.counts[i])))
-    return guesses
+def solved_problems(monkeypatch):
+    """Record each (evaluate, p0, lo, hi, max_nfev) that _fit_unknown_comb
+    hands to the solver, with the solver's result appended."""
+    problems = []
+    solve = fitting._levenberg_marquardt
+
+    def recording(*problem):
+        result = solve(*problem)
+        problems.append((*problem, result))
+        return result
+
+    monkeypatch.setattr(fitting, "_levenberg_marquardt", recording)
+    return problems
 
 
-def gaussians_on_comb(offset, width):
-    """The comb, gain 10, of gaussian_comb peaks of one width from ``offset`` up."""
-    return DetectorModel(offset=offset, sigma0=width, sigma_per_photon=0.0, adc_max=100.0)
-
-
-class TestFitPeaks:
+class TestCombModel:
     def test_analytic_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(31)
         x = np.linspace(-5.0, 60.0, 260)
         y = np.random.default_rng(32).poisson(40.0, x.size).astype(np.float64)
-        evaluate = _weighted_gaussians(x, y, np.sqrt(np.maximum(y, 1.0)))
-        for _ in range(20):
-            n = int(rng.integers(1, 6))
-            params = np.column_stack([rng.uniform(10.0, 1e4, n), rng.uniform(0.0, 55.0, n),
-                                      rng.uniform(0.5, 3.0, n)]).ravel()
+        for trial in range(20):
+            k = np.arange(int(rng.integers(1, 7)))
+            # v = sigma_per_photon^2 at its bound 0 too, where the width's
+            # derivative in sigma_per_photon would vanish
+            v = 0.0 if trial % 4 == 0 else rng.uniform(0.01, 1.0)
+            params = np.concatenate((rng.uniform(10.0, 1e4, k.size),
+                                     [rng.uniform(-2.0, 5.0), rng.uniform(5.0, 12.0),
+                                      rng.uniform(0.5, 3.0), v]))
+            evaluate = _comb_gaussians(x, y, k)
             jac = evaluate(params)[1]()
+            assert jac.shape == (x.size, k.size + 4)
             numeric = np.empty_like(jac)
             for j in range(params.size):
                 step = 1e-6 * max(abs(params[j]), 1.0)
@@ -85,30 +84,29 @@ class TestFitPeaks:
                 numeric[:, j] = (evaluate(up)[0] - evaluate(down)[0]) / (2 * step)
             # relative to each column's scale, since most entries are ~0
             assert np.all(np.abs(jac - numeric) <= 1e-6 * np.abs(jac).max(axis=0))
+            assert np.abs(jac[:, -1]).max() > 0.0 or k.size == 1
 
-    def test_jacobian_built_only_at_accepted_points(self):
-        # a guess far off the one peak: the solver rejects some trial steps
-        edges = np.linspace(-5, 25, 121)
-        h = gaussian_comb(edges, [(1000.0, 10.0, 1.5)])
-        x = h.bin_centers
-        y = h.counts.astype(np.float64)
-        evaluate = _weighted_gaussians(x, y, np.sqrt(np.maximum(y, 1.0)))
+    def test_jacobian_built_only_at_accepted_points(self, monkeypatch):
+        # criterion 8's comb: the solver rejects a trial step on the way
+        h = point_comb(np.linspace(-5.0, 60.0, 401), (4e7, 2e7, 5e6), per_photon=math.sqrt(0.44))
         evaluated, built = [], []
+        solve = fitting._levenberg_marquardt
 
-        def counting(params):
-            r, jacobian = evaluate(params)
-            evaluated.append((params, r @ r))
+        def counting_solver(evaluate, *bounds):
+            def counting(params):
+                r, jacobian = evaluate(params)
+                evaluated.append((params, r @ r))
 
-            def counted_jacobian():
-                built.append(params)
-                return jacobian()
+                def counted_jacobian():
+                    built.append(params)
+                    return jacobian()
 
-            return r, counted_jacobian
+                return r, counted_jacobian
 
-        lo = np.array([0.0, x[0] - 0.25, 0.025])
-        hi = np.array([np.inf, x[-1] + 0.25, x[-1] - x[0]])
-        *_, converged = _levenberg_marquardt(counting, np.array([100.0, 4.0, 3.0]), lo, hi, 800)
-        assert converged
+            return solve(counting, *bounds)
+
+        monkeypatch.setattr(fitting, "_levenberg_marquardt", counting_solver)
+        assert _fit_unknown_comb(h)[-1]
         kept = [evaluated[0]]
         for params, cost in evaluated[1:]:
             if cost < kept[-1][1]:
@@ -118,25 +116,73 @@ class TestFitPeaks:
         for b, (k, _) in zip(built, kept):
             np.testing.assert_array_equal(b, k)
 
-    def test_exact_single_gaussian_recovered(self):
-        edges = np.linspace(-5, 25, 121)
-        h = gaussian_comb(edges, [(5e6, 10.0, 1.5)])
-        fit = fit_peaks(h, [(10.4, 1.1, 4e6)])
-        assert fit.converged
-        peak = fit.peaks[0]
-        assert peak.center == pytest.approx(10.0, rel=1e-6)
-        assert peak.width == pytest.approx(1.5, rel=1e-6)
-        true_area = 5e6 * 1.5 * SQRT_2PI / h.bin_width
-        assert peak.area == pytest.approx(true_area, rel=1e-6)
+    def test_single_peak_recovered(self):
+        # one Gaussian: the start gain is the end of the autocorrelation's lobe
+        h = point_comb(np.linspace(-5.0, 25.0, 121), (5e6,), offset=10.0, sigma0=1.5)
+        offset, _, sigma0, _, converged = _fit_unknown_comb(h)
+        assert converged
+        assert offset == pytest.approx(10.0, rel=1e-6)
+        assert sigma0 == pytest.approx(1.5, rel=1e-6)
 
-    def test_zero_height_guess_recovered(self):
-        # at zero height the center and width columns of the Jacobian vanish
-        edges = np.linspace(-5, 25, 121)
-        h = gaussian_comb(edges, [(1000.0, 10.0, 1.5)])
-        fit = fit_peaks(h, [(9.0, 1.0, 0.0)])
-        assert fit.converged
-        assert fit.peaks[0].center == pytest.approx(10.0, abs=0.01)
-        assert fit.peaks[0].area == pytest.approx(1000.0 * 1.5 * SQRT_2PI / h.bin_width, rel=1e-3)
+    def test_zero_height_start_recovered(self):
+        # at zero heights every comb column of the Jacobian vanishes, so the
+        # first steps move the heights alone
+        edges = np.linspace(-5.0, 60.0, 401)
+        h = point_comb(edges, (1000.0, 600.0, 200.0), per_photon=0.5)
+        x, bw, k = h.bin_centers, h.bin_width, np.arange(3)
+        p0 = np.array([0.0, 0.0, 0.0, 0.5, 9.5, 0.8, 0.1])
+        lo = np.array([0.0, 0.0, 0.0, x[0] - bw, 5.0, bw / 10.0, 0.0])
+        hi = np.array([np.inf, np.inf, np.inf, x[-1] + bw, 65.0, 65.0, 65.0**2])
+        p, _, _, converged = _levenberg_marquardt(
+            _comb_gaussians(x, h.counts.astype(np.float64), k), p0, lo, hi, MAX_ITER * 8)
+        assert converged
+        assert p[3] == pytest.approx(0.0, abs=0.01)
+        assert p[4] == pytest.approx(10.0, abs=0.01)
+        areas = p[:3] * np.sqrt(p[5] ** 2 + k * p[6])
+        np.testing.assert_allclose(areas, [1000.0, 600.0 * math.sqrt(1.25), 200.0 * math.sqrt(1.5)],
+                                   rtol=1e-3)
+
+    def test_heights_stay_nonnegative(self, monkeypatch):
+        # the teeth above the last peak see only its tails, whose rounded
+        # counts fall below the model: their gradient points below zero, and
+        # the bound holds them there
+        problems = solved_problems(monkeypatch)
+        assert _fit_unknown_comb(point_comb(np.linspace(-5.0, 40.0, 181), (1000.0, 600.0, 200.0)))[-1]
+        ((*_, (p, r, jac, converged)),) = problems
+        assert converged and p.size == 5 + 4
+        assert np.all(p[:3] > 0.0)
+        np.testing.assert_array_equal(p[3:5], 0.0)
+        assert np.all((jac.T @ r)[3:5] > 0.0)
+
+
+class TestUnknownCombWidths:
+    """The photon-number broadening is fitted as v = sigma_per_photon^2 >= 0,
+    whose width derivative k / 2w does not vanish at v = 0."""
+
+    def test_per_photon_width_leaves_zero(self):
+        # from the bound the fit used to stay at sigma_per_photon 0 and
+        # widen sigma0 instead
+        h = point_comb(np.linspace(-5.0, 60.0, 401), (4e7, 2e7, 5e6),
+                       offset=2.0, gain=12.0, sigma0=0.8, per_photon=0.5)
+        offset, gain, sigma0, per_photon, converged = _fit_unknown_comb(h)
+        assert converged
+        assert offset == pytest.approx(2.0, rel=1e-6)
+        assert gain == pytest.approx(12.0, rel=1e-6)
+        assert sigma0 == pytest.approx(0.8, rel=1e-6)
+        assert per_photon == pytest.approx(0.5, rel=1e-6)
+
+    def test_zero_per_photon_width_is_exact(self):
+        h = point_comb(np.linspace(-5.0, 60.0, 401), (4e7, 2e7, 5e6), per_photon=0.0)
+        offset, gain, sigma0, per_photon, converged = _fit_unknown_comb(h)
+        assert converged
+        assert per_photon == 0.0
+        assert gain == pytest.approx(10.0, rel=1e-6)
+        assert sigma0 == pytest.approx(1.0, rel=1e-6)
+
+
+class TestSidecarLessAnalysis:
+    """Histograms without their detector, analysed on the comb fitted to
+    their counts."""
 
     def test_poisson_light_histogram_matches_poisson(self):
         # coherent source: fitted, normalized areas must look Poissonian
@@ -146,101 +192,87 @@ class TestFitPeaks:
         n = 400_000
         frequencies = simulate_gate_counts(src, det, n, seed=22)
         h = synthesize_histogram(frequencies, det, 500, seed=22)
-        fit = fit_peaks(h, comb_guesses(h, det))
-        assert fit.converged
-        dist, _ = areas_to_probabilities(fit)
+        analysis = analyze_histogram(replace(h, detector=None))
+        assert analysis.fit.converged
         for k in range(6):
             expected = math.exp(-mean) * mean**k / math.factorial(k)
-            sigma = math.sqrt(expected * (1 - expected) / n) + fit.peaks[k].area_std_error / n
-            assert abs(dist.probs[k] - expected) < 3 * sigma
+            sigma = math.sqrt(expected * (1 - expected) / n) + analysis.fit.peaks[k].area_std_error / n
+            assert abs(analysis.distribution.probs[k] - expected) < 3 * sigma
 
     def test_pdc_histogram_matches_channel_probabilities(self):
         src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.21)
         frequencies = simulate_gate_counts(src, DET, 500_000, seed=23)
         h = synthesize_histogram(frequencies, DET, 500, seed=23)
-        fit = fit_peaks(h, comb_guesses(h, DET))
-        dist, _ = areas_to_probabilities(fit)
+        dist = analyze_histogram(replace(h, detector=None)).distribution
         emp = frequencies / frequencies.sum()
         assert np.abs(dist.probs[: emp.size] - emp[: dist.probs.size]).max() < 0.02
 
     def test_area_std_error_floored_at_sqrt_area(self):
-        edges = np.linspace(-5, 25, 121)
-        h = gaussian_comb(edges, [(100.0, 10.0, 1.0)])
-        fit = fit_peaks(h, comb_guesses(h, gaussians_on_comb(10.0, 1.0)))
+        h = point_comb(np.linspace(-5.0, 40.0, 181), (1000.0, 600.0, 200.0))
+        fit = analyze_histogram(h).fit
+        assert fit.converged and len(fit.peaks) == 3
         for p in fit.peaks:
             assert p.area_std_error >= math.sqrt(p.area) - 1e-9
 
-    def test_affine_rescaling_invariance(self):
+    @pytest.mark.parametrize("scale, shift", [(3.7, -11.0), (0.5, 100.0), (2.0, 0.0)])
+    def test_affine_rescaling_invariance(self, scale, shift):
         # shifting and scaling the area axis must not change areas/probabilities
         src = SourceSpec(kind="poisson", cutoff=16, mean=1.2)
         det = DetectorModel(eta=1.0, dark_mean=0.0)
         frequencies = simulate_gate_counts(src, det, 200_000, seed=25)
-        h = synthesize_histogram(frequencies, det, 400, seed=25)
-        scale, shift = 3.7, -11.0
+        h = replace(synthesize_histogram(frequencies, det, 400, seed=25), detector=None)
         h2 = AreaHistogram(scale * h.bin_edges + shift, h.counts,
                            n_gates=h.n_gates, overflow=h.overflow)
-        guesses = comb_guesses(h, det)
-        fit1 = fit_peaks(h, guesses)
-        fit2 = fit_peaks(h2, [(scale * c + shift, scale * w, a) for c, w, a in guesses])
-        d1, _ = areas_to_probabilities(fit1)
-        d2, _ = areas_to_probabilities(fit2)
-        np.testing.assert_allclose(d2.probs, d1.probs, rtol=1e-6, atol=1e-9)
-        for p1, p2 in zip(fit1.peaks, fit2.peaks):
+        a1, a2 = analyze_histogram(h), analyze_histogram(h2)
+        np.testing.assert_allclose(a2.distribution.probs, a1.distribution.probs,
+                                   rtol=1e-6, atol=1e-9)
+        assert len(a2.fit.peaks) == len(a1.fit.peaks)
+        for p1, p2 in zip(a1.fit.peaks, a2.fit.peaks):
             assert p2.center == pytest.approx(scale * p1.center + shift, rel=1e-6)
             assert p2.width == pytest.approx(scale * p1.width, rel=1e-6)
             assert p2.area == pytest.approx(p1.area, rel=1e-6)
 
-    def test_no_guesses_rejected(self):
-        edges = np.linspace(0, 10, 21)
-        h = AreaHistogram(edges, np.ones(20, dtype=int), n_gates=20)
-        with pytest.raises(ValueError, match="guess"):
-            fit_peaks(h, [])
 
-
-def least_squares_fit(h, guesses):
-    """fit_peaks's problem handed to scipy.optimize.least_squares (trust-region
-    reflective) with the same residuals, Jacobian, bounds, tolerances and
-    evaluation budget. Returns (converged, areas), ordered by center."""
+def least_squares_comb(problem):
+    """The problem _fit_unknown_comb hands to its solver, solved by
+    scipy.optimize.least_squares (trust-region reflective) with the same
+    residuals, Jacobian, bounds, tolerances and evaluation budget. Returns
+    (converged, parameters)."""
     from scipy.optimize import least_squares
 
-    guesses = sorted(guesses, key=lambda g: g[0])
-    x = h.bin_centers
-    y = h.counts.astype(np.float64)
-    sigma = np.sqrt(np.maximum(y, 1.0))
-    bw = h.bin_width
-    p0 = np.array([v for (c, w, amp) in guesses for v in (amp, c, w)])
-    lo = np.tile([0.0, x[0] - bw, bw / 10.0], len(guesses))
-    hi = np.tile([np.inf, x[-1] + bw, x[-1] - x[0]], len(guesses))
-    evaluate = _weighted_gaussians(x, y, sigma)
-    result = least_squares(
-        lambda params: evaluate(params)[0],
-        np.clip(p0, lo, hi),
-        jac=lambda params: evaluate(params)[1](),
-        bounds=(lo, hi),
-        xtol=XTOL,
-        ftol=1e-12,
-        gtol=1e-12,
-        max_nfev=MAX_ITER * (p0.size + 1),
-    )
-    height, _, width = result.x.reshape(-1, 3)[np.argsort(result.x[1::3])].T
-    return result.status > 0, height * width * SQRT_2PI / bw
+    evaluate, p0, lo, hi, max_nfev = problem
+    with np.errstate(under="ignore"):
+        result = least_squares(
+            lambda params: evaluate(params)[0],
+            p0,
+            jac=lambda params: evaluate(params)[1](),
+            bounds=(lo, hi),
+            xtol=XTOL,
+            ftol=1e-12,
+            gtol=1e-12,
+            max_nfev=max_nfev,
+        )
+    return result.status > 0, result.x
 
 
-def assert_matches_least_squares(h, guesses):
-    fit = fit_peaks(h, guesses)
-    converged, areas = least_squares_fit(h, guesses)
-    assert fit.converged == converged
-    # least_squares's peaks are labelled by rank too
-    assert [p.photon_number for p in fit.peaks] == list(range(areas.size))
-    ours = np.array([p.area for p in fit.peaks])
-    std_errors = np.array([p.area_std_error for p in fit.peaks])
-    assert np.all(np.abs(ours - areas) <= 1e-3 * std_errors)
-    np.testing.assert_array_equal(np.rint(ours), np.rint(areas))
-    return fit
+def assert_matches_least_squares(h, monkeypatch):
+    """Fit the comb of ``h`` and hold the four comb parameters (offset,
+    gain, sigma0, v) and the convergence flag to scipy's; returns ours."""
+    problems = solved_problems(monkeypatch)
+    _fit_unknown_comb(h)
+    ((*problem, (p, _, _, converged)),) = problems
+    problems.clear()
+    scipy_converged, x = least_squares_comb(problem)
+    assert converged == scipy_converged
+    gain = x[-3]
+    assert p[-4] == pytest.approx(x[-4], abs=1e-5 * gain)
+    np.testing.assert_allclose(p[-3:], x[-3:], rtol=1e-5, atol=1e-10 * gain**2)
+    return p, converged
 
 
 class TestSolverMatchesLeastSquares:
-    def test_on_the_noisy_histograms_of_criterion_8(self):
+    def test_on_the_noisy_histograms_of_criterion_8(self, monkeypatch):
+        # criterion 8's histograms with their detector stripped
         for trial in range(100):
             if trial % 2 == 0:
                 source = SourceSpec(kind="poisson", cutoff=20, mean=0.5 + 0.02 * trial)
@@ -248,31 +280,16 @@ class TestSolverMatchesLeastSquares:
                 source = SourceSpec(kind="pdc_pairs", cutoff=20, mean=0.1 + 0.01 * trial)
             frequencies = simulate_gate_counts(source, DET, 100_000, 800 + trial)
             h = synthesize_histogram(frequencies, DET, 500, 800 + trial)
-            fit = assert_matches_least_squares(h, comb_guesses(h, DET))
-            assert fit.converged
+            _, converged = assert_matches_least_squares(replace(h, detector=None), monkeypatch)
+            assert converged
 
-    def test_center_held_at_its_upper_bound(self):
-        # a peak centred beyond the range shows only its tail, so its fitted
-        # center stops one bin past the last bin center
-        edges = np.linspace(0.0, 20.0, 81)
-        h = gaussian_comb(edges, [(20000.0, 5.0, 1.0), (5000.0, 22.0, 2.0)])
-        fit = assert_matches_least_squares(h, [(5.0, 1.0, 20000.0), (19.9, 1.5, 3000.0)])
-        assert fit.converged
-        assert fit.peaks[1].center == h.bin_centers[-1] + h.bin_width
-
-    def test_heights_stay_nonnegative(self):
-        # a guess on a notch in a broad peak would carve it out with a
-        # negative height; the bound holds it at zero
-        edges = np.linspace(-5.0, 25.0, 121)
-        x = 0.5 * (edges[:-1] + edges[1:])
-        y = 5000.0 * np.exp(-0.5 * ((x - 10.0) / 2.0) ** 2)
-        y *= 1.0 - 0.4 * np.exp(-0.5 * ((x - 13.0) / 0.5) ** 2)
-        counts = np.rint(y).astype(np.int64)
-        h = AreaHistogram(edges, counts, n_gates=int(counts.sum()))
-        fit = fit_peaks(h, [(10.0, 2.0, 5000.0), (13.0, 0.5, 1000.0)])
-        assert fit.converged
-        assert fit.peaks[1].area == 0.0
-        assert fit.peaks[0].area > 0.0
+    def test_offset_held_at_its_lower_bound(self, monkeypatch):
+        # a pedestal centred below the range shows only its upper half, so
+        # the fitted offset stops one bin below the first bin center
+        h = point_comb(np.linspace(0.0, 40.0, 161), (20000.0, 8000.0, 3000.0, 1000.0), offset=-1.0)
+        p, converged = assert_matches_least_squares(h, monkeypatch)
+        assert converged
+        assert p[-4] == h.bin_centers[0] - h.bin_width
 
 
 def comb_mass(det, edges):
@@ -641,27 +658,27 @@ class TestUnknownCombStart:
 
 
 class TestAreasToProbabilities:
+    @staticmethod
+    def noiseless_fit(lam):
+        h, mass = noiseless_comb(lam)
+        (fit,) = fit_comb(h.counts[None].astype(float), mass, h.detector)
+        return fit
+
     def test_single_pedestal_gives_p0_one(self):
         h = synthesize_histogram(np.array([60_000]), DET, 200, seed=26)
-        fit = fit_peaks(h, comb_guesses(h, DET))
+        (fit,) = _comb_fits([h])
         dist, event_counts = areas_to_probabilities(fit)
         assert dist.probs[0] == pytest.approx(1.0, abs=1e-9)
         assert dist.probs[1:].sum() == pytest.approx(0.0, abs=1e-9)
         assert event_counts[0] == pytest.approx(60_000, rel=0.01)
 
     def test_equal_areas_split_evenly(self):
-        edges = np.linspace(-5, 30, 141)
-        h = gaussian_comb(edges, [(1000.0, 5.0, 1.0), (1000.0, 15.0, 1.0)])
-        fit = fit_peaks(h, comb_guesses(h, gaussians_on_comb(5.0, 1.0)))
-        dist, _ = areas_to_probabilities(fit)
+        dist, _ = areas_to_probabilities(self.noiseless_fit(np.pad([1e9, 1e9], (0, 11))))
         assert dist.probs[0] == pytest.approx(0.5, abs=1e-6)
         assert dist.probs[1] == pytest.approx(0.5, abs=1e-6)
 
     def test_output_normalized_and_padded(self):
-        edges = np.linspace(-5, 30, 141)
-        h = gaussian_comb(edges, [(1000.0, 5.0, 1.0)])
-        fit = fit_peaks(h, comb_guesses(h, gaussians_on_comb(5.0, 1.0)))
-        dist, event_counts = areas_to_probabilities(fit)
+        dist, event_counts = areas_to_probabilities(self.noiseless_fit(np.pad([1000.0], (0, 12))))
         assert abs(dist.probs.sum() - 1.0) <= 1e-12
         assert dist.probs.size >= 4
         assert event_counts.size == dist.probs.size
@@ -678,10 +695,7 @@ class TestAreasToProbabilities:
             areas_to_probabilities(bad)
 
     def test_json_dict_structure(self):
-        edges = np.linspace(-5, 30, 141)
-        h = gaussian_comb(edges, [(1000.0, 5.0, 1.0)])
-        fit = fit_peaks(h, comb_guesses(h, gaussians_on_comb(5.0, 1.0)))
-        d = json.loads(dumps_canonical(fit))
+        d = json.loads(dumps_canonical(self.noiseless_fit(np.pad([1000.0], (0, 12)))))
         assert d["converged"] is True
         assert d["peaks"][0]["photon_number"] == 0
         assert set(d["peaks"][0]) == {
