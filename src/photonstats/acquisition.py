@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import _detect, detector_matrix
 from .distributions import SourceSpec, _source_pmf, make_distribution
-from .ioutil import SCHEMA_VERSION
+from .ioutil import SCHEMA_VERSION, whole_number
 
 _COUNT_STREAM = 0
 _AREA_STREAM = 1
@@ -168,8 +168,8 @@ class AreaHistogram:
         if sidecar is not None:
             try:
                 edges = np.asarray(sidecar["bin_edges"], dtype=np.float64)
-                n_gates = int(sidecar["n_gates"])
-                overflow = int(sidecar.get("overflow", 0))
+                n_gates = whole_number("sidecar n_gates", sidecar["n_gates"])
+                overflow = whole_number("sidecar overflow", sidecar.get("overflow", 0))
                 detector = DetectorModel(**sidecar["detector"]) if "detector" in sidecar else None
             except KeyError as exc:
                 raise ValueError(f"the histogram sidecar has no {exc}") from exc

@@ -5,9 +5,9 @@ f = M p. Loss acts as independent survival of each photon with probability
 eta (binomial thinning); dark counts add a Poisson-distributed number of
 extra counts per gate. Both are written once, in ``_detect``: the sampler in
 :mod:`photonstats.acquisition` applies it to a source law, and
-:func:`detector_matrix` applies it to the identity. Reconstruction solves the
-truncated linear system directly; negative entries in the solution are
-preserved and reported, not clipped.
+:func:`detector_matrix` applies it to each column of the identity.
+Reconstruction solves the truncated linear system directly; negative entries
+in the solution are preserved and reported, not clipped.
 """
 
 from __future__ import annotations
@@ -91,27 +91,22 @@ def _loss_matrix(eta: float, n: int) -> np.ndarray:
     return m
 
 
-def _detect(x: np.ndarray, eta: float, dark_mean: float, dark_after_loss: bool) -> np.ndarray:
-    """The detector law applied along axis 0 of a vector or matrix ``x`` over
-    photon numbers 0..len(x)-1: each photon survives with probability ``eta``
-    (binomial thinning), and Poisson(``dark_mean``) dark counts are added by
-    convolution, cut at len(x).
+def _detect(p: np.ndarray, eta: float, dark_mean: float, dark_after_loss: bool) -> np.ndarray:
+    """The detector law applied to a law ``p`` on photon numbers
+    0..len(p)-1: each photon survives with probability ``eta`` (binomial
+    thinning), and Poisson(``dark_mean``) dark counts are added by
+    convolution, cut at len(p).
 
     Dark counts are added after the loss (they originate in the detector and
     are not attenuated), or before it when ``dark_after_loss`` is False, which
-    thins them as well. Mass pushed past len(x) by the dark counts is lost.
-    A vector, the sampler's case, is convolved in one call.
+    thins them as well. Mass pushed past len(p) by the dark counts is lost.
     """
-    n = len(x)
+    n = len(p)
     loss = _loss_matrix(eta, n)
     dark = _poisson_pmf(dark_mean, n)
-
-    def add_dark(y):
-        if y.ndim == 1:
-            return np.convolve(y, dark)[:n]
-        return np.apply_along_axis(lambda col: np.convolve(col, dark)[:n], 0, y)
-
-    return add_dark(loss @ x) if dark_after_loss else loss @ add_dark(x)
+    if dark_after_loss:
+        return np.convolve(loss @ p, dark)[:n]
+    return loss @ np.convolve(p, dark)[:n]
 
 
 def detector_matrix(
@@ -122,9 +117,9 @@ def detector_matrix(
     dark_after_loss: bool = True,
 ) -> TransferMatrix:
     """Full detector model on photon numbers 0..cutoff: the detector law
-    applied to the identity, so column j is the detected-count law of j
-    photons. Dark counts pushed past the cutoff leave the truncated space,
-    so columns sum to at most 1.
+    applied to each column of the identity, so column j is the detected-count
+    law of j photons. Dark counts pushed past the cutoff leave the truncated
+    space, so columns sum to at most 1.
 
     The default order adds dark counts after loss; ``dark_after_loss=False``
     swaps the order, which is equivalent to thinning the dark counts as well.
@@ -135,7 +130,7 @@ def detector_matrix(
         raise ValueError(f"dark count mean must be >= 0, got {dark_mean}")
     if cutoff < MIN_CUTOFF:
         raise ValueError(f"cutoff must be >= {MIN_CUTOFF}, got {cutoff}")
-    m = _detect(np.eye(cutoff + 1), eta, dark_mean, dark_after_loss)
+    m = np.apply_along_axis(_detect, 0, np.eye(cutoff + 1), eta, dark_mean, dark_after_loss)
     return TransferMatrix(m, eta=eta, dark_mean=dark_mean, cutoff=cutoff)
 
 

@@ -49,7 +49,7 @@ from .channel import (
 )
 from .distributions import PhotonDistribution, SourceSpec
 from .fitting import PeakFitResult, _fit_unknown_comb, areas_to_probabilities, fit_comb
-from .ioutil import SCHEMA_VERSION, dumps_canonical, write_text_atomic
+from .ioutil import SCHEMA_VERSION, dumps_canonical, whole_number, write_text_atomic
 from .nonclassical import (
     GammaReport,
     ParityReport,
@@ -118,11 +118,11 @@ class RunConfig:
                 source=_source_spec(d["source"]),
                 detector=DetectorModel(**d["detector"]),
                 pump=PumpModel(**pump) if pump else None,
-                n_gates=int(d["n_gates"]),
-                cutoff=int(d["cutoff"]),
-                seed=int(d["seed"]),
+                n_gates=whole_number("n_gates", d["n_gates"]),
+                cutoff=whole_number("cutoff", d["cutoff"]),
+                seed=whole_number("seed", d["seed"]),
                 output_dir=Path(d.get("output_dir", ".")),
-                bins=int(d.get("bins", 500)),
+                bins=whole_number("bins", d.get("bins", 500)),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
@@ -244,13 +244,14 @@ def reconstruct(
     """Invert the detector matrix on measured probabilities.
 
     ``probs`` is zero-padded (or cut) to photon numbers 0..cutoff; anything
-    but a 1-D sequence of numbers raises ValueError. Returns the padded
-    measured distribution, the reconstruction and its negativity diagnostics.
-    Warnings are left to the caller.
+    but a nonempty 1-D sequence of numbers raises ValueError. Returns the
+    padded measured distribution, the reconstruction and its negativity
+    diagnostics. Warnings are left to the caller.
     """
     probs = np.asarray(probs)
-    if probs.ndim != 1 or probs.dtype.kind not in "iuf":
-        raise ValueError(f"probabilities must be a 1-D list of numbers, got {probs.tolist()!r}")
+    if probs.ndim != 1 or probs.size == 0 or probs.dtype.kind not in "iuf":
+        raise ValueError("probabilities must be a 1-D list of numbers, at least one, "
+                         f"got {probs.tolist()!r}")
     probs = probs.astype(np.float64)
     n = cutoff + 1
     padded = np.zeros(n)

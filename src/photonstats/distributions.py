@@ -15,6 +15,8 @@ from io import StringIO
 
 import numpy as np
 
+from .ioutil import whole_number
+
 SUM_TOL = 1e-12
 LOST_MASS_TOL = 1e-6
 MIN_CUTOFF = 3
@@ -101,6 +103,9 @@ class SourceSpec:
     def __post_init__(self):
         if self.kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}; expected one of {SOURCE_KINDS}")
+        object.__setattr__(self, "cutoff", whole_number("source cutoff", self.cutoff))
+        if self.n is not None:
+            object.__setattr__(self, "n", whole_number("source n", self.n))
         if self.cutoff < MIN_CUTOFF:
             raise ValueError(f"cutoff must be >= {MIN_CUTOFF}, got {self.cutoff}")
         if self.kind in ("poisson", "pdc_pairs"):

@@ -270,8 +270,9 @@ def _poisson_em(y: np.ndarray, design: np.ndarray):
 
     Returns (lam, cov, converged): cov[p] inverts row p's Fisher information
     scaled by sqrt(lam_j lam_k), so lam_j has variance lam_j cov_jj and a zero
-    weight (unit diagonal) has none. The stack is inverted at once; if it is
-    singular, each row alone, and only a singular one by its pseudo-inverse.
+    weight (unit diagonal) has none. Each row's information is built and
+    inverted on its own, and only an exactly singular one by its
+    pseudo-inverse.
     """
     totals = y.sum(axis=1)
     # one row, so that a stack of one divides by it without broadcasting
@@ -302,25 +303,19 @@ def _poisson_em(y: np.ndarray, design: np.ndarray):
                 rows, part, counts = rows[going], part[going], counts[going]
         else:
             lam[rows] = part
-        # Fisher information of lam, sum_i design_ji design_ki / mu_i, scaled
-        # by sqrt(lam_j lam_k) before the division so that every entry lies
-        # in [0, 1]; a zero weight's zero row and column get a unit diagonal
-        mu = lam @ design
-        scaled = design * np.sqrt(lam)[:, :, None]
-        seen = mu[:, None, :]
-        info = np.divide(scaled, seen, out=np.zeros(scaled.shape), where=seen > 0.0)
-        info = info @ scaled.transpose(0, 2, 1)
-        row, empty = np.nonzero(lam == 0.0)
-        info[row, empty, empty] = 1.0
-        try:
-            return lam, np.linalg.inv(info), converged
-        except np.linalg.LinAlgError:  # exactly singular: two weights, one design row
-            cov = np.empty_like(info)
-            for p, single in enumerate(info):
-                try:
-                    cov[p] = np.linalg.inv(single)
-                except np.linalg.LinAlgError:
-                    cov[p] = np.linalg.pinv(single)
+        # Fisher information of each row's lam, sum_i design_ji design_ki / mu_i,
+        # scaled by sqrt(lam_j lam_k) before the division so that every entry
+        # lies in [0, 1]; a zero weight's zero row and column get a unit diagonal
+        cov = np.empty((totals.size, reach.size, reach.size))
+        for p, (lam_p, mu_p) in enumerate(zip(lam, lam @ design)):
+            scaled = design * np.sqrt(lam_p)[:, None]
+            info = np.divide(scaled, mu_p, out=np.zeros(scaled.shape), where=mu_p > 0.0) @ scaled.T
+            empty = (lam_p == 0.0).nonzero()[0]
+            info[empty, empty] = 1.0
+            try:
+                cov[p] = np.linalg.inv(info)
+            except np.linalg.LinAlgError:  # exactly singular: two weights, one design row
+                cov[p] = np.linalg.pinv(info)
     return lam, cov, converged
 
 

@@ -1,10 +1,12 @@
-"""Small shared I/O helpers: canonical JSON and atomic file writes."""
+"""Small shared I/O helpers: canonical JSON, atomic file writes, and whole
+numbers read from JSON."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+import numbers
 import os
 import tempfile
 from pathlib import Path
@@ -25,6 +27,18 @@ def json_safe(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
+
+
+def whole_number(name: str, value) -> int:
+    """``value`` as an int: an integer, or a number with no fractional part,
+    so that ``1e6`` reads as 1000000. A boolean, a string or a fractional
+    number raises ValueError naming the field ``name``."""
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def dumps_canonical(obj) -> str:

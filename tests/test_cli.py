@@ -138,24 +138,43 @@ class TestRunConfig:
         if top is not None:
             assert "must be a JSON object" in err["error"]
 
-    @pytest.mark.parametrize("section, key, value", [
-        ("detector", "dark_mean", math.nan),
-        ("detector", "gain", math.nan),
-        ("detector", "adc_max", math.inf),
-        ("pump", "powers", [0.3, math.nan]),
-        ("pump", "pairs_per_uW", math.inf),
+    @pytest.mark.parametrize("edit, field, rule", [
+        (lambda cfg: cfg["detector"].update(dark_mean=math.nan), "dark_mean", "finite"),
+        (lambda cfg: cfg["detector"].update(gain=math.nan), "gain", "finite"),
+        (lambda cfg: cfg["detector"].update(adc_max=math.inf), "adc_max", "finite"),
+        (lambda cfg: cfg["pump"].update(powers=[0.3, math.nan]), "powers", "finite"),
+        (lambda cfg: cfg["pump"].update(pairs_per_uW=math.inf), "pairs_per_uW", "finite"),
+        (lambda cfg: cfg.update(n_gates=1.7), "n_gates", "whole number"),
+        (lambda cfg: cfg.update(n_gates=True), "n_gates", "whole number"),
+        (lambda cfg: cfg.update(n_gates="100000"), "n_gates", "whole number"),
+        (lambda cfg: cfg.update(seed=7.9), "seed", "whole number"),
+        (lambda cfg: cfg.update(bins=400.9), "bins", "whole number"),
+        (lambda cfg: cfg.update(cutoff=14.6), "cutoff", "whole number"),
+        (lambda cfg: cfg.update(cutoff=14.6) or cfg["source"].update(cutoff=14.6),
+         "source cutoff", "whole number"),
+        (lambda cfg: cfg["source"].update(kind="fock", n=2.5), "source n", "whole number"),
     ], ids=["nan-dark-mean", "nan-gain", "infinite-adc-max", "nan-power",
-            "infinite-pairs-per-uw"])
-    def test_non_finite_value_is_config_error(self, tmp_path, capsys, section, key, value):
-        # JSON NaN and Infinity are refused where they are read, naming the
-        # field, not where a later stage trips over them
+            "infinite-pairs-per-uw", "fractional-n-gates", "boolean-n-gates", "string-n-gates",
+            "fractional-seed", "fractional-bins", "fractional-cutoff",
+            "fractional-cutoff-in-both-places", "fractional-fock-n"])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, edit, field, rule):
+        # JSON NaN and Infinity, and a fraction, a boolean or a string where a
+        # whole number belongs, are refused where they are read, naming the
+        # field, not where a later stage trips over them or rounds them
         cfg_path = tmp_path / "run.json"
         cfg = write_config(cfg_path, pump={"powers": [0.3, 1.0], "pairs_per_uW": 0.2253})
-        cfg[section][key] = value
+        edit(cfg)
         cfg_path.write_text(json.dumps(cfg))
         assert main(["sweep", "--config", str(cfg_path)]) == EXIT_CONFIG
         err = stderr_error(capsys)
-        assert err["type"] == "ConfigError" and key in err["error"] and "finite" in err["error"]
+        assert err["type"] == "ConfigError" and field in err["error"] and rule in err["error"]
+
+    def test_whole_valued_float_is_an_integer(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, n_gates=1e6, seed=7.0)
+        config = load_config(cfg_path)
+        assert (config.n_gates, config.seed) == (1_000_000, 7)
+        assert type(config.n_gates) is int
 
     def test_seed_and_out_overrides(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -430,9 +449,13 @@ class TestAnalyzeCommand:
         lambda side: side.update(bin_edges=[e + 0.1 for e in side["bin_edges"]]),
         lambda side: side["bin_edges"].__setitem__(-1, math.inf),
         lambda side: side["detector"].update(gain=math.nan),
+        lambda side: side.update(n_gates=str(side["n_gates"])),
+        lambda side: side.update(n_gates=side["n_gates"] + 0.9),
+        lambda side: side.update(overflow=0.5),
     ], ids=["no-bin-edges", "no-n-gates", "detector-unknown-key", "detector-eta-above-one",
             "detector-not-an-object", "negative-overflow", "doubled-edges", "shifted-edges",
-            "infinite-edge", "detector-nan-gain"])
+            "infinite-edge", "detector-nan-gain", "string-n-gates", "fractional-n-gates",
+            "fractional-overflow"])
     def test_malformed_sidecar_is_runtime_error(self, simulated, capsys, edit):
         _, out = simulated
         sidecar = out / "histogram.json"
@@ -611,8 +634,8 @@ class TestReconstructCommand:
         assert err["exit_code"] == EXIT_RUNTIME and "JSON object" in err["error"]
         assert not (tmp_path / "out" / "negativity.json").exists()
 
-    @pytest.mark.parametrize("probabilities", [None, 0.5, [[0.5, 0.5]], {"0": 0.5}, ["0.5"]],
-                             ids=["null", "number", "nested", "object", "strings"])
+    @pytest.mark.parametrize("probabilities", [None, 0.5, [[0.5, 0.5]], {"0": 0.5}, ["0.5"], []],
+                             ids=["null", "number", "nested", "object", "strings", "empty"])
     def test_probabilities_not_a_list_of_numbers_is_runtime_error(self, tmp_path, capsys,
                                                                   probabilities):
         cfg_path = tmp_path / "run.json"

@@ -74,6 +74,17 @@ class TestSourceSpecValidation:
         with pytest.raises(ValueError, match="exceeds cutoff"):
             SourceSpec(kind="fock", cutoff=4, n=5)
 
+    def test_numpy_integers_are_whole_numbers(self):
+        spec = SourceSpec(kind="fock", cutoff=np.int64(6), n=np.int32(2))
+        assert (spec.cutoff, spec.n) == (6, 2)
+        assert make_distribution(spec).probs[2] == 1.0
+
+    @pytest.mark.parametrize("field, value", [("cutoff", 6.5), ("cutoff", True), ("n", 2.5),
+                                              ("n", "2")])
+    def test_integer_fields_refuse_other_values(self, field, value):
+        with pytest.raises(ValueError, match=f"source {field} must be a whole number"):
+            SourceSpec(**{"kind": "fock", "cutoff": 6, "n": 2, field: value})
+
     def test_mixture_weights_must_sum_to_one(self):
         comps = (
             SourceSpec(kind="fock", cutoff=6, n=1),
