@@ -21,14 +21,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
-from .channel import _detect, detector_matrix
-from .distributions import SourceSpec, _source_pmf, make_distribution
-from .ioutil import SCHEMA_VERSION, whole_number
+from .channel import _check_detector_law, _detect, detector_matrix
+from .distributions import SourceSpec, _check_pair_statistics, _source_pmf, make_distribution
+from .ioutil import SCHEMA_VERSION, csv_text, real_number, whole_number
 
 _COUNT_STREAM = 0
 _AREA_STREAM = 1
@@ -40,6 +39,7 @@ _TAIL_MASS = 1e-15
 # Largest deviation, relative to the bin width, of a sidecar-less CSV's center
 # spacings from its first one, and of a CSV's centers from its sidecar's midpoints.
 UNIFORM_BIN_RTOL = 1e-6
+HISTOGRAM_CSV_HEADER = "bin_center,count"
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,10 @@ class DetectorModel:
     def __post_init__(self):
         for name in ("eta", "dark_mean", "gain", "offset", "sigma0", "sigma_per_photon",
                      "adc_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.eta}")
-        if self.dark_mean < 0:
-            raise ValueError(f"dark count mean must be >= 0, got {self.dark_mean}")
+            real_number(name, getattr(self, name))
+        if not isinstance(self.dark_after_loss, bool):
+            raise ValueError(f"dark_after_loss must be true or false, got {self.dark_after_loss!r}")
+        _check_detector_law(self.eta, self.dark_mean)
         if self.gain <= 0:
             raise ValueError(f"gain must be positive, got {self.gain}")
         if self.sigma0 <= 0 or self.sigma_per_photon < 0:
@@ -138,11 +136,7 @@ class AreaHistogram:
         return float(self.bin_edges[1] - self.bin_edges[0])
 
     def to_csv(self) -> str:
-        out = StringIO()
-        out.write("bin_center,count\n")
-        for c, n in zip(self.bin_centers, self.counts):
-            out.write(f"{float(c)!r},{int(n)}\n")
-        return out.getvalue()
+        return csv_text(HISTOGRAM_CSV_HEADER, zip(self.bin_centers.tolist(), self.counts.tolist()))
 
     def sidecar_dict(self) -> dict:
         d = {
@@ -158,8 +152,8 @@ class AreaHistogram:
     @classmethod
     def from_csv(cls, text: str, sidecar: dict | None = None) -> "AreaHistogram":
         lines = text.strip().splitlines()
-        if not lines or lines[0].strip() != "bin_center,count":
-            raise ValueError("expected CSV header 'bin_center,count'")
+        if not lines or lines[0].strip() != HISTOGRAM_CSV_HEADER:
+            raise ValueError(f"expected CSV header {HISTOGRAM_CSV_HEADER!r}")
         if len(lines) < 2:
             raise ValueError("the histogram CSV has no rows below its header")
         rows = np.loadtxt(lines[1:], dtype=[("center", "f8"), ("count", "i8")],
@@ -253,17 +247,14 @@ class PumpModel:
     pair_statistics: str = "poissonian"
 
     def __post_init__(self):
-        object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
+        _check_pair_statistics(self.pair_statistics)
+        object.__setattr__(self, "powers", tuple(real_number("pump powers", p) for p in self.powers))
         if not self.powers or any(p <= 0 for p in self.powers):
             raise ValueError("pump powers must be a nonempty list of positive values")
-        if not all(map(math.isfinite, self.powers)):
-            raise ValueError(f"pump powers must be finite, got {list(self.powers)}")
         if self.pairs_per_uW is None:
             object.__setattr__(self, "pairs_per_uW", default_pairs_per_uw())
-        if self.pairs_per_uW <= 0:
+        if real_number("pairs_per_uW", self.pairs_per_uW) <= 0:
             raise ValueError(f"pairs_per_uW must be positive, got {self.pairs_per_uW}")
-        if not math.isfinite(self.pairs_per_uW):
-            raise ValueError(f"pairs_per_uW must be finite, got {self.pairs_per_uW}")
 
     def mean_pairs(self, power_uw: float) -> float:
         return self.pairs_per_uW * power_uw

@@ -49,13 +49,18 @@ class TransferMatrix:
             raise ValueError(f"entries shape {m.shape} does not match cutoff {self.cutoff}")
         if not np.all(np.isfinite(m)) or np.any(m < 0):
             raise ValueError("transfer matrix entries must be finite and nonnegative")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.eta}")
-        if self.dark_mean < 0:
-            raise ValueError(f"dark count mean must be >= 0, got {self.dark_mean}")
+        _check_detector_law(self.eta, self.dark_mean)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+
+
+def _check_detector_law(eta: float, dark_mean: float) -> None:
+    """Require an efficiency in [0, 1] and a nonnegative dark count mean."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
+    if dark_mean < 0:
+        raise ValueError(f"dark count mean must be >= 0, got {dark_mean}")
 
 
 @functools.lru_cache(maxsize=4)
@@ -124,37 +129,30 @@ def detector_matrix(
     The default order adds dark counts after loss; ``dark_after_loss=False``
     swaps the order, which is equivalent to thinning the dark counts as well.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
-    if dark_mean < 0:
-        raise ValueError(f"dark count mean must be >= 0, got {dark_mean}")
+    _check_detector_law(eta, dark_mean)
     if cutoff < MIN_CUTOFF:
         raise ValueError(f"cutoff must be >= {MIN_CUTOFF}, got {cutoff}")
     m = np.apply_along_axis(_detect, 0, np.eye(cutoff + 1), eta, dark_mean, dark_after_loss)
     return TransferMatrix(m, eta=eta, dark_mean=dark_mean, cutoff=cutoff)
 
 
-def invert_channel(
-    m: TransferMatrix,
-    f: PhotonDistribution,
-    *,
-    cond_threshold: float = COND_WARN_THRESHOLD,
-) -> PhotonDistribution:
+def invert_channel(m: TransferMatrix, f: PhotonDistribution) -> PhotonDistribution:
     """Solve M p = f for the pre-detector distribution on the truncated space.
 
     Direct dense solve, no regularization: truncation artifacts show up as
     small negative entries in the result, which is flagged ``signed`` so they
-    are preserved for diagnosis. An ill-conditioned system triggers a
-    :class:`ConditionNumberWarning` but still returns the solution.
+    are preserved for diagnosis. A condition number above
+    COND_WARN_THRESHOLD triggers a :class:`ConditionNumberWarning` but still
+    returns the solution.
     """
     if m.cutoff != f.cutoff:
         raise ValueError(f"cutoff mismatch: matrix {m.cutoff} vs distribution {f.cutoff}")
     if m.eta == 0.0:
         raise ValueError("channel with zero efficiency is singular and cannot be inverted")
     cond = float(np.linalg.cond(m.entries))
-    if not math.isfinite(cond) or cond > cond_threshold:
+    if not math.isfinite(cond) or cond > COND_WARN_THRESHOLD:
         warnings.warn(
-            f"transfer matrix condition number {cond:.3e} exceeds {cond_threshold:.1e}; "
+            f"transfer matrix condition number {cond:.3e} exceeds {COND_WARN_THRESHOLD:.1e}; "
             "reconstruction may amplify noise",
             ConditionNumberWarning,
             stacklevel=2,

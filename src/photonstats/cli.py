@@ -49,7 +49,7 @@ from .channel import (
 )
 from .distributions import PhotonDistribution, SourceSpec
 from .fitting import PeakFitResult, _fit_unknown_comb, areas_to_probabilities, fit_comb
-from .ioutil import SCHEMA_VERSION, dumps_canonical, whole_number, write_text_atomic
+from .ioutil import SCHEMA_VERSION, csv_text, dumps_canonical, whole_number, write_text_atomic
 from .nonclassical import (
     GammaReport,
     ParityReport,
@@ -311,10 +311,9 @@ def pump_sweep(
 
 def sweep_csv(rows: list[tuple[float, GammaReport]]) -> str:
     """The plot-ready sweep table: power_uW, gamma, std_error, n_std."""
-    lines = ["power_uW,gamma,std_error,n_std"]
-    for power, rep in rows:
-        lines.append(f"{power!r},{rep.gamma!r},{rep.std_error!r},{rep.n_std_above_classical!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text("power_uW,gamma,std_error,n_std",
+                    ((power, rep.gamma, rep.std_error, rep.n_std_above_classical)
+                     for power, rep in rows))
 
 
 def cmd_simulate(config: RunConfig) -> int:

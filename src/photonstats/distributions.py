@@ -11,11 +11,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from io import StringIO
 
 import numpy as np
 
-from .ioutil import whole_number
+from .ioutil import csv_text, real_number, whole_number
 
 SUM_TOL = 1e-12
 LOST_MASS_TOL = 1e-6
@@ -72,11 +71,7 @@ class PhotonDistribution:
         return self.probs.size - 1
 
     def to_csv(self) -> str:
-        out = StringIO()
-        out.write("n,probability\n")
-        for n, p in enumerate(self.probs):
-            out.write(f"{n},{float(p)!r}\n")
-        return out.getvalue()
+        return csv_text("n,probability", enumerate(self.probs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -109,12 +104,10 @@ class SourceSpec:
         if self.cutoff < MIN_CUTOFF:
             raise ValueError(f"cutoff must be >= {MIN_CUTOFF}, got {self.cutoff}")
         if self.kind in ("poisson", "pdc_pairs"):
-            if self.mean is None or not math.isfinite(self.mean) or self.mean < 0:
+            if self.mean is None or real_number("source mean", self.mean) < 0:
                 raise ValueError(f"{self.kind} source needs a finite mean >= 0, got {self.mean}")
-            if self.kind == "pdc_pairs" and self.pair_statistics not in PAIR_STATISTICS:
-                raise ValueError(
-                    f"pair_statistics must be one of {PAIR_STATISTICS}, got {self.pair_statistics!r}"
-                )
+            if self.kind == "pdc_pairs":
+                _check_pair_statistics(self.pair_statistics)
         elif self.kind == "fock":
             if self.n is None or self.n < 0:
                 raise ValueError(f"fock source needs n >= 0, got {self.n}")
@@ -123,7 +116,8 @@ class SourceSpec:
         elif self.kind == "mixture":
             if not self.weights or not self.components:
                 raise ValueError("mixture source needs weights and components")
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            weights = tuple(real_number("mixture weights", w) for w in self.weights)
+            object.__setattr__(self, "weights", weights)
             object.__setattr__(self, "components", tuple(self.components))
             if len(self.weights) != len(self.components):
                 raise ValueError("mixture weights and components differ in length")
@@ -134,6 +128,12 @@ class SourceSpec:
             for c in self.components:
                 if c.cutoff != self.cutoff:
                     raise ValueError("mixture components must share the mixture cutoff")
+
+
+def _check_pair_statistics(statistics) -> None:
+    """Require one of PAIR_STATISTICS as the law of the pair number."""
+    if statistics not in PAIR_STATISTICS:
+        raise ValueError(f"pair_statistics must be one of {PAIR_STATISTICS}, got {statistics!r}")
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,5 +1,5 @@
-"""Small shared I/O helpers: canonical JSON, atomic file writes, and whole
-numbers read from JSON."""
+"""Small shared I/O helpers: canonical JSON and CSV, atomic file writes, and
+whole and real numbers read from JSON."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import json
 import math
 import numbers
 import os
-import tempfile
 from pathlib import Path
 
 SCHEMA_VERSION = 2
@@ -41,16 +40,40 @@ def whole_number(name: str, value) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
+def real_number(name: str, value) -> float:
+    """``value`` as a float, when it is a finite real number. A boolean or a
+    string raises ValueError naming the field ``name``, and so does NaN, an
+    infinity or an integer beyond the float range, as not finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
+
+
 def dumps_canonical(obj) -> str:
     """Deterministic JSON encoding: sorted keys, fixed indentation, trailing newline."""
     return json.dumps(json_safe(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def csv_text(header: str, rows) -> str:
+    """Deterministic CSV encoding: the ``header`` line, then one line per row
+    holding the ``repr`` of each value, comma-joined."""
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write a whole file atomically (temp file in the same directory, then rename)."""
+    """Write a whole file atomically (temp file in the same directory, then
+    rename). The temp file is created with mode 0o666 less the umask, the
+    mode ``open(path, "w")`` gives a new file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

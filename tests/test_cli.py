@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -31,9 +32,10 @@ from photonstats.cli import (
     load_config,
     main,
     pump_sweep,
+    sweep_csv,
 )
-from photonstats.distributions import SourceSpec
-from photonstats.ioutil import dumps_canonical
+from photonstats.distributions import PhotonDistribution, SourceSpec
+from photonstats.ioutil import csv_text, dumps_canonical
 from photonstats.nonclassical import GammaReport
 
 # the in-model operating point consistent with both reference probabilities
@@ -153,13 +155,26 @@ class TestRunConfig:
         (lambda cfg: cfg.update(cutoff=14.6) or cfg["source"].update(cutoff=14.6),
          "source cutoff", "whole number"),
         (lambda cfg: cfg["source"].update(kind="fock", n=2.5), "source n", "whole number"),
+        (lambda cfg: cfg["detector"].update(gain=10**400), "gain", "finite"),
+        (lambda cfg: cfg["detector"].update(eta=True), "eta", "real number"),
+        (lambda cfg: cfg["pump"].update(powers=[True, 1.0]), "powers", "real number"),
+        (lambda cfg: cfg["source"].update(mean=True), "mean", "real number"),
+        (lambda cfg: cfg.update(source=dict(MIXTURE, weights=[True, 0.0])), "weights",
+         "real number"),
+        (lambda cfg: cfg["detector"].update(dark_after_loss="no"), "dark_after_loss",
+         "true or false"),
+        (lambda cfg: cfg["pump"].update(pair_statistics="thermalx"), "pair_statistics",
+         "one of"),
     ], ids=["nan-dark-mean", "nan-gain", "infinite-adc-max", "nan-power",
             "infinite-pairs-per-uw", "fractional-n-gates", "boolean-n-gates", "string-n-gates",
             "fractional-seed", "fractional-bins", "fractional-cutoff",
-            "fractional-cutoff-in-both-places", "fractional-fock-n"])
+            "fractional-cutoff-in-both-places", "fractional-fock-n", "huge-integer-gain", "boolean-eta",
+            "boolean-power", "boolean-mean", "boolean-mixture-weight",
+            "string-dark-after-loss", "unknown-pair-statistics"])
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, edit, field, rule):
-        # JSON NaN and Infinity, and a fraction, a boolean or a string where a
-        # whole number belongs, are refused where they are read, naming the
+        # JSON NaN and Infinity, a fraction, a boolean or a string where a
+        # whole or real number belongs, a string where a boolean belongs and
+        # an unknown pair law are refused where they are read, naming the
         # field, not where a later stage trips over them or rounds them
         cfg_path = tmp_path / "run.json"
         cfg = write_config(cfg_path, pump={"powers": [0.3, 1.0], "pairs_per_uW": 0.2253})
@@ -452,10 +467,11 @@ class TestAnalyzeCommand:
         lambda side: side.update(n_gates=str(side["n_gates"])),
         lambda side: side.update(n_gates=side["n_gates"] + 0.9),
         lambda side: side.update(overflow=0.5),
+        lambda side: side["detector"].update(eta=True),
     ], ids=["no-bin-edges", "no-n-gates", "detector-unknown-key", "detector-eta-above-one",
             "detector-not-an-object", "negative-overflow", "doubled-edges", "shifted-edges",
             "infinite-edge", "detector-nan-gain", "string-n-gates", "fractional-n-gates",
-            "fractional-overflow"])
+            "fractional-overflow", "detector-boolean-eta"])
     def test_malformed_sidecar_is_runtime_error(self, simulated, capsys, edit):
         _, out = simulated
         sidecar = out / "histogram.json"
@@ -762,6 +778,43 @@ class TestSweepCommand:
         first = (tmp_path / "out" / "sweep.csv").read_bytes()
         main(["sweep", "--config", str(cfg_path)])
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == first
+
+
+class TestOutputFiles:
+    def test_csv_tables_are_pinned(self):
+        # every value is written as its repr, the sweep's infinite n_std as inf
+        hist = AreaHistogram(np.array([0.0, 0.5, 1.25]), np.array([3, 0]), n_gates=4)
+        assert hist.to_csv() == "bin_center,count\n0.25,3\n0.875,0\n"
+        dist = PhotonDistribution([0.1, 0.2, 0.7, -1e-17], signed=True)
+        assert dist.to_csv() == "n,probability\n0,0.1\n1,0.2\n2,0.7\n3,-1e-17\n"
+        rows = [(0.3, GammaReport(0.25, 0.01, -12.98, 0.3798, False)),
+                (1.0, GammaReport(1.0, 0.0, math.inf, 0.3798, True))]
+        assert sweep_csv(rows) == ("power_uW,gamma,std_error,n_std\n"
+                                   "0.3,0.25,0.01,-12.98\n1.0,1.0,0.0,inf\n")
+        assert csv_text("a,b", []) == "a,b\n"
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_outputs_take_their_mode_from_the_umask(self, tmp_path, umask, mode):
+        # each output gets the mode open(path, "w") would give a new file,
+        # and no temporary file is left behind
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, n_gates=20_000, pump={"powers": [1.0], "pairs_per_uW": 0.2253})
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            assert main(["simulate", "--config", str(cfg_path)]) == EXIT_OK
+            assert main(["analyze", "--histogram", str(out / "histogram.csv"),
+                         "--out", str(out)]) == EXIT_OK
+            assert main(["reconstruct", "--analysis", str(out / "analysis.json"),
+                         "--config", str(cfg_path)]) == EXIT_OK
+            assert main(["sweep", "--config", str(cfg_path)]) == EXIT_OK
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert modes == dict.fromkeys(
+            ["histogram.csv", "histogram.json", "gate_counts.json", "analysis.json",
+             "reconstruction.csv", "negativity.json", "sweep.csv"], mode)
 
 
 @pytest.mark.parametrize("argv", [
