@@ -39,6 +39,8 @@ _TAIL_MASS = 1e-15
 # Largest deviation, relative to the bin width, of a sidecar-less CSV's center
 # spacings from its first one, and of a CSV's centers from its sidecar's midpoints.
 UNIFORM_BIN_RTOL = 1e-6
+# The most gates one multinomial draw takes: its trial count is a C long.
+MAX_GATES = 2**63 - 1
 HISTOGRAM_CSV_HEADER = "bin_center,count"
 
 
@@ -193,8 +195,11 @@ class AreaHistogram:
 
         text = Path(csv_path).read_text()
         sidecar = None
-        if sidecar_path is not None and Path(sidecar_path).exists():
-            sidecar = json.loads(Path(sidecar_path).read_text())
+        if sidecar_path is not None:
+            try:
+                sidecar = json.loads(Path(sidecar_path).read_text())
+            except FileNotFoundError:  # no sidecar: the CSV alone
+                pass
         return cls.from_csv(text, sidecar)
 
 
@@ -291,6 +296,8 @@ def simulate_gate_counts(
     """
     if n_gates < 1:
         raise ValueError(f"n_gates must be >= 1, got {n_gates}")
+    if n_gates > MAX_GATES:
+        raise ValueError(f"n_gates must be at most {MAX_GATES}, got {n_gates}")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng([seed, _COUNT_STREAM])

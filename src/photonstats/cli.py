@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import (
+    MAX_GATES,
     AreaHistogram,
     DetectorModel,
     PumpModel,
@@ -92,6 +93,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n_gates < 1:
             raise ConfigError(f"n_gates must be >= 1, got {self.n_gates}")
+        if self.n_gates > MAX_GATES:
+            raise ConfigError(f"n_gates must be at most {MAX_GATES}, got {self.n_gates}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.bins < 10:

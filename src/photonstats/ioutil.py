@@ -4,6 +4,7 @@ whole and real numbers read from JSON."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -11,21 +12,6 @@ import os
 from pathlib import Path
 
 SCHEMA_VERSION = 2
-
-
-def json_safe(obj):
-    """Recursively turn dataclass instances into dicts and tuples into lists,
-    and replace non-finite floats with None, so output is strict JSON. One
-    pass: a dataclass's fields are read directly, not from a copy."""
-    if dataclasses.is_dataclass(obj):
-        return {f.name: json_safe(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {k: json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_safe(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
 
 
 def whole_number(name: str, value) -> int:
@@ -55,9 +41,65 @@ def real_number(name: str, value) -> float:
     return number
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+_float_repr = float.__repr__
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """The sorted field names of a dataclass, or None for any other class."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
+
+
+def _encode(obj, nl: str) -> str:
+    """The JSON text of ``obj``, with its lines after the first indented by
+    ``nl`` (a newline and the indentation of ``obj``'s own level)."""
+    # floats first, as most values of a report are; bools before ints
+    if isinstance(obj, float):
+        return _float_repr(obj) if math.isfinite(obj) else "null"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return _int_repr(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in obj]) + nl + "]"
+    names = _field_names(type(obj))
+    if names is not None:
+        items = [(name, getattr(obj, name)) for name in names]
+    elif isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = sorted(obj.items())
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return "{}"
+    return "{" + inner + ("," + inner).join(
+        [_encode_str(k) + ": " + _encode(v, inner) for k, v in items]
+    ) + nl + "}"
+
+
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON encoding: sorted keys, fixed indentation, trailing newline."""
-    return json.dumps(json_safe(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Deterministic JSON encoding in one pass: the text that
+    ``json.dumps(obj, indent=2, sort_keys=True)`` writes, plus a trailing
+    newline. A dataclass is written as an object of its fields, a tuple as an
+    array, and a non-finite float as ``null``. Keys must be ``str``, and
+    anything but a dataclass, dict, list, tuple, str, int, float, bool or
+    None raises TypeError."""
+    return _encode(obj, "\n") + "\n"
 
 
 def csv_text(header: str, rows) -> str:

@@ -174,6 +174,12 @@ class TestSimulateGateCounts:
         freq = simulate_gate_counts(spec, det, 200_000, seed=5)
         assert freq[2] / 200_000 == pytest.approx(0.3, abs=0.01)
 
+    @pytest.mark.parametrize("n_gates", [0, 2**63])
+    def test_n_gates_outside_one_draw_rejected(self, n_gates):
+        src = SourceSpec(kind="poisson", cutoff=10, mean=1.0)
+        with pytest.raises(ValueError, match="n_gates"):
+            simulate_gate_counts(src, DET, n_gates, seed=1)
+
     def test_seed_reproducible(self):
         src = SourceSpec(kind="poisson", cutoff=10, mean=0.5)
         a = simulate_gate_counts(src, DET, 150_000, seed=7)
@@ -472,6 +478,16 @@ class TestAreaHistogramType:
         np.testing.assert_array_equal(restored.counts, h.counts)
         np.testing.assert_allclose(restored.bin_centers, h.bin_centers, rtol=1e-12)
         assert restored.n_gates == int(h.counts.sum())
+
+    def test_missing_sidecar_loads_the_csv_alone(self, tmp_path):
+        h = synthesize_histogram(np.full(3, 67), DET, 64, seed=5)
+        csv = tmp_path / "histogram.csv"
+        csv.write_text(h.to_csv())
+        loaded = AreaHistogram.load(csv, tmp_path / "histogram.json")
+        alone = AreaHistogram.from_csv(h.to_csv())
+        np.testing.assert_array_equal(loaded.bin_edges, alone.bin_edges)
+        np.testing.assert_array_equal(loaded.counts, alone.counts)
+        assert (loaded.n_gates, loaded.overflow, loaded.detector) == (alone.n_gates, 0, None)
 
     def test_csv_without_sidecar_rejects_non_uniform_bins(self):
         text = "bin_center,count\n0,5\n1,3\n3,2\n7,1\n"

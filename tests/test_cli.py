@@ -149,6 +149,8 @@ class TestRunConfig:
         (lambda cfg: cfg.update(n_gates=1.7), "n_gates", "whole number"),
         (lambda cfg: cfg.update(n_gates=True), "n_gates", "whole number"),
         (lambda cfg: cfg.update(n_gates="100000"), "n_gates", "whole number"),
+        (lambda cfg: cfg.update(n_gates=2**63), "n_gates", "at most"),
+        (lambda cfg: cfg.update(n_gates=1e30), "n_gates", "at most"),
         (lambda cfg: cfg.update(seed=7.9), "seed", "whole number"),
         (lambda cfg: cfg.update(bins=400.9), "bins", "whole number"),
         (lambda cfg: cfg.update(cutoff=14.6), "cutoff", "whole number"),
@@ -167,15 +169,17 @@ class TestRunConfig:
          "one of"),
     ], ids=["nan-dark-mean", "nan-gain", "infinite-adc-max", "nan-power",
             "infinite-pairs-per-uw", "fractional-n-gates", "boolean-n-gates", "string-n-gates",
+            "n-gates-2**63", "n-gates-1e30",
             "fractional-seed", "fractional-bins", "fractional-cutoff",
             "fractional-cutoff-in-both-places", "fractional-fock-n", "huge-integer-gain", "boolean-eta",
             "boolean-power", "boolean-mean", "boolean-mixture-weight",
             "string-dark-after-loss", "unknown-pair-statistics"])
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, edit, field, rule):
         # JSON NaN and Infinity, a fraction, a boolean or a string where a
-        # whole or real number belongs, a string where a boolean belongs and
-        # an unknown pair law are refused where they are read, naming the
-        # field, not where a later stage trips over them or rounds them
+        # whole or real number belongs, more gates than one draw takes, a
+        # string where a boolean belongs and an unknown pair law are refused
+        # where they are read, naming the field, not where a later stage
+        # trips over them or rounds them
         cfg_path = tmp_path / "run.json"
         cfg = write_config(cfg_path, pump={"powers": [0.3, 1.0], "pairs_per_uW": 0.2253})
         edit(cfg)
@@ -190,6 +194,12 @@ class TestRunConfig:
         config = load_config(cfg_path)
         assert (config.n_gates, config.seed) == (1_000_000, 7)
         assert type(config.n_gates) is int
+
+    def test_largest_n_gates_loads(self, tmp_path):
+        # one multinomial draw takes at most 2**63 - 1 trials
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, n_gates=2**63 - 1)
+        assert load_config(cfg_path).n_gates == 2**63 - 1
 
     def test_seed_and_out_overrides(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -319,6 +329,14 @@ class TestAnalyzeCommand:
     def test_missing_histogram_is_io_error(self, tmp_path, capsys):
         code = main(["analyze", "--histogram", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path)])
+        assert code == EXIT_IO
+        assert stderr_error(capsys)["exit_code"] == EXIT_IO
+
+    def test_directory_at_sidecar_path_is_io_error(self, simulated, capsys):
+        _, out = simulated
+        (out / "histogram.json").unlink()
+        (out / "histogram.json").mkdir()
+        code = main(["analyze", "--histogram", str(out / "histogram.csv"), "--out", str(out)])
         assert code == EXIT_IO
         assert stderr_error(capsys)["exit_code"] == EXIT_IO
 
