@@ -19,14 +19,14 @@ tag), so outputs are bit-reproducible for a given seed.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .channel import _check_detector_law, _detect, detector_matrix
-from .distributions import SourceSpec, _check_pair_statistics, _source_pmf, make_distribution
+from .distributions import (SourceSpec, _check_pair_statistics, _gaussian_cdf, _source_pmf,
+                            make_distribution)
 from .ioutil import SCHEMA_VERSION, csv_text, real_number, whole_number
 
 _COUNT_STREAM = 0
@@ -304,28 +304,10 @@ def simulate_gate_counts(
     return rng.multinomial(n_gates, _detected_count_law(source, det))
 
 
-# math.erfc(x) is exactly 2.0 for x <= _ERFC_TWO and exactly 0.0 for
-# x >= _ERFC_ZERO, so only the band between them needs the call.
-_ERFC_TWO = -6.5
-_ERFC_ZERO = 27.5
 # Pulse-area responses and bin-edge sets whose bin_mass rows are kept, and the
 # rows kept for each.
 _RESPONSES_KEPT = 8
 _ROWS_KEPT = 256
-
-
-def _gaussian_cdf(z: np.ndarray) -> np.ndarray:
-    """Standard normal CDF elementwise, as 0.5 erfc(-z / sqrt 2), which keeps
-    the lower tail that 0.5 (1 + erf(z / sqrt 2)) rounds to zero. Far tails
-    underflow to subnormals or zero, which are their right values."""
-    x = -np.asarray(z, dtype=np.float64) / math.sqrt(2.0)
-    low = x <= _ERFC_TWO
-    out = np.where(low, 2.0, 0.0)
-    band = ~(low | (x >= _ERFC_ZERO))
-    inside = x[band]
-    out[band] = np.fromiter(map(math.erfc, inside.tolist()), np.float64, inside.size)
-    with np.errstate(under="ignore"):
-        return 0.5 * out
 
 
 @functools.lru_cache(maxsize=_RESPONSES_KEPT)

@@ -22,6 +22,10 @@ MIN_CUTOFF = 3
 
 SOURCE_KINDS = ("poisson", "pdc_pairs", "fock", "mixture")
 PAIR_STATISTICS = ("poissonian", "thermal")
+# math.erfc(x) is exactly 2.0 for x <= _ERFC_TWO and exactly 0.0 for
+# x >= _ERFC_ZERO, so only the band between them needs the call.
+_ERFC_TWO = -6.5
+_ERFC_ZERO = 27.5
 
 
 class TruncationLossError(ValueError):
@@ -134,6 +138,20 @@ def _check_pair_statistics(statistics) -> None:
     """Require one of PAIR_STATISTICS as the law of the pair number."""
     if statistics not in PAIR_STATISTICS:
         raise ValueError(f"pair_statistics must be one of {PAIR_STATISTICS}, got {statistics!r}")
+
+
+def _gaussian_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF elementwise, as 0.5 erfc(-z / sqrt 2), which keeps
+    the lower tail that 0.5 (1 + erf(z / sqrt 2)) rounds to zero. Far tails
+    underflow to subnormals or zero, which are their right values."""
+    x = -np.asarray(z, dtype=np.float64) / math.sqrt(2.0)
+    low = x <= _ERFC_TWO
+    out = np.where(low, 2.0, 0.0)
+    band = ~(low | (x >= _ERFC_ZERO))
+    inside = x[band]
+    out[band] = np.fromiter(map(math.erfc, inside.tolist()), np.float64, inside.size)
+    with np.errstate(under="ignore"):
+        return 0.5 * out
 
 
 @functools.lru_cache(maxsize=8)

@@ -9,10 +9,8 @@ comb (offset + k gain) by Poisson maximum likelihood, in ``_poisson_em``, the
 EM kernel on a design matrix, so tooth k is photon number k by construction.
 It fits a stack of histograms at once; a lone histogram is a stack of one.
 When the detector's pulse-area response is not known, ``_fit_unknown_comb``
-first fits the comb itself to the counts: a sum of Gaussians whose centers
-and widths are tied to the comb (``_comb_gaussians``), by Neyman-weighted
-least squares with the projected Levenberg-Marquardt solver written here in
-numpy. The module needs no scipy.
+first fits the comb itself to the counts, by the same Poisson likelihood on
+the same model, with the comb free (``_comb_ecm``). The module needs no scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MIN_CUTOFF, PhotonDistribution
+from .distributions import MIN_CUTOFF, PhotonDistribution, _gaussian_cdf
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 XTOL = 1e-8
@@ -49,118 +47,92 @@ class PeakFitResult:
     converged: bool
 
 
-def _comb_gaussians(x: np.ndarray, y: np.ndarray, k: np.ndarray):
-    """The Neyman-weighted residuals (sum of Gaussians - y) / sqrt(max(y, 1))
-    of an unknown comb at bin centers ``x`` with counts ``y``, as a function
-    of p = (heights of teeth ``k``, offset, gain, sigma0, v): tooth k sits at
-    offset + k gain with width w = sqrt(sigma0^2 + k v), v = sigma_per_photon^2.
+def _weighted_line(k, y, w, slope, floor):
+    """Weighted least-squares line a + b k through the points (k, y), with
+    weights w and b held at or above ``floor`` (a is then the best for that
+    b); through a single point the line keeps ``slope``. Returns (a, b)."""
+    total = w.sum()
+    k_mean, y_mean = w @ k / total, w @ y / total
+    if k.size > 1:
+        slope = max((w * (k - k_mean)) @ (y - y_mean) / (w @ (k - k_mean) ** 2), floor)
+    return y_mean - slope * k_mean, slope
 
-    Each call computes z = (x - center) / w and g = exp(-z^2 / 2) once and
-    returns the residuals with a function that builds their Jacobian from the
-    same z and g, so a caller pays for it only at the points it keeps. Its
-    columns are d/d height, the center derivatives summed (offset) and
-    weighted by k (gain), and the width derivatives weighted by sigma0 / w
-    (sigma0) and k / 2w (v).
+
+def _comb_ecm(edges, y, k, lam, comb, floors):
+    """Poisson maximum-likelihood comb for counts ``y`` on the bins of
+    ``edges``, by expectation-conditional maximisation for a binned Gaussian
+    mixture (McLachlan & Jones, Biometrics 44, 571, 1988; Meng & Rubin,
+    Biometrika 80, 267, 1993). Tooth k of ``k`` holds lam_k events whose
+    areas are N(offset + k gain, var0 + k v), with comb = (offset, gain,
+    var0, v) and the start ``lam``.
+
+    The E-step gives each tooth's expected events and their sums of z and
+    z^2, z = (area - center) / width, from the normal density and CDF at the
+    edges, with r_ik / mass_ik written as lam_k y_i / mu_i so that far tails
+    give no 0/0. Below the first edge is one more cell, which holds no counts;
+    above the last edge nothing is observed, so its areas enter at their
+    expected values. The CM-steps set lam to the expected events and take the
+    teeth holding at least one: offset and gain are the weighted line of their
+    mean areas on k (weights events / width^2), then var0 and v take one
+    Fisher-scoring step, the weighted line of their mean squared deviations
+    from the new centers on k (weights events / width^4). ``floors`` bounds
+    the gain and var0 from below, and v stays at or above 0. The fit has
+    converged once no comb parameter moves by more than XTOL of the gain (of
+    its square, for var0 and v); MAX_ITER iterations are allowed.
+
+    Returns (comb, lam, converged).
     """
-    sigma = np.sqrt(np.maximum(y, 1.0))
-
-    def evaluate(p: np.ndarray):
-        height = p[:-4]
-        offset, gain, sigma0, v = p[-4:]
-        width = np.sqrt(sigma0**2 + k * v)
-        z = (x[:, None] - (offset + k * gain)) / width
-        g = np.exp(-0.5 * z * z)
-
-        def jacobian() -> np.ndarray:
-            d_height = g / sigma[:, None]
-            d_center = d_height * z * (height / width)
-            d_width = d_center * z
-            return np.column_stack((d_height, d_center.sum(axis=1), d_center @ k,
-                                    d_width @ (sigma0 / width), d_width @ (k / (2.0 * width))))
-
-        return (g @ height - y) / sigma, jacobian
-
-    return evaluate
-
-
-def _levenberg_marquardt(evaluate, p0, lo, hi, max_nfev):
-    """Minimize ||r(p)||^2 over lo <= p <= hi by projected
-    Levenberg-Marquardt (More, Lecture Notes in Mathematics 630, 105, 1978).
-
-    Each step solves the damped normal equations (J'J + lam diag(J'J)) d = -J'r,
-    where diag(J'J) keeps the largest value each column has had so far, and
-    clips p + d into the bounds. A parameter held at a bound by its gradient
-    is left out of the step, as in projected Newton methods (Bertsekas, SIAM
-    J. Control Optim. 20, 221, 1982), so the others are solved with it fixed.
-    An accepted step (lower cost) divides lam by 10 and a rejected one
-    multiplies it by 10. The fit has converged when a step is shorter than
-    XTOL relative to p, or an accepted step lowers the cost by less than 1e-12
-    of it; it has not when ``max_nfev`` evaluations of r run out first.
-
-    ``evaluate(p)`` returns r(p) and a function that builds the Jacobian of r
-    at p; it is called only for p0 and the accepted points.
-
-    Returns (p, r(p), Jacobian at p, converged).
-    """
-    p = np.clip(p0, lo, hi)
-    r, jacobian = evaluate(p)
-    jac = jacobian()
-    cost = r @ r
-    scale = np.zeros(p.size)
-    lam = 1e-3
-    nfev = 1
-    while nfev < max_nfev:
-        grad = jac.T @ r
-        jtj = jac.T @ jac
-        scale = np.maximum(scale, np.diag(jtj))
-        # a column that has always been zero gets unit damping and no step
-        damping = np.where(scale > 0.0, scale, 1.0)
-        free = ~(((p <= lo) & (grad > 0.0)) | ((p >= hi) & (grad < 0.0)))
-        step = np.zeros(p.size)
-        try:
-            step[free] = np.linalg.solve(
-                jtj[np.ix_(free, free)] + lam * np.diag(damping[free]), -grad[free]
-            )
-        except np.linalg.LinAlgError:  # lam too small to lift a singular J'J
-            lam *= 10.0
-            continue
-        trial = np.clip(p + step, lo, hi)
-        step_norm = np.linalg.norm(trial - p)
-        r_trial, trial_jacobian = evaluate(trial)
-        nfev += 1
-        cost_trial = r_trial @ r_trial
-        if cost_trial < cost:
-            small_gain = cost - cost_trial <= 1e-12 * cost
-            p, r, cost = trial, r_trial, cost_trial
-            jac = trial_jacobian()
-            lam /= 10.0
-            if small_gain:
-                return p, r, jac, True
-        else:
-            lam *= 10.0
-        if step_norm <= XTOL * (XTOL + np.linalg.norm(p)):
-            return p, r, jac, True
-    return p, r, jac, False
+    comb = np.array(comb, dtype=np.float64)
+    # tails far from a tooth underflow to zero, which is their right value
+    with np.errstate(under="ignore"):
+        for _ in range(MAX_ITER):
+            offset, gain, var0, v = comb
+            center, width = offset + k * gain, np.sqrt(var0 + k * v)
+            z = (edges - center[:, None]) / width[:, None]
+            cdf = _gaussian_cdf(z)
+            pdf = np.exp(-0.5 * z * z) / SQRT_2PI
+            mu = lam @ np.diff(cdf)
+            # a cell's events per unit of a tooth's mass in it: none below the
+            # range, y / mu in it, and all of them above it
+            share = np.concatenate(([0.0], np.divide(y, mu, out=np.zeros(mu.shape),
+                                                     where=mu > 0.0), [1.0]))
+            # a tooth's sum over the cells of share x (F(upper) - F(lower)),
+            # summed by parts: F at the edges times step, plus F(inf)
+            step = share[:-1] - share[1:]
+            sum_z, sum_z2 = -lam * (pdf @ step), lam * ((cdf - z * pdf) @ step + 1.0)
+            lam = lam * (cdf @ step + 1.0)
+            held = lam >= 1.0
+            kh, n, w = k[held], lam[held], width[held]
+            offset, gain = _weighted_line(kh, center[held] + w * sum_z[held] / n, n / w**2,
+                                          gain, floors[0])
+            shift = (center[held] - (offset + kh * gain)) / w
+            spread = w**2 * (sum_z2[held] + shift * (2.0 * sum_z[held] + shift * n)) / n
+            var0, v = _weighted_line(kh, spread, n / w**4, v, 0.0)
+            new = np.array([offset, gain, max(var0, floors[1]), v])
+            moved = np.abs(new - comb)
+            comb = new
+            if np.all(moved <= XTOL * gain * np.array([1.0, 1.0, gain, gain])):
+                return comb, lam, True
+    return comb, lam, False
 
 
 def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
-    """Least-squares fit of the comb of an unknown detector to the histogram.
-
-    The model is ``_comb_gaussians``, fitted by ``_levenberg_marquardt`` with
-    heights >= 0, the offset within a bin of the range, sigma0 between a
-    tenth of a bin and the range, and v = sigma_per_photon^2 in [0, range^2]:
-    unlike sigma_per_photon, v can leave 0 once a step reaches it.
+    """Poisson maximum-likelihood fit of the comb of an unknown detector to
+    the histogram, on the model of ``fit_comb``: tooth k holds lam_k gates,
+    each with a Gaussian area at offset + k gain and variance
+    sigma0^2 + k v, v = sigma_per_photon^2. ``_comb_ecm`` fits it.
 
     The fit starts with the gain at the first maximum of the counts'
     autocorrelation past its zero-lag lobe (the highest one sits at twice the
     gain when two-count events outnumber one-count ones), or, for a single
     peak, at the end of the lobe; the offset at the lowest comb position in
     the range through the tallest bin; sigma0 and sigma_per_photon at gain/8
-    and gain/32; and each height at the count in the bin under its tooth. The
+    and gain/32. Each tooth starts with the counts nearest to it; teeth with
+    none are dropped, and the lowest left is tooth 0 of the width law. The
     gain stays above half its start, so that teeth cannot crowd onto one peak
-    to fit its noise. A start comb that is not resolvable over the gains the
-    counts span (noise, not photon-number peaks) raises ValueError before
-    the solver runs.
+    to fit its noise, and sigma0 at or above a tenth of a bin. A start comb
+    that is not resolvable over the gains the counts span (noise, not
+    photon-number peaks) raises ValueError before the fit runs.
 
     Returns (offset, gain, sigma0, sigma_per_photon, converged), with offset
     and sigma0 those of the pedestal: the lowest tooth holding at least one
@@ -172,7 +144,6 @@ def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
     x = h.bin_centers
     bw = h.bin_width
     bottom, top = h.bin_edges[0], h.bin_edges[-1]
-    span = top - bottom
 
     auto = np.correlate(h.counts, h.counts, mode="full")[y.size - 1 :]
     step = np.diff(auto)
@@ -185,12 +156,12 @@ def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
     gain = bw * lag
     tallest = x[np.argmax(y)]
     offset = tallest - gain * ((tallest - bottom) // gain)
-    k = np.arange(int((top - offset) // gain) + 1)
+    teeth = int((top - offset) // gain) + 1
     sigma0, per_photon = gain / 8.0, gain / 32.0
     # the rule of DetectorModel.check_resolvable, gain > 4 x the widest width,
     # held to the start comb over the gains the counts span (empty bins
     # around them do not count): these start widths fail it from 48 gains
-    # on, which noise reaches and photon-number peaks do not, and the solver
+    # on, which noise reaches and photon-number peaks do not, and the fit
     # would spend seconds crowding such a comb
     held = np.flatnonzero(y)
     spanned = int((x[held[-1]] - x[held[0]]) // gain)
@@ -198,20 +169,15 @@ def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
     if gain <= 4.0 * widest:
         raise ValueError(f"peaks unresolvable: the start comb's gain {gain} must exceed "
                          f"4 x width {widest:.3f} at photon number {spanned}")
-    under = np.clip(np.rint((offset + k * gain - x[0]) / bw).astype(int), 0, y.size - 1)
 
-    p0 = np.concatenate((y[under], [offset, gain, sigma0, per_photon**2]))
-    lo = np.concatenate((np.zeros(k.size), [x[0] - bw, gain / 2.0, bw / 10.0, 0.0]))
-    hi = np.concatenate((np.full(k.size, np.inf), [x[-1] + bw, span, span, span**2]))
-    # tails far from every tooth underflow to zero, which is their right value
-    with np.errstate(under="ignore"):
-        p, _, _, converged = _levenberg_marquardt(_comb_gaussians(x, y, k), p0, lo, hi,
-                                                  MAX_ITER * (p0.size + 1))
-
-    offset, gain, sigma0, v = (float(value) for value in p[-4:])
-    areas = p[:-4] * np.sqrt(sigma0**2 + k * v) * SQRT_2PI / bw
-    pedestal = int(np.argmax(areas >= 1.0))
-    return (offset + pedestal * gain, gain, math.sqrt(sigma0**2 + pedestal * v),
+    nearest = np.clip(np.rint((x - offset) / gain).astype(int), 0, teeth - 1)
+    lam = np.bincount(nearest, weights=y, minlength=teeth)
+    k = np.flatnonzero(lam)
+    (offset, gain, var0, v), lam, converged = _comb_ecm(
+        h.bin_edges, y, k - k[0], lam[k], (offset + k[0] * gain, gain, sigma0**2, per_photon**2),
+        (gain / 2.0, (bw / 10.0) ** 2))
+    pedestal = k[np.argmax(lam >= 1.0)] - k[0]
+    return (float(offset + pedestal * gain), float(gain), math.sqrt(var0 + pedestal * v),
             math.sqrt(v), converged)
 
 

@@ -167,7 +167,6 @@ def test_criterion_8_fit_fidelity():
     # pipeline runs, the comb fitted to the counts of an unknown detector
     # and the tooth areas fitted on a known comb
     edges = np.linspace(-5.0, 60.0, 401)
-    centers = 0.5 * (edges[:-1] + edges[1:])
     bin_width = edges[1] - edges[0]
     # heights large enough that integer-count quantization sits below the
     # 1e-6 recovery tolerance being checked; widths on the comb,
@@ -175,10 +174,11 @@ def test_criterion_8_fit_fidelity():
     det = DetectorModel(offset=0.0, gain=10.0, sigma0=1.0, sigma_per_photon=math.sqrt(0.44),
                         adc_max=60.0)
     truth = [(4e7, 0.0, 1.0), (2e7, 10.0, 1.2), (5e6, 20.0, math.sqrt(1.0 + 2 * 0.44))]
-    y = np.zeros_like(centers)
-    for height, center, width in truth:
-        y += height * np.exp(-0.5 * ((centers - center) / width) ** 2)
-    counts = np.rint(y).astype(np.int64)
+    # the expected counts of every tooth in range, rounded
+    lam = np.array([height * width * math.sqrt(2 * math.pi) / bin_width
+                    for height, _, width in truth])
+    mass = bin_mass(det, edges, range(7))[:, :-1]
+    counts = np.rint(np.pad(lam, (0, 4)) @ mass)
     offset, gain, sigma0, per_photon, converged = _fit_unknown_comb(
         AreaHistogram(edges, counts, n_gates=int(counts.sum()) + 1))
     assert converged
@@ -189,11 +189,6 @@ def test_criterion_8_fit_fidelity():
         assert fitted.peak_width(k) == pytest.approx(width, rel=1e-6)
     assert per_photon == pytest.approx(det.sigma_per_photon, rel=1e-6)
 
-    # the expected counts of every tooth in range, rounded
-    lam = np.array([height * width * math.sqrt(2 * math.pi) / bin_width
-                    for height, _, width in truth])
-    mass = bin_mass(det, edges, range(7))[:, :-1]
-    counts = np.rint(np.pad(lam, (0, 4)) @ mass)
     (fit,) = fit_comb(counts[None], mass, det)
     assert fit.converged
     assert [peak.photon_number for peak in fit.peaks] == [0, 1, 2]

@@ -13,12 +13,9 @@ from photonstats.acquisition import (
     AreaHistogram,
     DetectorModel,
     PumpModel,
-    _ERFC_TWO,
-    _ERFC_ZERO,
     _ROWS_KEPT,
     _WINDOWS,
     _detected_count_law,
-    _gaussian_cdf,
     _mass_rows,
     bin_mass,
     default_pairs_per_uw,
@@ -28,8 +25,11 @@ from photonstats.acquisition import (
 from photonstats.channel import detector_matrix
 from photonstats.cli import pump_sweep
 from photonstats.distributions import (
+    _ERFC_TWO,
+    _ERFC_ZERO,
     SourceSpec,
     TruncationLossError,
+    _gaussian_cdf,
     _source_pmf,
     make_distribution,
 )

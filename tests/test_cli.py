@@ -391,6 +391,17 @@ class TestAnalyzeCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["exit_code"] == EXIT_FIT and "gamma is undefined" in err["error"]
 
+    @pytest.mark.parametrize("n_gates", [2_000, 20_000])
+    def test_pedestal_only_csv_never_reports_gamma(self, n_gates):
+        # no efficiency and no dark counts put every gate on the pedestal, so
+        # no seed's CSV without a sidecar may give a gamma: a pedestal-tail
+        # count is not a one-count event
+        det = DetectorModel(eta=0.0, dark_mean=0.0)
+        for seed in range(40):
+            csv = synthesize_histogram(np.array([n_gates]), det, 500, seed).to_csv()
+            with np.errstate(all="raise"), pytest.raises(ValueError, match="gamma is undefined"):
+                analyze_histogram(AreaHistogram.from_csv(csv))
+
     def test_padding_below_the_pedestal_changes_nothing(self):
         # sidecar-less CSVs at 1 uW: the comb starts at the lowest tooth
         # holding an event, not at the first bin
@@ -467,7 +478,7 @@ class TestAnalyzeCommand:
         def solver(*args):
             raise AssertionError("the solver ran on a comb started on noise")
 
-        monkeypatch.setattr(fitting, "_levenberg_marquardt", solver)
+        monkeypatch.setattr(fitting, "_comb_ecm", solver)
         err = self.analyze_noise(tmp_path, capsys, mean)
         assert err["exit_code"] == EXIT_FIT and "unresolvable" in err["error"]
 

@@ -20,9 +20,7 @@ from photonstats.distributions import SourceSpec, make_distribution
 from photonstats.fitting import (
     MAX_ITER,
     XTOL,
-    _comb_gaussians,
     _fit_unknown_comb,
-    _levenberg_marquardt,
     _poisson_em,
     areas_to_probabilities,
     fit_comb,
@@ -32,139 +30,46 @@ from photonstats.ioutil import dumps_canonical
 DET = DetectorModel(eta=0.67, dark_mean=4e-4)
 
 
-def point_comb(edges, heights, offset=0.0, gain=10.0, sigma0=1.0, per_photon=0.3):
-    """Noiseless histogram: the comb's Gaussians, tooth k of height
-    ``heights[k]`` at offset + k gain with width
-    sqrt(sigma0^2 + k per_photon^2), evaluated at the bin centers."""
-    centers = 0.5 * (edges[:-1] + edges[1:])
+def binned_comb(edges, heights, offset=0.0, gain=10.0, sigma0=1.0, v=0.09):
+    """Noiseless histogram: the rounded expected bin counts of a comb whose
+    tooth k sits at offset + k gain with width w_k = sqrt(sigma0^2 + k v)
+    and holds the events of a Gaussian of height ``heights[k]``,
+    heights[k] w_k sqrt(2 pi) / bin width. Each tooth's bin mass is
+    bin_mass's, so areas below the range are clipped into the first bin; a
+    negative v gives teeth that narrow with k."""
+    edges = np.asarray(edges, dtype=np.float64)
     k = np.arange(len(heights))
-    width = np.sqrt(sigma0**2 + k * per_photon**2)
-    y = np.exp(-0.5 * ((centers[:, None] - (offset + k * gain)) / width) ** 2) @ np.asarray(
-        heights, dtype=np.float64)
-    counts = np.rint(y).astype(np.int64)
+    width = np.sqrt(sigma0**2 + k * v)
+    lam = np.asarray(heights) * width * math.sqrt(2.0 * math.pi) / (edges[1] - edges[0])
+    mass = np.array([bin_mass(DetectorModel(offset=offset + j * gain, sigma0=w, sigma_per_photon=0.0,
+                                            adc_max=float(edges[-1])), edges, [0])[0, :-1]
+                     for j, w in zip(k.tolist(), width.tolist())])
+    counts = np.rint(lam @ mass).astype(np.int64)
     return AreaHistogram(edges, counts, n_gates=int(counts.sum()) + 1)
 
 
-def solved_problems(monkeypatch):
-    """Record each (evaluate, p0, lo, hi, max_nfev) that _fit_unknown_comb
-    hands to the solver, with the solver's result appended."""
-    problems = []
-    solve = fitting._levenberg_marquardt
-
-    def recording(*problem):
-        result = solve(*problem)
-        problems.append((*problem, result))
-        return result
-
-    monkeypatch.setattr(fitting, "_levenberg_marquardt", recording)
-    return problems
-
-
 class TestCombModel:
-    def test_analytic_jacobian_matches_central_differences(self):
-        rng = np.random.default_rng(31)
-        x = np.linspace(-5.0, 60.0, 260)
-        y = np.random.default_rng(32).poisson(40.0, x.size).astype(np.float64)
-        for trial in range(20):
-            k = np.arange(int(rng.integers(1, 7)))
-            # v = sigma_per_photon^2 at its bound 0 too, where the width's
-            # derivative in sigma_per_photon would vanish
-            v = 0.0 if trial % 4 == 0 else rng.uniform(0.01, 1.0)
-            params = np.concatenate((rng.uniform(10.0, 1e4, k.size),
-                                     [rng.uniform(-2.0, 5.0), rng.uniform(5.0, 12.0),
-                                      rng.uniform(0.5, 3.0), v]))
-            evaluate = _comb_gaussians(x, y, k)
-            jac = evaluate(params)[1]()
-            assert jac.shape == (x.size, k.size + 4)
-            numeric = np.empty_like(jac)
-            for j in range(params.size):
-                step = 1e-6 * max(abs(params[j]), 1.0)
-                up, down = params.copy(), params.copy()
-                up[j] += step
-                down[j] -= step
-                numeric[:, j] = (evaluate(up)[0] - evaluate(down)[0]) / (2 * step)
-            # relative to each column's scale, since most entries are ~0
-            assert np.all(np.abs(jac - numeric) <= 1e-6 * np.abs(jac).max(axis=0))
-            assert np.abs(jac[:, -1]).max() > 0.0 or k.size == 1
-
-    def test_jacobian_built_only_at_accepted_points(self, monkeypatch):
-        # criterion 8's comb: the solver rejects a trial step on the way
-        h = point_comb(np.linspace(-5.0, 60.0, 401), (4e7, 2e7, 5e6), per_photon=math.sqrt(0.44))
-        evaluated, built = [], []
-        solve = fitting._levenberg_marquardt
-
-        def counting_solver(evaluate, *bounds):
-            def counting(params):
-                r, jacobian = evaluate(params)
-                evaluated.append((params, r @ r))
-
-                def counted_jacobian():
-                    built.append(params)
-                    return jacobian()
-
-                return r, counted_jacobian
-
-            return solve(counting, *bounds)
-
-        monkeypatch.setattr(fitting, "_levenberg_marquardt", counting_solver)
-        assert _fit_unknown_comb(h)[-1]
-        kept = [evaluated[0]]
-        for params, cost in evaluated[1:]:
-            if cost < kept[-1][1]:
-                kept.append((params, cost))
-        assert len(evaluated) - len(kept) >= 1  # at least one rejected step
-        assert len(built) == len(kept)
-        for b, (k, _) in zip(built, kept):
-            np.testing.assert_array_equal(b, k)
-
     def test_single_peak_recovered(self):
         # one Gaussian: the start gain is the end of the autocorrelation's lobe
-        h = point_comb(np.linspace(-5.0, 25.0, 121), (5e6,), offset=10.0, sigma0=1.5)
-        offset, _, sigma0, _, converged = _fit_unknown_comb(h)
+        h = binned_comb(np.linspace(-5.0, 25.0, 121), (5e6,), offset=10.0, sigma0=1.5)
+        offset, gain, sigma0, per_photon, converged = _fit_unknown_comb(h)
         assert converged
         assert offset == pytest.approx(10.0, rel=1e-6)
         assert sigma0 == pytest.approx(1.5, rel=1e-6)
-
-    def test_zero_height_start_recovered(self):
-        # at zero heights every comb column of the Jacobian vanishes, so the
-        # first steps move the heights alone
-        edges = np.linspace(-5.0, 60.0, 401)
-        h = point_comb(edges, (1000.0, 600.0, 200.0), per_photon=0.5)
-        x, bw, k = h.bin_centers, h.bin_width, np.arange(3)
-        p0 = np.array([0.0, 0.0, 0.0, 0.5, 9.5, 0.8, 0.1])
-        lo = np.array([0.0, 0.0, 0.0, x[0] - bw, 5.0, bw / 10.0, 0.0])
-        hi = np.array([np.inf, np.inf, np.inf, x[-1] + bw, 65.0, 65.0, 65.0**2])
-        p, _, _, converged = _levenberg_marquardt(
-            _comb_gaussians(x, h.counts.astype(np.float64), k), p0, lo, hi, MAX_ITER * 8)
-        assert converged
-        assert p[3] == pytest.approx(0.0, abs=0.01)
-        assert p[4] == pytest.approx(10.0, abs=0.01)
-        areas = p[:3] * np.sqrt(p[5] ** 2 + k * p[6])
-        np.testing.assert_allclose(areas, [1000.0, 600.0 * math.sqrt(1.25), 200.0 * math.sqrt(1.5)],
-                                   rtol=1e-3)
-
-    def test_heights_stay_nonnegative(self, monkeypatch):
-        # the teeth above the last peak see only its tails, whose rounded
-        # counts fall below the model: their gradient points below zero, and
-        # the bound holds them there
-        problems = solved_problems(monkeypatch)
-        assert _fit_unknown_comb(point_comb(np.linspace(-5.0, 40.0, 181), (1000.0, 600.0, 200.0)))[-1]
-        ((*_, (p, r, jac, converged)),) = problems
-        assert converged and p.size == 5 + 4
-        assert np.all(p[:3] > 0.0)
-        np.testing.assert_array_equal(p[3:5], 0.0)
-        assert np.all((jac.T @ r)[3:5] > 0.0)
+        # a lone tooth cannot place gain and sigma_per_photon: both keep
+        # their start, sigma_per_photon = gain / 32
+        assert per_photon == gain / 32.0
 
 
 class TestUnknownCombWidths:
     """The photon-number broadening is fitted as v = sigma_per_photon^2 >= 0,
-    whose width derivative k / 2w does not vanish at v = 0."""
+    which can leave its bound 0 and return to it."""
 
     def test_per_photon_width_leaves_zero(self):
         # from the bound the fit used to stay at sigma_per_photon 0 and
         # widen sigma0 instead
-        h = point_comb(np.linspace(-5.0, 60.0, 401), (4e7, 2e7, 5e6),
-                       offset=2.0, gain=12.0, sigma0=0.8, per_photon=0.5)
+        h = binned_comb(np.linspace(-5.0, 60.0, 401), (4e7, 2e7, 5e6),
+                        offset=2.0, gain=12.0, sigma0=0.8, v=0.25)
         offset, gain, sigma0, per_photon, converged = _fit_unknown_comb(h)
         assert converged
         assert offset == pytest.approx(2.0, rel=1e-6)
@@ -173,12 +78,14 @@ class TestUnknownCombWidths:
         assert per_photon == pytest.approx(0.5, rel=1e-6)
 
     def test_zero_per_photon_width_is_exact(self):
-        h = point_comb(np.linspace(-5.0, 60.0, 401), (4e7, 2e7, 5e6), per_photon=0.0)
+        # teeth that narrow with k, as sqrt(1 - 0.06 k), ask for v < 0: the
+        # fit holds v at its bound, exactly 0, and one width serves them all
+        h = binned_comb(np.linspace(-5.0, 60.0, 401), (4e7, 2e7, 5e6), v=-0.06)
         offset, gain, sigma0, per_photon, converged = _fit_unknown_comb(h)
         assert converged
         assert per_photon == 0.0
         assert gain == pytest.approx(10.0, rel=1e-6)
-        assert sigma0 == pytest.approx(1.0, rel=1e-6)
+        assert math.sqrt(1.0 - 2 * 0.06) < sigma0 < 1.0
 
 
 class TestSidecarLessAnalysis:
@@ -209,7 +116,7 @@ class TestSidecarLessAnalysis:
         assert np.abs(dist.probs[: emp.size] - emp[: dist.probs.size]).max() < 0.02
 
     def test_area_std_error_floored_at_sqrt_area(self):
-        h = point_comb(np.linspace(-5.0, 40.0, 181), (1000.0, 600.0, 200.0))
+        h = binned_comb(np.linspace(-5.0, 40.0, 181), (1000.0, 600.0, 200.0))
         fit = analyze_histogram(h).fit
         assert fit.converged and len(fit.peaks) == 3
         for p in fit.peaks:
@@ -234,63 +141,101 @@ class TestSidecarLessAnalysis:
             assert p2.area == pytest.approx(p1.area, rel=1e-6)
 
 
-def least_squares_comb(problem):
-    """The problem _fit_unknown_comb hands to its solver, solved by
-    scipy.optimize.least_squares (trust-region reflective) with the same
-    residuals, Jacobian, bounds, tolerances and evaluation budget. Returns
-    (converged, parameters)."""
-    from scipy.optimize import least_squares
+def comb_log_likelihood(edges, y, k):
+    """The binned Poisson log-likelihood of an unknown comb, up to a
+    constant, and its gradient, as a function of p = (lam of teeth ``k``,
+    offset, gain, var0, v): tooth k holds lam_k events with areas
+    N(offset + k gain, var0 + k v). Areas below the first edge fall in a cell
+    that holds no counts, and areas above the last edge are not observed.
+    The normal CDF is scipy's."""
+    from scipy.special import ndtr
 
-    evaluate, p0, lo, hi, max_nfev = problem
-    with np.errstate(under="ignore"):
-        result = least_squares(
-            lambda params: evaluate(params)[0],
-            p0,
-            jac=lambda params: evaluate(params)[1](),
-            bounds=(lo, hi),
-            xtol=XTOL,
-            ftol=1e-12,
-            gtol=1e-12,
-            max_nfev=max_nfev,
-        )
-    return result.status > 0, result.x
+    seen = y > 0
 
+    def evaluate(p):
+        lam, (offset, gain, var0, v) = p[:-4], p[-4:]
+        width = np.sqrt(var0 + k * v)
+        z = (edges - (offset + k * gain)[:, None]) / width[:, None]
+        cdf = ndtr(z)
+        mu = lam @ np.diff(cdf)
+        # the cells below, in and above the range: below and in range,
+        # sum y log mu - mu; above, nothing
+        value = y[seen] @ np.log(mu[seen]) - lam @ cdf[:, -1]
+        ratio = np.zeros(y.size)
+        ratio[seen] = y[seen] / mu[seen]
+        # d value / d cdf[k, j] = lam_k d_j
+        d = np.concatenate(([0.0], ratio)) - np.concatenate((ratio, [1.0]))
+        pull = lam[:, None] * d * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        d_center = -pull.sum(axis=1) / width
+        d_width = -(pull * z).sum(axis=1) / width
+        return value, np.concatenate((cdf @ d, [d_center.sum(), k @ d_center,
+                                                (d_width / (2 * width)).sum(),
+                                                k @ (d_width / (2 * width))]))
 
-def assert_matches_least_squares(h, monkeypatch):
-    """Fit the comb of ``h`` and hold the four comb parameters (offset,
-    gain, sigma0, v) and the convergence flag to scipy's; returns ours."""
-    problems = solved_problems(monkeypatch)
-    _fit_unknown_comb(h)
-    ((*problem, (p, _, _, converged)),) = problems
-    problems.clear()
-    scipy_converged, x = least_squares_comb(problem)
-    assert converged == scipy_converged
-    gain = x[-3]
-    assert p[-4] == pytest.approx(x[-4], abs=1e-5 * gain)
-    np.testing.assert_allclose(p[-3:], x[-3:], rtol=1e-5, atol=1e-10 * gain**2)
-    return p, converged
+    return evaluate
 
 
-class TestSolverMatchesLeastSquares:
+def fitted_comb_problem(h, monkeypatch):
+    """Fit the comb of ``h`` and return the likelihood of the kernel's
+    problem, its fitted (lam, comb) as one vector, and its lower bounds."""
+    calls = []
+    ecm = fitting._comb_ecm
+
+    def recording(*args):
+        calls.append((args, ecm(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fitting, "_comb_ecm", recording)
+    assert _fit_unknown_comb(h)[-1]
+    (((edges, y, k, _, _, (gain_floor, var0_floor)), (comb, lam, _)),) = calls
+    lo = np.concatenate((np.zeros(k.size), [-np.inf, gain_floor, var0_floor, 0.0]))
+    return comb_log_likelihood(edges, y, k), np.concatenate((lam, comb)), lo
+
+
+class TestUnknownCombIsTheMaximum:
+    """scipy's L-BFGS-B, started at the fitted comb and tooth events, finds
+    no better point of the same likelihood: one sigma in one parameter is
+    a gain of 0.5 in log-likelihood, and the bound is 0.01."""
+
+    @staticmethod
+    def criterion_8_histogram(trial):
+        """Criterion 8's noisy histogram ``trial``, stripped of its detector."""
+        if trial % 2 == 0:
+            source = SourceSpec(kind="poisson", cutoff=20, mean=0.5 + 0.02 * trial)
+        else:
+            source = SourceSpec(kind="pdc_pairs", cutoff=20, mean=0.1 + 0.01 * trial)
+        return replace(simulated(source, DET, 100_000, 800 + trial), detector=None)
+
+    def test_gradient_matches_central_differences(self, monkeypatch):
+        evaluate, p, _ = fitted_comb_problem(self.criterion_8_histogram(1), monkeypatch)
+        p = p + np.concatenate((np.sqrt(p[:-4] + 1.0), [0.01, 0.01, 0.01, 0.01]))
+        grad = evaluate(p)[1]
+        for j in range(p.size):
+            step = 1e-6 * max(abs(p[j]), 1e-2)
+            up, down = p.copy(), p.copy()
+            up[j] += step
+            down[j] -= step
+            numeric = (evaluate(up)[0] - evaluate(down)[0]) / (2 * step)
+            assert numeric == pytest.approx(grad[j], rel=1e-4, abs=1e-4)
+
     def test_on_the_noisy_histograms_of_criterion_8(self, monkeypatch):
-        # criterion 8's histograms with their detector stripped
-        for trial in range(100):
-            if trial % 2 == 0:
-                source = SourceSpec(kind="poisson", cutoff=20, mean=0.5 + 0.02 * trial)
-            else:
-                source = SourceSpec(kind="pdc_pairs", cutoff=20, mean=0.1 + 0.01 * trial)
-            frequencies = simulate_gate_counts(source, DET, 100_000, 800 + trial)
-            h = synthesize_histogram(frequencies, DET, 500, 800 + trial)
-            _, converged = assert_matches_least_squares(replace(h, detector=None), monkeypatch)
-            assert converged
+        from scipy.optimize import minimize
 
-    def test_offset_held_at_its_lower_bound(self, monkeypatch):
-        # a pedestal centred below the range shows only its upper half, so
-        # the fitted offset stops one bin below the first bin center
-        h = point_comb(np.linspace(0.0, 40.0, 161), (20000.0, 8000.0, 3000.0, 1000.0), offset=-1.0)
-        p, converged = assert_matches_least_squares(h, monkeypatch)
-        assert converged
-        assert p[-4] == h.bin_centers[0] - h.bin_width
+        for trial in range(0, 100, 5):
+            evaluate, p0, lo = fitted_comb_problem(self.criterion_8_histogram(trial), monkeypatch)
+            start = evaluate(p0)[0]
+            # in units of about one sigma of each parameter
+            scale = np.concatenate((np.sqrt(np.maximum(p0[:-4], 1.0)), [1e-3, 1e-3, 1e-3, 1e-3]))
+
+            def loss(u):
+                value, grad = evaluate(p0 + u * scale)
+                return start - value, -grad * scale
+
+            with np.errstate(under="ignore"):
+                result = minimize(loss, np.zeros(p0.size), jac=True, method="L-BFGS-B",
+                                  bounds=list(zip((lo - p0) / scale, [None] * p0.size)),
+                                  options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 1000})
+            assert -result.fun <= 0.01, f"trial {trial}"
 
 
 def comb_mass(det, edges):
@@ -643,7 +588,7 @@ class TestUnknownCombStart:
         def solver(*args):
             raise SolverRan
 
-        monkeypatch.setattr(fitting, "_levenberg_marquardt", solver)
+        monkeypatch.setattr(fitting, "_comb_ecm", solver)
         start = DetectorModel(gain=8.0, offset=3.5, sigma0=1.0, sigma_per_photon=0.25,
                               adc_max=1000.0)
         start.check_resolvable(47)
@@ -664,13 +609,37 @@ class TestUnknownCombStart:
         def solver(*args):
             raise SolverRan
 
-        monkeypatch.setattr(fitting, "_levenberg_marquardt", solver)
+        monkeypatch.setattr(fitting, "_comb_ecm", solver)
         h = self.even_peaks(3)
         # 400 empty bins either side: the range reaches 100 start gains
         wide = AreaHistogram(np.arange(-400.0, h.counts.size + 401.0),
                              np.pad(h.counts, (400, 400)), h.n_gates)
         with pytest.raises(SolverRan):
             _fit_unknown_comb(wide)
+
+
+class TestUnknownCombRules:
+    def test_padding_below_the_range_leaves_the_comb(self):
+        # below the first edge is a cell that holds no counts, as empty bins
+        # below the pedestal do: padding changes the comb only by rounding
+        source = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2253)
+        for seed in range(5):
+            hist = simulated(source, DET, 100_000, seed)
+            plain = _fit_unknown_comb(AreaHistogram.from_csv(hist.to_csv()))
+            for pad in (37, 400):
+                edges = np.concatenate((hist.bin_edges[0] - hist.bin_width * np.arange(pad, 0, -1),
+                                        hist.bin_edges))
+                wide = AreaHistogram(edges, np.pad(hist.counts, (pad, 0)), hist.n_gates)
+                fitted = _fit_unknown_comb(AreaHistogram.from_csv(wide.to_csv()))
+                assert fitted[-1] and plain[-1]
+                np.testing.assert_allclose(fitted[:4], plain[:4], rtol=0, atol=1e-12)
+
+    def test_not_converged_when_the_iterations_run_out(self, monkeypatch):
+        hist = replace(simulated(SourceSpec(kind="poisson", cutoff=20, mean=0.5), DET, 100_000,
+                                 800), detector=None)
+        assert _fit_unknown_comb(hist)[-1]
+        monkeypatch.setattr(fitting, "MAX_ITER", 2)
+        assert not _fit_unknown_comb(hist)[-1]
 
 
 class TestAreasToProbabilities:
