@@ -1,22 +1,24 @@
 """Command-line pipeline: simulate, analyze, reconstruct, sweep.
 
-Every command reads a JSON run config (optional for ``analyze``), takes an
-``--out`` override, and writes CSV data plus JSON reports; ``simulate`` and
-``sweep`` take a ``--seed`` override too. Outputs are deterministic for a
-fixed (config, seed) pair and all file writes are atomic.
+``analyze`` reads a histogram CSV (and its JSON sidecar, when there is one)
+and writes into ``--out``; every other command reads a JSON run config and
+takes an ``--out`` override, and ``simulate`` and ``sweep`` a ``--seed``
+override too. Outputs are deterministic for a fixed (config, seed) pair and
+all file writes are atomic.
 
 The analysis chain itself is written once here, as plain functions the
 commands and the tests share: ``analyze_histogram`` (histogram -> comb
 fit -> P_n -> gamma, parity and eta), ``reconstruct``
 (measured P_n -> detector-matrix inversion) and ``pump_sweep``.
 
-Exit codes: 0 success, 2 config error, 3 fit failure, 4 numerical warning
-escalated by ``--strict`` (``analyze`` and ``reconstruct``), 5 I/O failure
-(an input file that cannot be read or an output that cannot be written), 6
-runtime failure (any other ValueError a command meets while it runs, such as
-a detected-count law too wide to simulate or a malformed histogram CSV).
-Once ``analyze`` has loaded its histogram, every ValueError it meets is a
-fit failure.
+Exit codes, chosen by ``main`` alone from what a command raised, each
+nonzero one with one JSON line on stderr: 0 success, 2 config error, 3 fit
+failure, 4 numerical warning escalated by ``reconstruct --strict``, 5 I/O
+failure (an input file that cannot be read or an output that cannot be
+written), 6 runtime failure (any other ValueError a command meets while it
+runs, such as a detected-count law too wide to simulate or a malformed
+histogram CSV). Once ``analyze`` has loaded its histogram, every ValueError
+it meets is a fit failure.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ class ConfigError(ValueError):
 
 
 class FitError(ValueError):
-    """A peak fit did not converge."""
+    """A histogram could not be fitted into probabilities, or an analysis
+    holds none."""
 
 
 @dataclass(frozen=True)
@@ -319,8 +322,9 @@ def sweep_csv(rows: list[tuple[float, GammaReport]]) -> str:
                      for power, rep in rows))
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(args: argparse.Namespace) -> None:
     """Simulate gates, synthesize the pulse-area histogram, write CSV + JSON."""
+    config = load_config(args.config, args.seed, args.out)
     frequencies = simulate_gate_counts(config.source, config.detector, config.n_gates, config.seed)
     hist = synthesize_histogram(frequencies, config.detector, config.bins, config.seed)
 
@@ -339,20 +343,22 @@ def cmd_simulate(config: RunConfig) -> int:
         "detector": config.detector,
     }
     write_text_atomic(out / "gate_counts.json", dumps_canonical(summary))
-    return EXIT_OK
 
 
-def cmd_analyze(
-    hist: AreaHistogram, histogram_csv: Path, out_dir: Path, strict: bool = False
-) -> int:
-    """Fit the histogram loaded from ``histogram_csv``, derive probabilities
-    and classicality reports."""
-    with warnings.catch_warnings(record=True) as caught:
-        result = analyze_histogram(hist)
+def cmd_analyze(args: argparse.Namespace) -> None:
+    """Fit the histogram, derive probabilities and classicality reports. Once
+    the histogram has loaded, every ValueError is a FitError, and a fit that
+    did not converge raises one after its report is written."""
+    hist = AreaHistogram.load(args.histogram, args.histogram.with_suffix(".json"))
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            result = analyze_histogram(hist)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FitError(str(exc)) from exc
 
     report = {
         "schema_version": SCHEMA_VERSION,
-        "histogram": str(histogram_csv),
+        "histogram": str(args.histogram),
         "n_gates": hist.n_gates,
         "overflow": hist.overflow,
         "fit": result.fit,
@@ -360,8 +366,8 @@ def cmd_analyze(
     }
     if result.distribution is None:
         report["error"] = "peak fit did not converge"
-        write_text_atomic(out_dir / "analysis.json", dumps_canonical(report))
-        return EXIT_FIT
+        write_text_atomic(args.out / "analysis.json", dumps_canonical(report))
+        raise FitError(report["error"])
 
     report.update(
         {
@@ -372,20 +378,20 @@ def cmd_analyze(
             "eta_estimate": result.eta_estimate,
         }
     )
-    write_text_atomic(out_dir / "analysis.json", dumps_canonical(report))
-    if strict and caught:
-        return EXIT_NUMERIC
-    return EXIT_OK
+    write_text_atomic(args.out / "analysis.json", dumps_canonical(report))
 
 
-def cmd_reconstruct(analysis_json: Path, config: RunConfig, strict: bool = False) -> int:
-    """Invert the detector matrix against measured probabilities."""
-    analysis = json.loads(Path(analysis_json).read_text())
+def cmd_reconstruct(args: argparse.Namespace) -> None:
+    """Invert the detector matrix against measured probabilities. An analysis
+    without probabilities raises FitError; with ``--strict``, the first
+    recorded warning is raised once the outputs are written."""
+    config = load_config(args.config, out=args.out)
+    analysis = json.loads(args.analysis.read_text())
     if not isinstance(analysis, dict):
-        raise ValueError(f"{analysis_json} is not an analysis: it must hold a JSON object")
+        raise ValueError(f"{args.analysis} is not an analysis: it must hold a JSON object")
     if "probabilities" not in analysis:
         reason = analysis.get("error", "no probabilities")
-        return _emit_error(ValueError(f"{analysis_json} holds no probabilities: {reason}"), EXIT_FIT)
+        raise FitError(f"{args.analysis} holds no probabilities: {reason}")
     det = config.detector
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConditionNumberWarning)
@@ -395,7 +401,7 @@ def cmd_reconstruct(analysis_json: Path, config: RunConfig, strict: bool = False
     write_text_atomic(out / "reconstruction.csv", reconstructed.to_csv())
     report = {
         "schema_version": SCHEMA_VERSION,
-        "analysis": str(analysis_json),
+        "analysis": str(args.analysis),
         "eta": det.eta,
         "dark_mean": det.dark_mean,
         "cutoff": config.cutoff,
@@ -403,13 +409,13 @@ def cmd_reconstruct(analysis_json: Path, config: RunConfig, strict: bool = False
         "warnings": [str(w.message) for w in caught],
     }
     write_text_atomic(out / "negativity.json", dumps_canonical(report))
-    if strict and caught:
-        return EXIT_NUMERIC
-    return EXIT_OK
+    if args.strict and caught:
+        raise caught[0].message
 
 
-def cmd_sweep(config: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     """Run the pipeline across pump powers and write the trend CSV."""
+    config = load_config(args.config, args.seed, args.out)
     if config.pump is None:
         raise ConfigError("sweep requires a pump section in the config")
     rows = pump_sweep(
@@ -421,27 +427,23 @@ def cmd_sweep(config: RunConfig) -> int:
         bins=config.bins,
     )
     write_text_atomic(config.output_dir / "sweep.csv", sweep_csv(rows))
-    return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser, config_required: bool = True, *,
-                seed: bool = False, strict: bool = False) -> None:
-    """--config and --out, plus --seed for a command that draws random
-    numbers and --strict for one that records numerical warnings."""
-    sub.add_argument("--config", type=Path, required=config_required,
-                     help="JSON run configuration")
+def _add_common(sub: argparse.ArgumentParser, func, *, seed: bool = False) -> None:
+    """A subcommand that runs ``func`` on a run config: --config and --out,
+    plus --seed for a command that draws random numbers."""
+    sub.set_defaults(func=func)
+    sub.add_argument("--config", type=Path, required=True, help="JSON run configuration")
     if seed:
         sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--out", type=str, default=None, help="override the output directory")
-    if strict:
-        sub.add_argument("--strict", action="store_true",
-                         help="escalate numerical warnings to exit code 4")
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: every parse_args call
-    fills a fresh namespace, so nothing carries over between calls of main."""
+    fills a fresh namespace, so nothing carries over between calls of main.
+    Each subcommand's ``func`` runs it."""
     parser = argparse.ArgumentParser(
         prog="photonstats",
         description="Simulate and analyze photon-number statistics of a pulsed pair source",
@@ -449,51 +451,42 @@ def _parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     _add_common(subs.add_parser("simulate", help="simulate gates and write the histogram"),
-                seed=True)
+                cmd_simulate, seed=True)
 
     p_an = subs.add_parser("analyze", help="fit a histogram into probabilities and reports")
+    p_an.set_defaults(func=cmd_analyze)
     p_an.add_argument("--histogram", type=Path, required=True, help="histogram CSV to analyze")
-    _add_common(p_an, config_required=False, strict=True)
+    p_an.add_argument("--out", type=Path, default=Path("."),
+                      help="output directory (default: the current one)")
 
     p_re = subs.add_parser("reconstruct", help="invert the detector model on an analysis")
     p_re.add_argument("--analysis", type=Path, required=True, help="analysis JSON to invert")
-    _add_common(p_re, strict=True)
+    _add_common(p_re, cmd_reconstruct)
+    p_re.add_argument("--strict", action="store_true",
+                      help="escalate numerical warnings to exit code 4")
 
     _add_common(subs.add_parser("sweep", help="run the pipeline across pump powers"),
-                seed=True)
+                cmd_sweep, seed=True)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command. The one place where its outcome becomes an exit code,
+    and a failure one JSON line on stderr."""
     args = _parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            out_dir = Path(args.out) if args.out else Path(".")
-            if args.config is not None and args.out is None:
-                out_dir = load_config(args.config).output_dir
-            hist = AreaHistogram.load(args.histogram, args.histogram.with_suffix(".json"))
-            try:
-                return cmd_analyze(hist, args.histogram, out_dir, strict=args.strict)
-            except (ValueError, ZeroDivisionError) as exc:
-                return _emit_error(exc, EXIT_FIT)
-
-        if args.command == "reconstruct":
-            config = load_config(args.config, out=args.out)
-            return cmd_reconstruct(args.analysis, config, strict=args.strict)
-        config = load_config(args.config, args.seed, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        if args.command == "sweep":
-            return cmd_sweep(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        args.func(args)
     except ConfigError as exc:
         return _emit_error(exc, EXIT_CONFIG)
     except FitError as exc:
         return _emit_error(exc, EXIT_FIT)
+    except Warning as exc:
+        return _emit_error(exc, EXIT_NUMERIC)
     except OSError as exc:
         return _emit_error(exc, EXIT_IO)
     except (ValueError, ZeroDivisionError) as exc:
         return _emit_error(exc, EXIT_RUNTIME)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -72,10 +72,11 @@ def _comb_ecm(edges, y, k, lam, comb, floors):
     give no 0/0. Below the first edge is one more cell, which holds no counts;
     above the last edge nothing is observed, so its areas enter at their
     expected values. The CM-steps set lam to the expected events and take the
-    teeth holding at least one: offset and gain are the weighted line of their
-    mean areas on k (weights events / width^2), then var0 and v take one
-    Fisher-scoring step, the weighted line of their mean squared deviations
-    from the new centers on k (weights events / width^4). ``floors`` bounds
+    teeth holding at least one (ValueError when none does): offset and gain
+    are the weighted line of their mean areas on k (weights events /
+    width^2), then var0 and v take one Fisher-scoring step, the weighted line
+    of their mean squared deviations from the new centers on k (weights
+    events / width^4). ``floors`` bounds
     the gain and var0 from below, and v stays at or above 0. The fit has
     converged once no comb parameter moves by more than XTOL of the gain (of
     its square, for var0 and v); MAX_ITER iterations are allowed.
@@ -102,6 +103,8 @@ def _comb_ecm(edges, y, k, lam, comb, floors):
             sum_z, sum_z2 = -lam * (pdf @ step), lam * ((cdf - z * pdf) @ step + 1.0)
             lam = lam * (cdf @ step + 1.0)
             held = lam >= 1.0
+            if not held.any():  # the CM-steps would divide 0 by 0
+                raise ValueError("too few counts to fit a comb: no tooth holds one expected event")
             kh, n, w = k[held], lam[held], width[held]
             offset, gain = _weighted_line(kh, center[held] + w * sum_z[held] / n, n / w**2,
                                           gain, floors[0])

@@ -180,6 +180,11 @@ class TestSimulateGateCounts:
         with pytest.raises(ValueError, match="n_gates"):
             simulate_gate_counts(src, DET, n_gates, seed=1)
 
+    def test_negative_seed_rejected(self):
+        src = SourceSpec(kind="poisson", cutoff=10, mean=1.0)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            simulate_gate_counts(src, DET, 100, seed=-1)
+
     def test_seed_reproducible(self):
         src = SourceSpec(kind="poisson", cutoff=10, mean=0.5)
         a = simulate_gate_counts(src, DET, 150_000, seed=7)
@@ -302,6 +307,10 @@ class TestSynthesizeHistogram:
     def test_too_few_bins_rejected(self):
         with pytest.raises(ValueError, match="bins"):
             synthesize_histogram(np.zeros(10, dtype=int), DET, 5, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            synthesize_histogram(np.full(4, 100), DET, 100, seed=-1)
 
     def test_seed_reproducible(self):
         frequencies = np.full(4, 1250)
@@ -464,6 +473,14 @@ class TestAreaHistogramType:
         with pytest.raises(ValueError, match="exceed"):
             AreaHistogram(np.array([0.0, 1.0, 2.0]), np.array([3, 3]), n_gates=5)
 
+    def test_counts_must_fill_the_bins(self):
+        with pytest.raises(ValueError, match="counts length must be number of bins"):
+            AreaHistogram(np.array([0.0, 1.0, 2.0]), np.array([1, 2, 0]), n_gates=3)
+
+    def test_counts_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="bin counts must be nonnegative"):
+            AreaHistogram(np.array([0.0, 1.0, 2.0]), np.array([2, -1]), n_gates=3)
+
     def test_csv_roundtrip_with_sidecar(self):
         h = synthesize_histogram(np.full(7, 15), DET, 50, seed=4)
         restored = AreaHistogram.from_csv(h.to_csv(), h.sidecar_dict())
@@ -526,7 +543,9 @@ class TestAreaHistogramType:
         "bin_center,count\n0.5,3\n1.5,2,7\n",
         "bin_center,count\n0.5,3\n1.5\n",
         "bin_center,count\n0.5,3\n# 1.5,2\n",
-    ], ids=["header-only", "non-integer-count", "three-columns", "one-column", "comment-row"])
+        "center,count\n0.5,3\n1.5,2\n",
+    ], ids=["header-only", "non-integer-count", "three-columns", "one-column", "comment-row",
+            "wrong-header"])
     def test_malformed_csv_rejected_without_warning(self, text):
         sidecar = {"bin_edges": [0.0, 1.0, 2.0], "n_gates": 10}
         with warnings.catch_warnings():
@@ -594,6 +613,9 @@ class TestPumpModel:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError, match="powers"):
             PumpModel(powers=(1.0, -2.0))
+
+    def test_missing_pairs_per_uw_is_calibrated(self):
+        assert PumpModel(powers=(1.0,)).pairs_per_uW == default_pairs_per_uw()
 
     def test_json_roundtrip(self):
         pm = PumpModel(powers=(0.5, 1.0), pairs_per_uW=0.2, pair_statistics="thermal")

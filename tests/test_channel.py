@@ -75,6 +75,10 @@ class TestDetectorMatrixOracle:
         assert np.all(m >= 0)
         assert np.all(m.sum(axis=0) <= 1.0 + 1e-14)
 
+    def test_cutoff_below_three_rejected(self):
+        with pytest.raises(ValueError, match="cutoff must be >= 3"):
+            detector_matrix(0.5, 0.0, 2)
+
 
 class TestBinomialLossMatrix:
     """Zero dark counts: the detector matrix is the binomial loss matrix."""

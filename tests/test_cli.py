@@ -167,19 +167,24 @@ class TestRunConfig:
          "true or false"),
         (lambda cfg: cfg["pump"].update(pair_statistics="thermalx"), "pair_statistics",
          "one of"),
+        (lambda cfg: cfg.update(seed=-1), "seed", "nonnegative"),
+        (lambda cfg: cfg.update(bins=9), "bins", ">= 10"),
+        (lambda cfg: cfg["pump"].update(pairs_per_uW=0.0), "pairs_per_uW", "positive"),
+        (lambda cfg: cfg["pump"].update(pairs_per_uW=-0.2), "pairs_per_uW", "positive"),
     ], ids=["nan-dark-mean", "nan-gain", "infinite-adc-max", "nan-power",
             "infinite-pairs-per-uw", "fractional-n-gates", "boolean-n-gates", "string-n-gates",
             "n-gates-2**63", "n-gates-1e30",
             "fractional-seed", "fractional-bins", "fractional-cutoff",
             "fractional-cutoff-in-both-places", "fractional-fock-n", "huge-integer-gain", "boolean-eta",
             "boolean-power", "boolean-mean", "boolean-mixture-weight",
-            "string-dark-after-loss", "unknown-pair-statistics"])
+            "string-dark-after-loss", "unknown-pair-statistics", "negative-seed", "nine-bins",
+            "zero-pairs-per-uw", "negative-pairs-per-uw"])
     def test_non_finite_value_is_config_error(self, tmp_path, capsys, edit, field, rule):
         # JSON NaN and Infinity, a fraction, a boolean or a string where a
         # whole or real number belongs, more gates than one draw takes, a
-        # string where a boolean belongs and an unknown pair law are refused
-        # where they are read, naming the field, not where a later stage
-        # trips over them or rounds them
+        # number out of its range, a string where a boolean belongs and an
+        # unknown pair law are refused where they are read, naming the field,
+        # not where a later stage trips over them or rounds them
         cfg_path = tmp_path / "run.json"
         cfg = write_config(cfg_path, pump={"powers": [0.3, 1.0], "pairs_per_uW": 0.2253})
         edit(cfg)
@@ -846,21 +851,81 @@ class TestOutputFiles:
              "reconstruction.csv", "negativity.json", "sweep.csv"], mode)
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--strict"],
-    ["sweep", "--strict"],
-    ["analyze", "--histogram", "h.csv", "--seed", "1"],
-    ["reconstruct", "--analysis", "a.json", "--seed", "1"],
-], ids=["simulate-strict", "sweep-strict", "analyze-seed", "reconstruct-seed"])
-def test_option_the_command_does_not_read_is_usage_error(tmp_path, capsys, argv):
-    # the command does not read the option, so it is refused
+@pytest.mark.parametrize("argv, option", [
+    (["simulate", "--strict"], "--strict"),
+    (["sweep", "--strict"], "--strict"),
+    (["analyze", "--histogram", "h.csv", "--seed", "1"], "--seed"),
+    (["reconstruct", "--analysis", "a.json", "--seed", "1"], "--seed"),
+    (["analyze", "--histogram", "h.csv"], "--config"),
+    (["analyze", "--histogram", "h.csv", "--strict"], "--strict"),
+], ids=["simulate-strict", "sweep-strict", "analyze-seed", "reconstruct-seed", "analyze-config",
+        "analyze-strict"])
+def test_option_the_command_does_not_read_is_usage_error(tmp_path, capsys, argv, option):
+    # the command does not read the option, so it is refused: the first
+    # unrecognized argument is that option, before the --config appended here
     cfg_path = tmp_path / "run.json"
     write_config(cfg_path, pump={"powers": [1.0], "pairs_per_uW": 0.2253}, n_gates=10_000)
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--config", str(cfg_path)])
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def exit_case(case, tmp_path, monkeypatch):
+    """The argv of a command that fails with the exit code of ``case``."""
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, n_gates=20_000)
+    csv, analysis = tmp_path / "histogram.csv", tmp_path / "analysis.json"
+    analyze = ["analyze", "--histogram", str(csv), "--out", str(tmp_path)]
+    reconstruct = ["reconstruct", "--analysis", str(analysis), "--config", str(cfg_path)]
+    if case == "config":
+        write_config(cfg_path, n_gates=0)
+        return ["simulate", "--config", str(cfg_path)]
+    if case == "unconverged-analyze":  # no evaluation budget: the fit stops unconverged
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+        monkeypatch.setattr(fitting, "MAX_ITER", 0)
+        return analyze
+    if case == "one-count-csv":  # a single count, without a sidecar
+        counts = np.eye(500, dtype=int)[137]
+        csv.write_text(AreaHistogram(np.linspace(-5.0, 120.0, 501), counts, 1).to_csv())
+        return analyze
+    if case == "no-probabilities":
+        analysis.write_text(json.dumps({"error": "peak fit did not converge"}))
+        return reconstruct
+    if case == "strict-reconstruct":  # the detector matrix at 5 % efficiency is ill-conditioned
+        write_config(cfg_path, source={"kind": "pdc_pairs", "cutoff": 20, "mean": 0.05},
+                     detector={"eta": 0.05, "dark_mean": 0.0}, cutoff=20)
+        analysis.write_text(json.dumps({"probabilities": [0.9, 0.06, 0.03, 0.01]}))
+        return [*reconstruct, "--strict"]
+    if case == "malformed-csv":
+        csv.write_text("bin_center,count\n0.5,3\n1.5,2.5\n")
+    return analyze  # "missing-histogram" writes no CSV
+
+
+@pytest.mark.parametrize("case, code", [
+    ("config", EXIT_CONFIG),
+    ("unconverged-analyze", EXIT_FIT),
+    ("one-count-csv", EXIT_FIT),
+    ("no-probabilities", EXIT_FIT),
+    ("strict-reconstruct", EXIT_NUMERIC),
+    ("missing-histogram", EXIT_IO),
+    ("malformed-csv", EXIT_RUNTIME),
+])
+def test_every_failure_prints_one_json_line(tmp_path, capsys, monkeypatch, case, code):
+    # main alone turns a failure into its exit code, and each nonzero code
+    # comes with exactly one JSON line on stderr that carries it
+    argv = exit_case(case, tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["exit_code"] == code
+    if case == "unconverged-analyze":  # the report of the fit is written first
+        report = json.loads((tmp_path / "analysis.json").read_text())
+        assert report["error"] == "peak fit did not converge" and not report["fit"]["converged"]
+    if case == "strict-reconstruct":  # so are the outputs, with the warning recorded
+        assert json.loads((tmp_path / "out" / "negativity.json").read_text())["warnings"]
 
 
 def src_env():

@@ -43,6 +43,10 @@ class TestPhotonDistribution:
         with pytest.raises(ValueError, match="finite"):
             PhotonDistribution([0.5, np.nan, 0.3, 0.2])
 
+    def test_rejects_table_that_is_not_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            PhotonDistribution(np.full((2, 4), 0.125))
+
     def test_immutable(self):
         d = PhotonDistribution([0.25, 0.25, 0.25, 0.25])
         with pytest.raises(ValueError):
@@ -84,6 +88,31 @@ class TestSourceSpecValidation:
     def test_integer_fields_refuse_other_values(self, field, value):
         with pytest.raises(ValueError, match=f"source {field} must be a whole number"):
             SourceSpec(**{"kind": "fock", "cutoff": 6, "n": 2, field: value})
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown source kind"):
+            SourceSpec(kind="laser", cutoff=10, mean=1.0)
+
+    def test_cutoff_below_three_rejected(self):
+        with pytest.raises(ValueError, match="cutoff must be >= 3"):
+            SourceSpec(kind="poisson", cutoff=2, mean=0.1)
+
+    @pytest.mark.parametrize("n", [-1, None], ids=["negative", "missing"])
+    def test_fock_needs_nonnegative_n(self, n):
+        with pytest.raises(ValueError, match="fock source needs n >= 0"):
+            SourceSpec(kind="fock", cutoff=6, n=n)
+
+    @pytest.mark.parametrize("weights, components, rule", [
+        (None, None, "needs weights and components"),
+        ((0.5, 0.5), (SourceSpec(kind="fock", cutoff=6, n=1),), "differ in length"),
+        ((1.5, -0.5), (SourceSpec(kind="fock", cutoff=6, n=1),
+                       SourceSpec(kind="fock", cutoff=6, n=2)), "nonnegative"),
+        ((0.5, 0.5), (SourceSpec(kind="fock", cutoff=6, n=1),
+                      SourceSpec(kind="fock", cutoff=7, n=2)), "share the mixture cutoff"),
+    ], ids=["no-weights", "lengths-differ", "negative-weight", "cutoffs-differ"])
+    def test_mixture_rules(self, weights, components, rule):
+        with pytest.raises(ValueError, match=rule):
+            SourceSpec(kind="mixture", cutoff=6, weights=weights, components=components)
 
     def test_mixture_weights_must_sum_to_one(self):
         comps = (

@@ -641,6 +641,24 @@ class TestUnknownCombRules:
         monkeypatch.setattr(fitting, "MAX_ITER", 2)
         assert not _fit_unknown_comb(hist)[-1]
 
+    @pytest.mark.parametrize("filled", [(0,), (137,), (250,), (200, 260), (0, 370)],
+                             ids=["one-count-0", "one-count-137", "one-count-250",
+                                  "two-count-200-260", "two-count-0-370"])
+    def test_too_few_counts_are_refused(self, filled):
+        # one or two counts spread over the start comb can leave no tooth
+        # holding one expected event, where the CM-steps would divide 0 by 0
+        # and carry a NaN comb through every iteration
+        counts = np.zeros(500, dtype=int)
+        np.add.at(counts, list(filled), 1)
+        csv = AreaHistogram(np.linspace(-5.0, 120.0, 501), counts, len(filled)).to_csv()
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="too few counts"):
+            analyze_histogram(AreaHistogram.from_csv(csv))
+
+    def test_all_zero_csv_is_refused(self):
+        csv = AreaHistogram(np.linspace(-5.0, 120.0, 501), np.zeros(500, dtype=int), 0).to_csv()
+        with pytest.raises(ValueError, match="empty histogram"):
+            _fit_unknown_comb(AreaHistogram.from_csv(csv))
+
 
 class TestAreasToProbabilities:
     @staticmethod
@@ -678,6 +696,14 @@ class TestAreasToProbabilities:
         )
         with pytest.raises(ValueError, match="converge"):
             areas_to_probabilities(bad)
+
+    def test_zero_total_area_rejected(self):
+        from photonstats.fitting import FittedPeak, PeakFitResult
+
+        empty = PeakFitResult(peaks=(FittedPeak(0, 0.0, 1.0, 0.0, 1.0),), residual_norm=0.0,
+                              converged=True)
+        with pytest.raises(ValueError, match="total fitted area is zero"):
+            areas_to_probabilities(empty)
 
     def test_json_dict_structure(self):
         d = json.loads(dumps_canonical(self.noiseless_fit(np.pad([1000.0], (0, 12)))))

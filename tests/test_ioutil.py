@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photonstats.cli as cli
-from photonstats.ioutil import dumps_canonical
+from photonstats.ioutil import dumps_canonical, write_text_atomic
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
@@ -204,3 +204,17 @@ def test_non_json_values_raise_type_error(bad):
     with pytest.raises(TypeError):
         dumps_canonical(bad)
 
+
+
+@pytest.mark.parametrize("case", ["unencodable-text", "directory-at-target"])
+def test_failed_write_leaves_no_temporary_file(tmp_path, case):
+    # a write that fails part way, or a rename onto a directory, removes the
+    # temporary file and leaves the target as it was
+    target = tmp_path / "report.json"
+    text = "\udc80" if case == "unencodable-text" else "{}\n"
+    if case == "directory-at-target":
+        target.mkdir()
+    with pytest.raises((UnicodeEncodeError, IsADirectoryError)):
+        write_text_atomic(target, text)
+    assert not list(tmp_path.glob("*.tmp"))
+    assert target.exists() == (case == "directory-at-target")

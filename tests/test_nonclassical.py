@@ -146,6 +146,10 @@ class TestEtaFromRatio:
         with pytest.raises(ValueError):
             eta_from_ratio(0.0, 0.1)
 
+    def test_negative_p2_rejected(self):
+        with pytest.raises(ValueError, match="p2 must be nonnegative"):
+            eta_from_ratio(0.1, -0.01)
+
     @pytest.mark.parametrize("eta", [0.3, 0.67, 0.85])
     def test_recovers_channel_eta_from_forward_model(self, eta):
         src = make_distribution(SourceSpec(kind="pdc_pairs", cutoff=10, mean=1e-3))
