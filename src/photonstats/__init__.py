@@ -34,11 +34,11 @@ from .nonclassical import (
     parity_test,
 )
 from .acquisition import (
+    DEFAULT_PAIRS_PER_UW,
     AreaHistogram,
     DetectorModel,
     PumpModel,
     bin_mass,
-    default_pairs_per_uw,
     simulate_gate_counts,
     synthesize_histogram,
 )
@@ -54,6 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AreaHistogram",
     "ConditionNumberWarning",
+    "DEFAULT_PAIRS_PER_UW",
     "DetectorModel",
     "FittedPeak",
     "GammaReport",
@@ -68,7 +69,6 @@ __all__ = [
     "areas_to_probabilities",
     "bin_mass",
     "classical_gamma_bound",
-    "default_pairs_per_uw",
     "detector_matrix",
     "eta_from_ratio",
     "fit_comb",

@@ -24,9 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import _check_detector_law, _detect, detector_matrix
-from .distributions import (SourceSpec, _check_pair_statistics, _gaussian_cdf, _source_pmf,
-                            make_distribution)
+from .channel import _check_detector_law, _detect
+from .distributions import SourceSpec, _check_pair_statistics, _gaussian_cdf, _source_pmf
 from .ioutil import SCHEMA_VERSION, csv_text, real_number, whole_number
 
 _COUNT_STREAM = 0
@@ -41,6 +40,11 @@ _TAIL_MASS = 1e-15
 UNIFORM_BIN_RTOL = 1e-6
 # The most gates one multinomial draw takes: its trial count is a C long.
 MAX_GATES = 2**63 - 1
+# Mean pairs per gate per microwatt when a pump omits pairs_per_uW: the
+# Poissonian pair mean whose one-count probability, through efficiency 0.67
+# and dark mean 4e-4, is the 0.0818 measured at 1 uW. There is no absolute
+# photon-flux calibration, so the measured operating point anchors the pump.
+DEFAULT_PAIRS_PER_UW = 0.22529867576686452
 HISTOGRAM_CSV_HEADER = "bin_center,count"
 
 
@@ -190,57 +194,15 @@ class AreaHistogram:
         return cls(edges, counts, n_gates=int(counts.sum()), overflow=0)
 
     @classmethod
-    def load(cls, csv_path: str | Path, sidecar_path: str | Path | None = None) -> "AreaHistogram":
+    def load(cls, csv_path: str | Path, sidecar_path: str | Path) -> "AreaHistogram":
         import json
 
         text = Path(csv_path).read_text()
-        sidecar = None
-        if sidecar_path is not None:
-            try:
-                sidecar = json.loads(Path(sidecar_path).read_text())
-            except FileNotFoundError:  # no sidecar: the CSV alone
-                pass
+        try:
+            sidecar = json.loads(Path(sidecar_path).read_text())
+        except FileNotFoundError:  # no sidecar: the CSV alone
+            sidecar = None
         return cls.from_csv(text, sidecar)
-
-
-def default_pairs_per_uw(
-    target_p1: float = 0.0818,
-    power_uw: float = 1.0,
-    eta: float = 0.67,
-    dark_mean: float = 4e-4,
-    calibration_cutoff: int = 40,
-) -> float:
-    """Mean pairs per gate per microwatt that puts the one-count probability
-    at ``target_p1`` for the given detector at ``power_uw``.
-
-    There is no absolute photon-flux calibration to fall back on, so the
-    default anchors the simulated 1 uW operating point to the measured
-    one-count probability.
-    """
-    return _pairs_at_p1(target_p1, eta, dark_mean, calibration_cutoff) / power_uw
-
-
-@functools.lru_cache(maxsize=16)
-def _pairs_at_p1(target_p1: float, eta: float, dark_mean: float, cutoff: int) -> float:
-    """Mean pairs per gate whose one-count probability is ``target_p1``:
-    bisection of [1e-6, 2] down to 1e-13. Every config whose pump omits
-    ``pairs_per_uW`` asks for the same root, so it is cached."""
-    m = detector_matrix(eta, dark_mean, cutoff).entries
-
-    def p1_above_target(mu: float) -> bool:
-        src = SourceSpec(kind="pdc_pairs", cutoff=cutoff, mean=mu)
-        return float((m @ make_distribution(src).probs)[1]) > target_p1
-
-    lo, hi = 1e-6, 2.0
-    if p1_above_target(lo) or not p1_above_target(hi):
-        raise ValueError(f"one-count probability {target_p1} is not reached for 1e-6 to 2 pairs")
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if p1_above_target(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -257,7 +219,7 @@ class PumpModel:
         if not self.powers or any(p <= 0 for p in self.powers):
             raise ValueError("pump powers must be a nonempty list of positive values")
         if self.pairs_per_uW is None:
-            object.__setattr__(self, "pairs_per_uW", default_pairs_per_uw())
+            object.__setattr__(self, "pairs_per_uW", DEFAULT_PAIRS_PER_UW)
         if real_number("pairs_per_uW", self.pairs_per_uW) <= 0:
             raise ValueError(f"pairs_per_uW must be positive, got {self.pairs_per_uW}")
 

@@ -246,13 +246,13 @@ def _comb_fits(hists: list[AreaHistogram]):
 
 def reconstruct(
     probs, det: DetectorModel, cutoff: int
-) -> tuple[PhotonDistribution, PhotonDistribution, NegativityReport]:
+) -> tuple[PhotonDistribution, NegativityReport]:
     """Invert the detector matrix on measured probabilities.
 
     ``probs`` is zero-padded (or cut) to photon numbers 0..cutoff; anything
     but a nonempty 1-D sequence of numbers raises ValueError. Returns the
-    padded measured distribution, the reconstruction and its negativity
-    diagnostics. Warnings are left to the caller.
+    reconstruction and its negativity diagnostics. Warnings are left to the
+    caller.
     """
     probs = np.asarray(probs)
     if probs.ndim != 1 or probs.size == 0 or probs.dtype.kind not in "iuf":
@@ -262,12 +262,11 @@ def reconstruct(
     n = cutoff + 1
     padded = np.zeros(n)
     padded[: min(probs.size, n)] = probs[:n]
-    measured = PhotonDistribution(padded)
     matrix = detector_matrix(
         det.eta, det.dark_mean, cutoff, dark_after_loss=det.dark_after_loss
     )
-    reconstructed = invert_channel(matrix, measured)
-    return measured, reconstructed, truncation_diagnostics(reconstructed)
+    reconstructed = invert_channel(matrix, PhotonDistribution(padded))
+    return reconstructed, truncation_diagnostics(reconstructed)
 
 
 def pump_sweep(
@@ -395,7 +394,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
     det = config.detector
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConditionNumberWarning)
-        _, reconstructed, diag = reconstruct(analysis["probabilities"], det, config.cutoff)
+        reconstructed, diag = reconstruct(analysis["probabilities"], det, config.cutoff)
 
     out = config.output_dir
     write_text_atomic(out / "reconstruction.csv", reconstructed.to_csv())

@@ -69,17 +69,18 @@ def _comb_ecm(edges, y, k, lam, comb, floors):
     The E-step gives each tooth's expected events and their sums of z and
     z^2, z = (area - center) / width, from the normal density and CDF at the
     edges, with r_ik / mass_ik written as lam_k y_i / mu_i so that far tails
-    give no 0/0. Below the first edge is one more cell, which holds no counts;
-    above the last edge nothing is observed, so its areas enter at their
-    expected values. The CM-steps set lam to the expected events and take the
-    teeth holding at least one (ValueError when none does): offset and gain
-    are the weighted line of their mean areas on k (weights events /
+    give no 0/0; a bin whose mu_i is so small that y_i / mu_i overflows
+    raises ValueError. Below the first edge is one more cell, which holds no
+    counts; above the last edge nothing is observed, so its areas enter at
+    their expected values. The CM-steps set lam to the expected events and
+    take the teeth holding at least one (ValueError when none does): offset
+    and gain are the weighted line of their mean areas on k (weights events /
     width^2), then var0 and v take one Fisher-scoring step, the weighted line
     of their mean squared deviations from the new centers on k (weights
-    events / width^4). ``floors`` bounds
-    the gain and var0 from below, and v stays at or above 0. The fit has
-    converged once no comb parameter moves by more than XTOL of the gain (of
-    its square, for var0 and v); MAX_ITER iterations are allowed.
+    events / width^4). ``floors`` bounds the gain and var0 from below, and v
+    stays at or above 0. The fit has converged once no comb parameter moves
+    by more than XTOL of the gain (of its square, for var0 and v); MAX_ITER
+    iterations are allowed.
 
     Returns (comb, lam, converged).
     """
@@ -93,10 +94,17 @@ def _comb_ecm(edges, y, k, lam, comb, floors):
             cdf = _gaussian_cdf(z)
             pdf = np.exp(-0.5 * z * z) / SQRT_2PI
             mu = lam @ np.diff(cdf)
+            with np.errstate(over="ignore"):  # refused just below
+                ratio = np.divide(y, mu, out=np.zeros(mu.shape), where=mu > 0.0)
+            lost = np.isinf(ratio)
+            if lost.any():
+                i = lost.argmax()
+                raise ValueError(f"cannot fit a comb: the bin at area "
+                                 f"{0.5 * (edges[i] + edges[i + 1]):.6g} holds counts where "
+                                 f"the comb expects only {mu[i]:.3g}")
             # a cell's events per unit of a tooth's mass in it: none below the
             # range, y / mu in it, and all of them above it
-            share = np.concatenate(([0.0], np.divide(y, mu, out=np.zeros(mu.shape),
-                                                     where=mu > 0.0), [1.0]))
+            share = np.concatenate(([0.0], ratio, [1.0]))
             # a tooth's sum over the cells of share x (F(upper) - F(lower)),
             # summed by parts: F at the edges times step, plus F(inf)
             step = share[:-1] - share[1:]

@@ -128,7 +128,7 @@ def _reconstruct_at_cutoff_10(mean_pairs, n_gates, seed):
     det = DetectorModel(eta=0.67, dark_mean=4e-4)
     source = SourceSpec(kind="pdc_pairs", cutoff=40, mean=mean_pairs)
     _, analysis = run_fit_pipeline(source, det, n_gates, seed)
-    return reconstruct(analysis.distribution.probs, det, 10)[1]
+    return reconstruct(analysis.distribution.probs, det, 10)[0]
 
 
 def test_criterion_6_even_odd_reconstruction():

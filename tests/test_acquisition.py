@@ -10,6 +10,7 @@ from scipy.stats import chi2
 
 from conftest import per_gate_counts, per_gate_histogram
 from photonstats.acquisition import (
+    DEFAULT_PAIRS_PER_UW,
     AreaHistogram,
     DetectorModel,
     PumpModel,
@@ -18,7 +19,6 @@ from photonstats.acquisition import (
     _detected_count_law,
     _mass_rows,
     bin_mass,
-    default_pairs_per_uw,
     simulate_gate_counts,
     synthesize_histogram,
 )
@@ -581,30 +581,21 @@ class TestAreaHistogramType:
 
 class TestPumpModel:
     def test_default_calibration_hits_target_p1(self):
-        kappa = default_pairs_per_uw()
-        src = SourceSpec(kind="pdc_pairs", cutoff=40, mean=kappa * 1.0)
+        src = SourceSpec(kind="pdc_pairs", cutoff=40, mean=DEFAULT_PAIRS_PER_UW * 1.0)
         f = detector_matrix(0.67, 4e-4, 40).entries @ make_distribution(src).probs
         assert f[1] == pytest.approx(0.0818, abs=1e-6)
 
-    @pytest.mark.parametrize("target_p1, eta, dark_mean",
-                             [(0.0818, 0.67, 4e-4), (0.02, 0.95, 0.0), (0.2, 0.4, 0.01)])
-    def test_bisection_matches_brentq(self, target_p1, eta, dark_mean):
+    def test_default_calibration_is_the_brentq_root(self):
         from scipy.optimize import brentq
 
-        m = detector_matrix(eta, dark_mean, 40).entries
+        m = detector_matrix(0.67, 4e-4, 40).entries
 
         def p1_minus_target(mu):
             src = SourceSpec(kind="pdc_pairs", cutoff=40, mean=mu)
-            return float((m @ make_distribution(src).probs)[1]) - target_p1
+            return float((m @ make_distribution(src).probs)[1]) - 0.0818
 
         root = brentq(p1_minus_target, 1e-6, 2.0, xtol=1e-13)
-        kappa = default_pairs_per_uw(target_p1, eta=eta, dark_mean=dark_mean)
-        assert abs(kappa - root) < 1e-12
-        assert default_pairs_per_uw(target_p1, 4.0, eta, dark_mean) == kappa / 4.0
-
-    def test_unreachable_target_rejected(self):
-        with pytest.raises(ValueError, match="not reached"):
-            default_pairs_per_uw(0.9)
+        assert abs(DEFAULT_PAIRS_PER_UW - root) < 1e-12
 
     def test_empty_powers_rejected(self):
         with pytest.raises(ValueError, match="powers"):
@@ -615,7 +606,9 @@ class TestPumpModel:
             PumpModel(powers=(1.0, -2.0))
 
     def test_missing_pairs_per_uw_is_calibrated(self):
-        assert PumpModel(powers=(1.0,)).pairs_per_uW == default_pairs_per_uw()
+        # omitted, or null in a config
+        assert PumpModel(powers=(1.0,)).pairs_per_uW == 0.22529867576686452
+        assert PumpModel(powers=(1.0,), pairs_per_uW=None).pairs_per_uW == 0.22529867576686452
 
     def test_json_roundtrip(self):
         pm = PumpModel(powers=(0.5, 1.0), pairs_per_uW=0.2, pair_statistics="thermal")

@@ -396,6 +396,21 @@ class TestAnalyzeCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["exit_code"] == EXIT_FIT and "gamma is undefined" in err["error"]
 
+    def test_count_the_comb_cannot_weigh_is_fit_error(self, tmp_path, capsys):
+        # three counts without a sidecar: the first comb step shrinks sigma0
+        # to its floor, and the count at area 12.875 is left where the comb
+        # expects a subnormal 1e-319, so its E-step share y / mu overflows
+        counts = np.zeros(500, dtype=int)
+        counts[[71, 197, 348]] = 1
+        csv = tmp_path / "instrument.csv"
+        csv.write_text(AreaHistogram(np.linspace(-5.0, 120.0, 501), counts, 3).to_csv())
+        with np.errstate(all="raise"):
+            code = main(["analyze", "--histogram", str(csv), "--out", str(tmp_path)])
+        assert code == EXIT_FIT
+        err = stderr_error(capsys)
+        assert err["exit_code"] == EXIT_FIT
+        assert "the bin at area 12.875 holds counts where the comb expects only" in err["error"]
+
     @pytest.mark.parametrize("n_gates", [2_000, 20_000])
     def test_pedestal_only_csv_never_reports_gamma(self, n_gates):
         # no efficiency and no dark counts put every gate on the pedestal, so
@@ -801,6 +816,16 @@ class TestSweepCommand:
         err = stderr_error(capsys)
         assert err["type"] == "FitError" and "at 0.1 uW" in err["error"]
 
+    def test_first_power_failing_writes_no_sweep(self, tmp_path, capsys):
+        # thermal pairs at 20 per gate fail before any histogram is drawn, so
+        # the stack to fit is empty
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, n_gates=100_000, pump={
+            "powers": [100.0, 0.1], "pairs_per_uW": 0.2, "pair_statistics": "thermal"})
+        assert main(["sweep", "--config", str(cfg_path)]) == EXIT_RUNTIME
+        assert "does not fit in 1024 photons" in stderr_error(capsys)["error"]
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     def test_determinism(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         write_config(
@@ -971,7 +996,7 @@ class TestStartupLoadsNoScipy:
         assert self.scipy_loaded(tmp_path) == set()
 
     def test_reconstruct_loads_no_scipy(self, tmp_path):
-        # the pump omits pairs_per_uW, so loading the config runs the calibration
+        # the pump omits pairs_per_uW, so it takes DEFAULT_PAIRS_PER_UW
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, pump={"powers": [1.0]})
         analysis = tmp_path / "analysis.json"

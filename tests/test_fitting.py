@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from photonstats.acquisition import (
+    DEFAULT_PAIRS_PER_UW,
     AreaHistogram,
     DetectorModel,
     bin_mass,
-    default_pairs_per_uw,
     simulate_gate_counts,
     synthesize_histogram,
 )
@@ -558,7 +558,7 @@ class TestPoissonEM:
 def test_known_detector_fit_converges(detector, power, n_gates, seed):
     # about 1 histogram in 1000 ends with one tooth below one event still
     # sliding when MAX_ITER runs out; these are three such seeds
-    source = SourceSpec(kind="pdc_pairs", cutoff=14, mean=default_pairs_per_uw() * power)
+    source = SourceSpec(kind="pdc_pairs", cutoff=14, mean=DEFAULT_PAIRS_PER_UW * power)
     frequencies = simulate_gate_counts(source, detector, n_gates, seed)
     fit = analyze_histogram(synthesize_histogram(frequencies, detector, 500, seed)).fit
     assert fit.converged
