@@ -12,6 +12,7 @@ import pytest
 
 from photonstats import fitting
 from photonstats.acquisition import (
+    DEFAULT_PAIRS_PER_UW,
     AreaHistogram,
     DetectorModel,
     PumpModel,
@@ -205,6 +206,13 @@ class TestRunConfig:
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, n_gates=2**63 - 1)
         assert load_config(cfg_path).n_gates == 2**63 - 1
+
+    @pytest.mark.parametrize("pump", [{"powers": [1.0]}, {"powers": [1.0], "pairs_per_uW": None}],
+                             ids=["omitted", "null"])
+    def test_pump_without_pairs_per_uw_takes_the_default(self, tmp_path, pump):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, pump=pump)
+        assert load_config(cfg_path).pump.pairs_per_uW == DEFAULT_PAIRS_PER_UW
 
     def test_seed_and_out_overrides(self, tmp_path):
         cfg_path = tmp_path / "run.json"

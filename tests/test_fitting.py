@@ -654,6 +654,16 @@ class TestUnknownCombRules:
         with np.errstate(all="raise"), pytest.raises(ValueError, match="too few counts"):
             analyze_histogram(AreaHistogram.from_csv(csv))
 
+    def test_count_the_comb_cannot_weigh_is_refused(self):
+        # the count at area 12.875 sits where the comb, its sigma0 at the
+        # floor after one step, expects a subnormal mass: y / mu overflows
+        counts = np.zeros(500, dtype=int)
+        counts[[71, 197, 348]] = 1
+        csv = AreaHistogram(np.linspace(-5.0, 120.0, 501), counts, 3).to_csv()
+        with np.errstate(all="raise"), pytest.raises(
+                ValueError, match="the bin at area 12.875 holds counts where the comb expects"):
+            _fit_unknown_comb(AreaHistogram.from_csv(csv))
+
     def test_all_zero_csv_is_refused(self):
         csv = AreaHistogram(np.linspace(-5.0, 120.0, 501), np.zeros(500, dtype=int), 0).to_csv()
         with pytest.raises(ValueError, match="empty histogram"):
