@@ -21,7 +21,6 @@ import numpy as np
 
 from .distributions import MIN_CUTOFF, PhotonDistribution, _log_factorials, _poisson_pmf
 
-DEFAULT_CUTOFF = 10
 COND_WARN_THRESHOLD = 1e12
 
 
@@ -117,7 +116,7 @@ def _detect(p: np.ndarray, eta: float, dark_mean: float, dark_after_loss: bool) 
 def detector_matrix(
     eta: float,
     dark_mean: float,
-    cutoff: int = DEFAULT_CUTOFF,
+    cutoff: int,
     *,
     dark_after_loss: bool = True,
 ) -> TransferMatrix:
@@ -136,14 +135,14 @@ def detector_matrix(
     return TransferMatrix(m, eta=eta, dark_mean=dark_mean, cutoff=cutoff)
 
 
-def invert_channel(m: TransferMatrix, f: PhotonDistribution) -> PhotonDistribution:
+def invert_channel(m: TransferMatrix, f: PhotonDistribution) -> np.ndarray:
     """Solve M p = f for the pre-detector distribution on the truncated space.
 
-    Direct dense solve, no regularization: truncation artifacts show up as
-    small negative entries in the result, which is flagged ``signed`` so they
-    are preserved for diagnosis. A condition number above
-    COND_WARN_THRESHOLD triggers a :class:`ConditionNumberWarning` but still
-    returns the solution.
+    Direct dense solve, no regularization: the solution is returned as a
+    read-only array, and truncation artifacts show up in it as small negative
+    entries, preserved for diagnosis. A solution that is not finite raises
+    ValueError. A condition number above COND_WARN_THRESHOLD triggers a
+    :class:`ConditionNumberWarning` but still returns the solution.
     """
     if m.cutoff != f.cutoff:
         raise ValueError(f"cutoff mismatch: matrix {m.cutoff} vs distribution {f.cutoff}")
@@ -158,7 +157,10 @@ def invert_channel(m: TransferMatrix, f: PhotonDistribution) -> PhotonDistributi
             stacklevel=2,
         )
     p = np.linalg.solve(m.entries, f.probs)
-    return PhotonDistribution(p, signed=True)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probability vector contains non-finite entries")
+    p.setflags(write=False)
+    return p
 
 
 @dataclass(frozen=True)
@@ -171,9 +173,9 @@ class NegativityReport:
     sum_deviation: float
 
 
-def truncation_diagnostics(p: PhotonDistribution) -> NegativityReport:
-    """Report the most-negative entry, total negative mass, and sum deviation."""
-    probs = p.probs
+def truncation_diagnostics(probs: np.ndarray) -> NegativityReport:
+    """Report the most-negative entry, total negative mass, and sum deviation
+    of a reconstructed probability vector."""
     idx = int(np.argmin(probs))
     neg = probs[probs < 0]
     return NegativityReport(

@@ -43,7 +43,6 @@ from .acquisition import (
     synthesize_histogram,
 )
 from .channel import (
-    DEFAULT_CUTOFF,
     ConditionNumberWarning,
     NegativityReport,
     detector_matrix,
@@ -128,7 +127,7 @@ class RunConfig:
                 cutoff=whole_number("cutoff", d["cutoff"]),
                 seed=whole_number("seed", d["seed"]),
                 output_dir=Path(d.get("output_dir", ".")),
-                bins=whole_number("bins", d.get("bins", 500)),
+                bins=whole_number("bins", d.get("bins", cls.bins)),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
@@ -244,9 +243,7 @@ def _comb_fits(hists: list[AreaHistogram]):
         yield fit
 
 
-def reconstruct(
-    probs, det: DetectorModel, cutoff: int
-) -> tuple[PhotonDistribution, NegativityReport]:
+def reconstruct(probs, det: DetectorModel, cutoff: int) -> tuple[np.ndarray, NegativityReport]:
     """Invert the detector matrix on measured probabilities.
 
     ``probs`` is zero-padded (or cut) to photon numbers 0..cutoff; anything
@@ -275,8 +272,8 @@ def pump_sweep(
     n_gates: int,
     seed: int,
     *,
-    cutoff: int = DEFAULT_CUTOFF,
-    bins: int = 500,
+    cutoff: int,
+    bins: int,
 ) -> list[tuple[float, GammaReport]]:
     """Run the full simulate-fit-analyze pipeline at each pump power.
 
@@ -300,7 +297,7 @@ def pump_sweep(
             )
             frequencies = simulate_gate_counts(source, det, n_gates, seed=int(sub[0]))
             hists.append(synthesize_histogram(frequencies, det, bins, seed=int(sub[1])))
-        except (ValueError, ZeroDivisionError) as exc:  # raised after the powers before it
+        except ValueError as exc:  # raised after the powers before it
             failure = exc
             break
     rows: list[tuple[float, GammaReport]] = []
@@ -352,7 +349,7 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     try:
         with warnings.catch_warnings(record=True) as caught:
             result = analyze_histogram(hist)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise FitError(str(exc)) from exc
 
     report = {
@@ -397,7 +394,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
         reconstructed, diag = reconstruct(analysis["probabilities"], det, config.cutoff)
 
     out = config.output_dir
-    write_text_atomic(out / "reconstruction.csv", reconstructed.to_csv())
+    write_text_atomic(out / "reconstruction.csv",
+                      csv_text("n,probability", enumerate(reconstructed.tolist())))
     report = {
         "schema_version": SCHEMA_VERSION,
         "analysis": str(args.analysis),
@@ -483,7 +481,7 @@ def main(argv=None) -> int:
         return _emit_error(exc, EXIT_NUMERIC)
     except OSError as exc:
         return _emit_error(exc, EXIT_IO)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return _emit_error(exc, EXIT_RUNTIME)
     return EXIT_OK
 

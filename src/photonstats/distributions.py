@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ioutil import csv_text, real_number, whole_number
+from .ioutil import real_number, whole_number
 
 SUM_TOL = 1e-12
 LOST_MASS_TOL = 1e-6
@@ -45,16 +45,11 @@ class TruncationLossError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PhotonDistribution:
-    """Probability vector over photon number 0..cutoff.
-
-    ``signed`` permits negative entries (reconstructed distributions only) and
-    is validated on construction; the underlying array is made read-only. The
-    entries need not sum to 1: a measured or reconstructed distribution sums
-    to what its data give.
-    """
+    """Probability vector over photon number 0..cutoff: nonnegative, validated
+    on construction and read-only. Its entries need not sum to 1: a measured
+    distribution sums to what its data give."""
 
     probs: np.ndarray
-    signed: bool = False
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -64,8 +59,8 @@ class PhotonDistribution:
             raise ValueError(f"cutoff must be >= {MIN_CUTOFF}, got {p.size - 1}")
         if not np.all(np.isfinite(p)):
             raise ValueError("probability vector contains non-finite entries")
-        if not self.signed and np.any(p < 0):
-            raise ValueError("negative entries in a distribution not flagged signed")
+        if np.any(p < 0):
+            raise ValueError("probability vector contains negative entries")
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
@@ -73,9 +68,6 @@ class PhotonDistribution:
     @property
     def cutoff(self) -> int:
         return self.probs.size - 1
-
-    def to_csv(self) -> str:
-        return csv_text("n,probability", enumerate(self.probs.tolist()))
 
 
 @dataclass(frozen=True)

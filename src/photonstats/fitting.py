@@ -209,10 +209,15 @@ def fit_comb(y: np.ndarray, mass: np.ndarray, det) -> list[PeakFitResult]:
     area lam_k and standard error the larger of its Fisher-information error
     and sqrt(max(lam_k, 1)). Teeth 0 up to the last with at least one fitted
     event are reported. ``residual_norm`` is the norm of the residuals
-    (count - expected) / sqrt(max(count, 1)), with Neyman weights.
+    (count - expected) / sqrt(max(count, 1)), with Neyman weights. A count
+    in a bin where every tooth's mass is 0 raises ValueError.
     """
     if mass.shape[0] == 0:
         raise ValueError("no tooth of the detector comb lies in the histogram's range")
+    unreachable = np.logical_or.reduce(y, axis=0) & ~np.logical_or.reduce(mass, axis=0)
+    if unreachable.any():
+        raise ValueError(f"bin {unreachable.argmax()} holds counts that no tooth of the "
+                         "detector comb reaches")
     lam, cov, converged = _poisson_em(y, mass)
     # a near-empty tooth's variance underflows to zero, which is its right value
     with np.errstate(under="ignore"):

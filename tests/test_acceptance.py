@@ -119,7 +119,7 @@ def test_criterion_5_round_trip_inversion():
             for _ in range(100):
                 p = PhotonDistribution(random_physical_distribution(rng, 10))
                 rec = invert_channel(m, PhotonDistribution(m.entries @ p.probs))
-                worst = max(worst, float(np.abs(rec.probs - p.probs).max()))
+                worst = max(worst, float(np.abs(rec - p.probs).max()))
     assert worst < 1e-9
     print(f"\nACCEPTANCE 5: PASS - 600 round trips, worst entrywise error {worst:.2e} < 1e-9")
 
@@ -133,9 +133,9 @@ def _reconstruct_at_cutoff_10(mean_pairs, n_gates, seed):
 
 def test_criterion_6_even_odd_reconstruction():
     rec = _reconstruct_at_cutoff_10(mean_pairs=0.5, n_gates=2_000_000, seed=61)
-    odd = rec.probs[1::2]
+    odd = rec[1::2]
     assert np.abs(odd).max() < 0.01
-    assert rec.probs[2] > 0.05 and rec.probs[4] > 0.05
+    assert rec[2] > 0.05 and rec[4] > 0.05
 
     strong = _reconstruct_at_cutoff_10(mean_pairs=1.5, n_gates=2_000_000, seed=62)
     diag = truncation_diagnostics(strong)
@@ -143,7 +143,7 @@ def test_criterion_6_even_odd_reconstruction():
     assert diag.index in (7, 9)
     print(
         f"\nACCEPTANCE 6: PASS - oscillations: max|odd| {np.abs(odd).max():.4f} < 0.01, "
-        f"P2={rec.probs[2]:.3f}, P4={rec.probs[4]:.3f}; strong pump most negative "
+        f"P2={rec[2]:.3f}, P4={rec[4]:.3f}; strong pump most negative "
         f"{diag.most_negative:.4f} at n={diag.index}"
     )
 
@@ -151,7 +151,7 @@ def test_criterion_6_even_odd_reconstruction():
 def test_criterion_7_pump_sweep_interior_maximum():
     det = DetectorModel(eta=0.67, dark_mean=4e-4)
     pump = PumpModel(powers=(0.003, 0.03, 0.3, 3.0, 16.0), pairs_per_uW=0.2253)
-    rows = pump_sweep(pump, det, 1_000_000, seed=71)
+    rows = pump_sweep(pump, det, 1_000_000, seed=71, cutoff=10, bins=500)
     gammas = np.array([rep.gamma for _, rep in rows])
     errs = np.array([rep.std_error for _, rep in rows])
     peak = int(np.argmax(gammas))

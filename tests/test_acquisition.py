@@ -620,7 +620,7 @@ class TestPumpSweep:
         # no dark counts: gamma sits at eta/(2-eta) across weak powers
         det = DetectorModel(eta=0.67, dark_mean=0.0)
         pump = PumpModel(powers=(0.05, 0.1), pairs_per_uW=0.2)
-        rows = pump_sweep(pump, det, 400_000, seed=11)
+        rows = pump_sweep(pump, det, 400_000, seed=11, cutoff=10, bins=500)
         expected = gamma_under_loss(0.67)
         for _, rep in rows:
             assert abs(rep.gamma - expected) < 4 * rep.std_error
@@ -628,14 +628,14 @@ class TestPumpSweep:
     def test_dark_counts_pull_gamma_down_at_low_power(self):
         det = DetectorModel(eta=0.67, dark_mean=4e-4)
         pump = PumpModel(powers=(0.002, 0.2), pairs_per_uW=0.2)
-        rows = pump_sweep(pump, det, 400_000, seed=12)
+        rows = pump_sweep(pump, det, 400_000, seed=12, cutoff=10, bins=500)
         low, plateau = rows[0][1], rows[1][1]
         assert low.gamma < plateau.gamma - 5 * (low.std_error + plateau.std_error)
 
     def test_strong_pump_drops_gamma(self):
         det = DetectorModel(eta=0.67, dark_mean=4e-4)
         pump = PumpModel(powers=(0.2, 20.0), pairs_per_uW=0.2)
-        rows = pump_sweep(pump, det, 400_000, seed=13)
+        rows = pump_sweep(pump, det, 400_000, seed=13, cutoff=10, bins=500)
         plateau, strong = rows[0][1], rows[1][1]
         assert strong.gamma < plateau.gamma - 5 * (strong.std_error + plateau.std_error)
         assert plateau.violated and plateau.gamma > classical_gamma_bound()

@@ -42,6 +42,14 @@ def forward(m, p):
     return m.entries @ p.probs
 
 
+def truncated_pair_reconstruction():
+    """A pair source whose law extends beyond the analysis window: forward
+    at cutoff 40, reconstructed at cutoff 10."""
+    truth = make_distribution(SourceSpec(kind="pdc_pairs", cutoff=40, mean=3.0))
+    f40 = forward(detector_matrix(0.67, 4e-4, 40), truth)
+    return invert_channel(detector_matrix(0.67, 4e-4, 10), PhotonDistribution(f40[:11]))
+
+
 def oracle_entry(i, j, eta, nu, cutoff, dark_after_loss):
     """Closed-form entry (i, j) of the truncated detector matrix: the chance
     that j photons give i counts, summed over the intermediate count k."""
@@ -256,8 +264,7 @@ class TestInvertChannel:
         p = PhotonDistribution(random_physical_distribution(rng, 10))
         m = loss_matrix(1.0, 10)
         rec = invert_channel(m, p)
-        np.testing.assert_allclose(rec.probs, p.probs, atol=1e-14)
-        assert rec.signed
+        np.testing.assert_allclose(rec, p.probs, atol=1e-14)
 
     def test_cutoff_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -275,27 +282,41 @@ class TestInvertChannel:
         for _ in range(10):
             p = PhotonDistribution(random_physical_distribution(rng, 10))
             rec = invert_channel(m, PhotonDistribution(forward(m, p)))
-            np.testing.assert_allclose(rec.probs, p.probs, atol=1e-9)
+            np.testing.assert_allclose(rec, p.probs, atol=1e-9)
 
     def test_even_odd_preserved_through_round_trip(self):
         src = make_distribution(SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.4))
         m = loss_matrix(0.67, 14)
         rec = invert_channel(m, PhotonDistribution(forward(m, src)))
-        assert np.abs(rec.probs[1::2]).max() < 1e-9
-        np.testing.assert_allclose(rec.probs, src.probs, atol=1e-9)
+        assert np.abs(rec[1::2]).max() < 1e-9
+        np.testing.assert_allclose(rec, src.probs, atol=1e-9)
 
     def test_sum_recovers_input_mass(self, rng):
         m = detector_matrix(0.67, 4e-4, 10)
         p = PhotonDistribution(random_physical_distribution(rng, 10))
         rec = invert_channel(m, PhotonDistribution(forward(m, p)))
-        assert rec.probs.sum() == pytest.approx(1.0, abs=1e-9)
+        assert rec.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_ill_conditioned_warns_but_solves(self):
         m = loss_matrix(0.05, 20)
         f = PhotonDistribution(forward(m, fock(3, 20)))
         with pytest.warns(ConditionNumberWarning):
             rec = invert_channel(m, f)
-        assert rec.probs[3] == pytest.approx(1.0, rel=1e-6)
+        assert rec[3] == pytest.approx(1.0, rel=1e-6)
+
+    def test_returns_read_only_array_keeping_negative_entries(self):
+        rec = truncated_pair_reconstruction()
+        assert isinstance(rec, np.ndarray) and rec.dtype == np.float64
+        assert not rec.flags.writeable
+        assert rec.min() < -1e-3
+
+    def test_non_finite_solution_rejected(self):
+        # a subnormal pivot: the flat law's P1 overflows to infinity
+        m = TransferMatrix(np.diag([1.0, 1e-310, 1.0, 1.0]), eta=0.5, dark_mean=0.0, cutoff=3)
+        f = PhotonDistribution(np.full(4, 0.25))
+        with pytest.warns(ConditionNumberWarning), \
+                pytest.raises(ValueError, match="probability vector contains non-finite entries"):
+            invert_channel(m, f)
 
     def test_gamma_under_loss_limit_via_channel(self):
         # weak pair source through eta=0.67 loss: gamma -> eta/(2-eta)
@@ -306,8 +327,7 @@ class TestInvertChannel:
 
 class TestTruncationDiagnostics:
     def test_physical_distribution_zero_negativity(self, rng):
-        p = PhotonDistribution(random_physical_distribution(rng, 10))
-        rep = truncation_diagnostics(p)
+        rep = truncation_diagnostics(random_physical_distribution(rng, 10))
         assert rep.most_negative == 0.0
         assert rep.negative_mass == 0.0
 
@@ -318,21 +338,14 @@ class TestTruncationDiagnostics:
         assert rep.negative_mass < 1e-12
 
     def test_truncated_reconstruction_goes_negative_at_high_odd_n(self):
-        # truth extends beyond the analysis window: forward at cutoff 40,
-        # reconstruct at cutoff 10
-        truth = make_distribution(SourceSpec(kind="pdc_pairs", cutoff=40, mean=3.0))
-        f40 = forward(detector_matrix(0.67, 4e-4, 40), truth)
-        f10 = PhotonDistribution(f40[:11])
-        rec = invert_channel(detector_matrix(0.67, 4e-4, 10), f10)
-        rep = truncation_diagnostics(rec)
+        rep = truncation_diagnostics(truncated_pair_reconstruction())
         assert rep.most_negative < -1e-3
         assert rep.index % 2 == 1 and rep.index >= 7
         assert rep.negative_mass > 0
         assert json.loads(dumps_canonical(rep))["index"] == rep.index
 
     def test_report_sum_deviation(self):
-        d = PhotonDistribution([0.5, 0.2, 0.2, 0.2])
-        rep = truncation_diagnostics(d)
+        rep = truncation_diagnostics(np.array([0.5, 0.2, 0.2, 0.2]))
         assert rep.sum_deviation == pytest.approx(0.1, abs=1e-12)
 
 

@@ -35,7 +35,7 @@ from photonstats.cli import (
     pump_sweep,
     sweep_csv,
 )
-from photonstats.distributions import PhotonDistribution, SourceSpec
+from photonstats.distributions import SourceSpec
 from photonstats.ioutil import csv_text, dumps_canonical
 from photonstats.nonclassical import GammaReport
 
@@ -418,6 +418,24 @@ class TestAnalyzeCommand:
         err = stderr_error(capsys)
         assert err["exit_code"] == EXIT_FIT
         assert "the bin at area 12.875 holds counts where the comb expects only" in err["error"]
+
+    def test_count_no_tooth_reaches_is_fit_error(self, tmp_path, capsys):
+        # five counts without a sidecar: the fitted comb puts its pedestal at
+        # 17.5 with sigma0 0.051, so no tooth has any mass in bin 42 (area
+        # 5.625), and its count would drop out of the areas and of P_n
+        counts = np.zeros(500, dtype=int)
+        counts[[42, 89, 90, 118, 400]] = 1
+        csv = tmp_path / "instrument.csv"
+        csv.write_text(AreaHistogram(np.linspace(-5.0, 120.0, 501), counts, 5).to_csv())
+        with np.errstate(all="raise"):
+            code = main(["analyze", "--histogram", str(csv), "--out", str(tmp_path)])
+        assert code == EXIT_FIT
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == EXIT_FIT
+        assert "bin 42 holds counts that no tooth of the detector comb reaches" in err["error"]
+        assert not (tmp_path / "analysis.json").exists()
 
     @pytest.mark.parametrize("n_gates", [2_000, 20_000])
     def test_pedestal_only_csv_never_reports_gamma(self, n_gates):
@@ -848,12 +866,21 @@ class TestSweepCommand:
 
 
 class TestOutputFiles:
-    def test_csv_tables_are_pinned(self):
+    def test_csv_tables_are_pinned(self, tmp_path):
         # every value is written as its repr, the sweep's infinite n_std as inf
         hist = AreaHistogram(np.array([0.0, 0.5, 1.25]), np.array([3, 0]), n_gates=4)
         assert hist.to_csv() == "bin_center,count\n0.25,3\n0.875,0\n"
-        dist = PhotonDistribution([0.1, 0.2, 0.7, -1e-17], signed=True)
-        assert dist.to_csv() == "n,probability\n0,0.1\n1,0.2\n2,0.7\n3,-1e-17\n"
+        # at efficiency 0.5 a measured P1 of 0.8 needs a true P1 of 1.6, whose
+        # lost half is more than the measured P0 of 0.2: P0 = 0.2 - 0.8
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, source={"kind": "pdc_pairs", "cutoff": 3, "mean": 0.2},
+                     detector={"eta": 0.5, "dark_mean": 0.0}, cutoff=3)
+        analysis = tmp_path / "analysis.json"
+        analysis.write_text(json.dumps({"probabilities": [0.2, 0.8]}))
+        assert main(["reconstruct", "--analysis", str(analysis),
+                     "--config", str(cfg_path)]) == EXIT_OK
+        assert (tmp_path / "out" / "reconstruction.csv").read_text() == (
+            "n,probability\n0,-0.6000000000000001\n1,1.6\n2,0.0\n3,0.0\n")
         rows = [(0.3, GammaReport(0.25, 0.01, -12.98, 0.3798, False)),
                 (1.0, GammaReport(1.0, 0.0, math.inf, 0.3798, True))]
         assert sweep_csv(rows) == ("power_uW,gamma,std_error,n_std\n"

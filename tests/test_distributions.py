@@ -1,6 +1,5 @@
 import json
 import math
-from io import StringIO
 
 import numpy as np
 import pytest
@@ -32,12 +31,9 @@ class TestPhotonDistribution:
         with pytest.raises(ValueError, match="cutoff"):
             PhotonDistribution([0.5, 0.5])
 
-    def test_rejects_negative_unless_signed(self):
-        probs = [0.6, -0.1, 0.3, 0.2]
-        with pytest.raises(ValueError, match="signed"):
-            PhotonDistribution(probs)
-        d = PhotonDistribution(probs, signed=True)
-        assert d.signed
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="negative entries"):
+            PhotonDistribution([0.6, -0.1, 0.3, 0.2])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
@@ -51,22 +47,6 @@ class TestPhotonDistribution:
         d = PhotonDistribution([0.25, 0.25, 0.25, 0.25])
         with pytest.raises(ValueError):
             d.probs[0] = 1.0
-
-    @staticmethod
-    def reread(d):
-        text = d.to_csv()
-        assert text.startswith("n,probability\n")
-        table = np.loadtxt(StringIO(text), delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(table[:, 0], np.arange(d.probs.size))
-        return table[:, 1]
-
-    def test_csv_roundtrip(self):
-        d = PhotonDistribution([0.1, 0.2, 0.3, 0.4])
-        np.testing.assert_array_equal(self.reread(d), d.probs)
-
-    def test_csv_roundtrip_signed(self):
-        d = PhotonDistribution([0.7, -0.001, 0.3, 0.002], signed=True)
-        np.testing.assert_array_equal(self.reread(d), d.probs)
 
 
 class TestSourceSpecValidation:

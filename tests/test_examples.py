@@ -66,12 +66,12 @@ def test_pump_sweep_follows_the_forward_model(tmp_path):
         assert abs(gamma - expected) <= Z_MAX * sigma, f"{power} uW"
 
 
-def test_reconstruction_simulates_at_40_and_inverts_at_10(tmp_path):
-    config, report = analyze("reconstruction_simulate.json", tmp_path)
+def test_reconstruction_simulates_then_inverts_at_10(tmp_path):
+    config, report = analyze("reconstruction.json", tmp_path)
     expected, sigma = forward_gamma(config.source, config.detector, config.n_gates)
     assert abs(report["gamma"] - expected) <= Z_MAX * sigma
     assert main(["reconstruct", "--analysis", str(tmp_path / "analysis.json"),
-                 "--config", str(EXAMPLES / "reconstruction_invert.json"),
+                 "--config", str(EXAMPLES / "reconstruction.json"),
                  "--out", str(tmp_path)]) == EXIT_OK
     rows = np.loadtxt(tmp_path / "reconstruction.csv", delimiter=",", skiprows=1)
     assert rows[:, 0].tolist() == list(range(11))

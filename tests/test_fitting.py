@@ -424,17 +424,31 @@ class TestFitCombMatchesPinvErrors:
         source = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.05)
         check(fitted_comb(simulated(source, det, 20_000, seed)))
 
+    @staticmethod
+    def twin_teeth():
+        """Thirteen teeth of counts, and a design that holds tooth 1 twice."""
+        h, mass = noiseless_comb(np.full(13, 100.0))
+        return h, mass[[1, 1]]
+
     def test_twin_teeth_fall_back_to_pinv(self, monkeypatch):
         # two teeth with one bin mass share every EM step, so their Fisher
-        # rows are equal and the 2 x 2 matrix is exactly singular
-        h, mass = noiseless_comb(np.full(13, 100.0))
-        twin = mass[[1, 1]]
+        # rows are equal and the 2 x 2 matrix is exactly singular; only the
+        # counts within tooth 1's reach are kept
+        h, twin = self.twin_teeth()
+        h = replace(h, counts=np.where(twin[0] > 0.0, h.counts, 0))
         calls = []
         pinv = np.linalg.pinv
         monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a) or pinv(a))
         fit = fit_comb(h.counts[None].astype(float), twin, h.detector)[0]
         assert len(calls) == 1
+        assert fit.converged
         self.assert_matches(fit, h, twin)
+
+    def test_counts_beyond_every_tooth_refused(self):
+        h, twin = self.twin_teeth()
+        beyond = np.flatnonzero((h.counts > 0) & (twin[0] == 0.0))[0]
+        with pytest.raises(ValueError, match=f"bin {beyond} holds counts that no tooth"):
+            fit_comb(h.counts[None].astype(float), twin, h.detector)
 
 
 class TestFitCombStack:

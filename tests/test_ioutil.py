@@ -95,8 +95,7 @@ def _run_commands(config: Path, out: Path, reconstruct_config: Path) -> None:
     ("operating_point_eta0.617.json", "operating_point_eta0.617.json"),
     ("operating_point_eta0.67.json", "operating_point_eta0.67.json"),
     ("pump_sweep.json", "pump_sweep.json"),
-    ("reconstruction_simulate.json", "reconstruction_invert.json"),
-    ("reconstruction_invert.json", "reconstruction_invert.json"),
+    ("reconstruction.json", "reconstruction.json"),
 ])
 def test_example_reports_match(tmp_path, monkeypatch, name, reconstruct_with):
     reports = _record_reports(monkeypatch)
