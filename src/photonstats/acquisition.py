@@ -266,48 +266,44 @@ def simulate_gate_counts(
     return rng.multinomial(n_gates, _detected_count_law(source, det))
 
 
-# Pulse-area responses and bin-edge sets whose bin_mass rows are kept, and the
-# rows kept for each.
-_RESPONSES_KEPT = 8
-_ROWS_KEPT = 256
-
-
-@functools.lru_cache(maxsize=_RESPONSES_KEPT)
-def _mass_rows(gain: float, offset: float, sigma0: float, sigma_per_photon: float,
-               edges: bytes) -> dict:
-    """The read-only rows of ``bin_mass`` computed so far for one pulse-area
-    response and one set of bin edges (their float64 bytes), by k."""
-    return {}
+@functools.lru_cache(maxsize=8)
+def _mass_block(gain: float, offset: float, sigma0: float, sigma_per_photon: float,
+                edges_bytes: bytes, size: int) -> np.ndarray:
+    """Rows 0..size-1 of ``bin_mass`` for one pulse-area response and one set
+    of bin edges (their float64 bytes), read-only. The last eight are kept."""
+    edges = np.frombuffer(edges_bytes, dtype=np.float64)
+    k = np.arange(size)[:, None]
+    z = (edges - (offset + k * gain)) / np.sqrt(sigma0**2 + k * sigma_per_photon**2)
+    cdf = _gaussian_cdf(z)
+    cdf[:, 0] = 0.0  # areas below the range are clipped into the first bin
+    block = np.diff(cdf, append=1.0)
+    block.setflags(write=False)
+    return block
 
 
 def bin_mass(det: DetectorModel, edges: np.ndarray, ks) -> np.ndarray:
     """Probability that a gate with k detected counts puts its pulse area in
-    each bin of ``edges``, one row per k of ``ks``.
+    each bin of ``edges``, one row per k of ``ks``, a 1-D sequence of
+    nonnegative integers.
 
     Row k holds the Gaussian mass of each bin for peak k, with the mass below
     the range clipped into the first bin, and one last entry for the overflow
     above the last edge, so every row sums to one.
 
     A row depends only on the pulse-area response (gain, offset, sigma0,
-    sigma_per_photon), the edges and k, so each is computed once per process
-    and kept read-only: up to _ROWS_KEPT rows for each of the last
-    _RESPONSES_KEPT responses and edge sets. The result is a new array.
+    sigma_per_photon), the edges and k, so rows are computed in read-only
+    blocks of 0..2^m - 1, the smallest that holds the largest k, and the
+    blocks of the last eight responses, edge sets and sizes are kept. The
+    result is a new array.
     """
     edges = np.asarray(edges, dtype=np.float64)
-    ks = np.asarray(ks).tolist()
-    rows = _mass_rows(det.gain, det.offset, det.sigma0, det.sigma_per_photon, edges.tobytes())
-    missing = sorted(set(ks).difference(rows))
-    if missing:
-        k = np.array(missing)[:, None]
-        cdf = _gaussian_cdf((edges - det.peak_center(k)) / det.peak_width(k))
-        cdf[:, 0] = 0.0  # areas below the range are clipped into the first bin
-        mass = np.diff(cdf, append=1.0)
-        mass.setflags(write=False)
-        rows.update(zip(missing, mass))
-    out = np.array([rows[k] for k in ks]).reshape(len(ks), edges.size)
-    if len(rows) > _ROWS_KEPT:
-        rows.clear()
-    return out
+    ks = np.asarray(ks)
+    if ks.ndim != 1 or (ks.size and (ks.dtype.kind not in "iu" or ks.min() < 0)):
+        raise ValueError(f"ks must be a 1-D sequence of nonnegative integers, got {ks!r}")
+    size = 1 << int(ks.max(initial=0)).bit_length()
+    block = _mass_block(det.gain, det.offset, det.sigma0, det.sigma_per_photon,
+                        edges.tobytes(), size)
+    return block[ks.astype(np.intp)]
 
 
 def synthesize_histogram(

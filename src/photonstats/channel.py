@@ -140,8 +140,9 @@ def invert_channel(m: TransferMatrix, f: PhotonDistribution) -> np.ndarray:
 
     Direct dense solve, no regularization: the solution is returned as a
     read-only array, and truncation artifacts show up in it as small negative
-    entries, preserved for diagnosis. A solution that is not finite raises
-    ValueError. A condition number above COND_WARN_THRESHOLD triggers a
+    entries, preserved for diagnosis. A matrix that is singular in floating
+    point, or a solution that is not finite, raises ValueError. A condition
+    number above COND_WARN_THRESHOLD triggers a
     :class:`ConditionNumberWarning` but still returns the solution.
     """
     if m.cutoff != f.cutoff:
@@ -156,7 +157,11 @@ def invert_channel(m: TransferMatrix, f: PhotonDistribution) -> np.ndarray:
             ConditionNumberWarning,
             stacklevel=2,
         )
-    p = np.linalg.solve(m.entries, f.probs)
+    try:
+        p = np.linalg.solve(m.entries, f.probs)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"the channel at efficiency {m.eta} and cutoff {m.cutoff} is singular "
+                         "in floating point and cannot be inverted") from exc
     if not np.all(np.isfinite(p)):
         raise ValueError("probability vector contains non-finite entries")
     p.setflags(write=False)

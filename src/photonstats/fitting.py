@@ -251,9 +251,10 @@ def _poisson_em(y: np.ndarray, design: np.ndarray):
     stays at lam = 0.
 
     Returns (lam, cov, converged): cov[p] inverts row p's Fisher information
-    scaled by sqrt(lam_j lam_k), so lam_j has variance lam_j cov_jj and a zero
-    weight (unit diagonal) has none. Each row's information is built and
-    inverted on its own, and only an exactly singular one by its
+    scaled by sqrt(lam_j lam_k), so lam_j has variance lam_j cov_jj, and a
+    weight whose scaled diagonal is zero or subnormal gets a unit diagonal,
+    so its variance is about lam_j: none. Each row's information is built
+    and inverted on its own, and only an exactly singular one by its
     pseudo-inverse.
     """
     totals = y.sum(axis=1)
@@ -287,12 +288,13 @@ def _poisson_em(y: np.ndarray, design: np.ndarray):
             lam[rows] = part
         # Fisher information of each row's lam, sum_i design_ji design_ki / mu_i,
         # scaled by sqrt(lam_j lam_k) before the division so that every entry
-        # lies in [0, 1]; a zero weight's zero row and column get a unit diagonal
+        # lies in [0, 1]; a weight whose diagonal is zero or subnormal (its
+        # lam underflows the scaling) gets a unit diagonal
         cov = np.empty((totals.size, reach.size, reach.size))
         for p, (lam_p, mu_p) in enumerate(zip(lam, lam @ design)):
             scaled = design * np.sqrt(lam_p)[:, None]
             info = np.divide(scaled, mu_p, out=np.zeros(scaled.shape), where=mu_p > 0.0) @ scaled.T
-            empty = (lam_p == 0.0).nonzero()[0]
+            empty = (info.diagonal() < np.finfo(np.float64).tiny).nonzero()[0]
             info[empty, empty] = 1.0
             try:
                 cov[p] = np.linalg.inv(info)

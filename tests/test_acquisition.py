@@ -14,10 +14,9 @@ from photonstats.acquisition import (
     AreaHistogram,
     DetectorModel,
     PumpModel,
-    _ROWS_KEPT,
     _WINDOWS,
     _detected_count_law,
-    _mass_rows,
+    _mass_block,
     bin_mass,
     simulate_gate_counts,
     synthesize_histogram,
@@ -377,8 +376,9 @@ class TestBinMass:
         (DET, _sidecarless_edges(), np.arange(13)),
         (DET, _sidecar_edges(), np.arange(20)),
         (DET, EDGES, np.array([0, 2, 5, 13, 17, 30])),
+        (DET, EDGES, np.array([3, 40, 3, 0])),
     ], ids=["default", "wide-teeth", "negative-offset", "sidecar-less-csv",
-            "non-uniform-sidecar", "non-contiguous-above-adc-max"])
+            "non-uniform-sidecar", "non-contiguous-above-adc-max", "repeated-across-two-blocks"])
     def test_matches_per_entry_oracle(self, det, edges, ks):
         expected = oracle_bin_mass(det, edges.tolist(), ks.tolist())
         with np.errstate(all="raise"):
@@ -428,17 +428,28 @@ class TestBinMass:
                  for eta in (0.67, 0.9)]
         ks = np.arange(13)
         bin_mass(hists[0].detector, hists[0].bin_edges, ks)
-        before = _mass_rows.cache_info()
+        before = _mass_block.cache_info()
         rows = bin_mass(hists[1].detector, hists[1].bin_edges, ks)
-        after = _mass_rows.cache_info()
+        after = _mass_block.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert np.array_equal(rows, bin_mass(hists[0].detector, hists[0].bin_edges, ks))
 
     def test_rows_kept_are_bounded(self):
         edges = np.linspace(0.0, 50.0, 51)
-        bin_mass(DET, edges, np.arange(2 * _ROWS_KEPT))
-        kept = _mass_rows(DET.gain, DET.offset, DET.sigma0, DET.sigma_per_photon, edges.tobytes())
-        assert len(kept) <= _ROWS_KEPT
+        for gain in np.linspace(10.0, 11.0, 16):
+            bin_mass(replace(DET, gain=gain), edges, np.arange(13))
+        assert _mass_block.cache_info().currsize == 8
+
+    def test_kept_block_is_read_only(self):
+        bin_mass(DET, self.EDGES, np.arange(13))
+        block = _mass_block(DET.gain, DET.offset, DET.sigma0, DET.sigma_per_photon,
+                            self.EDGES.tobytes(), 16)
+        assert block.shape == (16, self.EDGES.size) and not block.flags.writeable
+
+    @pytest.mark.parametrize("ks", [[-1], [2.5], [[0, 1]]], ids=["negative", "fractional", "2-d"])
+    def test_non_count_ks_refused(self, ks):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            bin_mass(DET, self.EDGES, ks)
 
 
 class TestAreaHistogramType:
