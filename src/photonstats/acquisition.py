@@ -7,13 +7,16 @@ whose width grows with k. Samples beyond the digitizer range are tallied as
 overflow rather than binned.
 
 Gates are independent and identically distributed, so the gates themselves
-are never drawn. The detected-count frequencies are one multinomial draw over
-the detected-count law (the detector law of :mod:`photonstats.channel`
-applied to the source law), and the areas of the gates with k counts are one
-multinomial draw over the bins.
-The cost depends on the number of photon numbers and bins, not on the number
-of gates. Each of the two draws has its own stream seeded by (seed, stream
-tag), so outputs are bit-reproducible for a given seed.
+are never drawn. ``simulate_gate_counts`` draws the detected-count
+frequencies as one multinomial over the detected-count law (the detector law
+of :mod:`photonstats.channel` applied to the source law), and
+``synthesize_histogram`` the areas of the gates with k counts as one
+multinomial over the bins; each of the two draws has its own stream seeded
+by (seed, stream tag). A caller that needs only the histogram draws it as
+one multinomial over the composed area law of one gate (``_cell_laws``),
+which has the same distribution. Either way the cost depends on the number
+of photon numbers and bins, not on the number of gates, and outputs are
+bit-reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -242,6 +245,14 @@ def _detected_count_law(source: SourceSpec, det: DetectorModel) -> np.ndarray:
     raise ValueError(f"the detected-count law does not fit in {_WINDOWS[-1]} photons")
 
 
+def _check_gates(n_gates: int) -> None:
+    """Refuse a gate count that one multinomial draw cannot take."""
+    if n_gates < 1:
+        raise ValueError(f"n_gates must be >= 1, got {n_gates}")
+    if n_gates > MAX_GATES:
+        raise ValueError(f"n_gates must be at most {MAX_GATES}, got {n_gates}")
+
+
 def simulate_gate_counts(
     source: SourceSpec,
     det: DetectorModel,
@@ -256,10 +267,7 @@ def simulate_gate_counts(
     The source law is not truncated at ``source.cutoff``; the entries sum to
     ``n_gates``.
     """
-    if n_gates < 1:
-        raise ValueError(f"n_gates must be >= 1, got {n_gates}")
-    if n_gates > MAX_GATES:
-        raise ValueError(f"n_gates must be at most {MAX_GATES}, got {n_gates}")
+    _check_gates(n_gates)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng([seed, _COUNT_STREAM])
@@ -306,6 +314,41 @@ def bin_mass(det: DetectorModel, edges: np.ndarray, ks) -> np.ndarray:
     return block[ks.astype(np.intp)]
 
 
+def _area_edges(det: DetectorModel, bins: int) -> np.ndarray:
+    """The ``bins + 1`` edges of a simulated histogram: [offset - 5 sigma0,
+    adc_max] cut into equal bins."""
+    if bins < 10:
+        raise ValueError(f"need at least 10 bins, got {bins}")
+    return np.linspace(det.offset - 5.0 * det.sigma0, det.adc_max, bins + 1)
+
+
+def _cell_laws(laws, det: DetectorModel, edges: np.ndarray) -> np.ndarray:
+    """The area law of one gate for each detected-count law in ``laws``, one
+    row each: the probability that the gate's pulse area falls in each bin
+    of ``edges``, and last above them (the overflow).
+
+    Each law is cut after the last count whose upper tail holds at least
+    ``_TAIL_MASS``, the window rule's threshold, and renormalised, so a row
+    is off the uncut composition by at most about ``_TAIL_MASS`` and the
+    ``bin_mass`` block stays as small as the law's bulk. All rows come from
+    one ``bin_mass`` call and one matrix product. Gates are independent, so
+    one multinomial draw over a row has the distribution of the detected
+    counts drawn first and each count's gates split over the bins. No cell
+    exceeds 1, so a row whose mass rounds above 1 still passes numpy's
+    multinomial check.
+    """
+    cut = []
+    for law in laws:
+        tail = np.cumsum(law[::-1])[::-1]
+        head = law[: np.count_nonzero(tail >= _TAIL_MASS)]
+        cut.append(head / head.sum())
+    stacked = np.zeros((len(cut), max(map(len, cut), default=0)))
+    for row, head in zip(stacked, cut):
+        row[: head.size] = head
+    cells = stacked @ bin_mass(det, edges, np.arange(stacked.shape[1]))
+    return np.minimum(cells, 1.0, out=cells)
+
+
 def synthesize_histogram(
     frequencies: np.ndarray,
     det: DetectorModel,
@@ -321,12 +364,10 @@ def synthesize_histogram(
     first bin, so binned counts plus overflow always equal the number of gates.
     The histogram carries ``det`` as its detector.
     """
-    if bins < 10:
-        raise ValueError(f"need at least 10 bins, got {bins}")
+    edges = _area_edges(det, bins)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     frequencies = np.asarray(frequencies, dtype=np.int64)
-    edges = np.linspace(det.offset - 5.0 * det.sigma0, det.adc_max, bins + 1)
     k = np.flatnonzero(frequencies)
     rng = np.random.default_rng([seed, _AREA_STREAM])
     draws = rng.multinomial(frequencies[k], bin_mass(det, edges, k)).sum(axis=0)

@@ -38,6 +38,10 @@ from .acquisition import (
     AreaHistogram,
     DetectorModel,
     PumpModel,
+    _area_edges,
+    _cell_laws,
+    _check_gates,
+    _detected_count_law,
     bin_mass,
     simulate_gate_counts,
     synthesize_histogram,
@@ -278,16 +282,20 @@ def pump_sweep(
     """Run the full simulate-fit-analyze pipeline at each pump power.
 
     Returns one (power, GammaReport) row per entry of ``pump.powers``. Each
-    power gets an independent deterministic seed derived from (seed, index).
-    Every power's histogram is drawn first, and their counts are fitted as
-    one stack. The first power that fails, in power order, raises: FitError
-    if its peak fit does not converge, else the error that stopped it.
+    power's histogram is one multinomial draw of ``n_gates`` gates over the
+    area law of one gate (``acquisition._cell_laws``), from its own stream
+    seeded by (seed, ``_SWEEP_STREAM``, index), so it depends on the seed and
+    its index alone. The detected-count laws are taken in power order up to
+    the first that raises, every histogram is drawn from them, and their
+    counts are fitted as one stack. The first power that fails, in power
+    order, raises: FitError if its peak fit does not converge, else the
+    error that stopped it.
     """
     det.check_resolvable(cutoff)
-    hists: list[AreaHistogram] = []
+    _check_gates(n_gates)
+    laws: list[np.ndarray] = []
     failure = None
-    for i, power in enumerate(pump.powers):
-        sub = np.random.SeedSequence([seed, _SWEEP_STREAM, i]).generate_state(2)
+    for power in pump.powers:
         try:
             source = SourceSpec(
                 kind="pdc_pairs",
@@ -295,11 +303,15 @@ def pump_sweep(
                 mean=pump.mean_pairs(power),
                 pair_statistics=pump.pair_statistics,
             )
-            frequencies = simulate_gate_counts(source, det, n_gates, seed=int(sub[0]))
-            hists.append(synthesize_histogram(frequencies, det, bins, seed=int(sub[1])))
+            laws.append(_detected_count_law(source, det))
         except ValueError as exc:  # raised after the powers before it
             failure = exc
             break
+    edges = _area_edges(det, bins)
+    hists = []
+    for i, cells in enumerate(_cell_laws(laws, det, edges)):
+        counts = np.random.default_rng([seed, _SWEEP_STREAM, i]).multinomial(n_gates, cells)
+        hists.append(AreaHistogram(edges, counts[:-1], n_gates, int(counts[-1]), det))
     rows: list[tuple[float, GammaReport]] = []
     for power, fit in zip(pump.powers, _comb_fits(hists)):
         analysis = _analysis(fit)

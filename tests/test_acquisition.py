@@ -14,7 +14,10 @@ from photonstats.acquisition import (
     AreaHistogram,
     DetectorModel,
     PumpModel,
+    _TAIL_MASS,
     _WINDOWS,
+    _area_edges,
+    _cell_laws,
     _detected_count_law,
     _mass_block,
     bin_mass,
@@ -452,6 +455,76 @@ class TestBinMass:
             bin_mass(DET, self.EDGES, ks)
 
 
+# Laws whose tail cut keeps at most 64 rows, under their detectors; dark
+# counts strong enough that their order against the loss shows.
+DARK = DetectorModel(eta=0.6, dark_mean=0.05)
+CELL_SOURCES = {
+    "poisson": (SourceSpec(kind="poisson", cutoff=10, mean=1.0), DET),
+    "pairs": (SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2253), DET),
+    "thermal-dark-after-loss": (
+        SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.5, pair_statistics="thermal"), DARK),
+    "thermal-dark-before-loss": (
+        SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.5, pair_statistics="thermal"),
+        replace(DARK, dark_after_loss=False)),
+    "fock": (SourceSpec(kind="fock", cutoff=10, n=4), DET),
+    "mixture": (SourceSpec(kind="mixture", cutoff=10, weights=(0.3, 0.7), components=(
+        SourceSpec(kind="poisson", cutoff=10, mean=0.4),
+        SourceSpec(kind="pdc_pairs", cutoff=10, mean=0.2, pair_statistics="thermal"))), DET),
+    "16-uW": (SourceSpec(kind="pdc_pairs", cutoff=14, mean=16.0 * DEFAULT_PAIRS_PER_UW), DET),
+}
+
+
+class TestCellLaws:
+    @pytest.mark.parametrize("name", list(CELL_SOURCES))
+    def test_cut_law_composed_with_the_bin_masses(self, name, monkeypatch):
+        src, det = CELL_SOURCES[name]
+        law = _detected_count_law(src, det)
+        if name == "16-uW":
+            assert law.size == 129
+        edges = _area_edges(det, 500)
+        uncut = law @ bin_mass(det, edges, np.arange(law.size))
+        asked = []
+
+        def spy(det, edges, ks):
+            asked.append(np.asarray(ks))
+            return bin_mass(det, edges, ks)
+
+        monkeypatch.setattr("photonstats.acquisition.bin_mass", spy)
+        (cells,) = _cell_laws([law], det, edges)
+        assert cells.shape == (edges.size,)
+        assert abs(cells.sum() - 1.0) <= 1e-12 and cells.max() <= 1.0
+        assert np.abs(cells - uncut).max() <= _TAIL_MASS
+        # one block of rows 0..kept-1, cut where the upper tail falls below _TAIL_MASS
+        (ks,) = asked
+        kept = ks.size
+        assert np.array_equal(ks, np.arange(kept)) and kept <= 64
+        assert law[kept:].sum() < _TAIL_MASS <= law[kept - 1:].sum()
+
+    def test_rows_are_the_laws_composed_one_by_one(self):
+        laws = [_detected_count_law(src, det) for src, det in
+                (CELL_SOURCES["pairs"], CELL_SOURCES["16-uW"], CELL_SOURCES["fock"])]
+        edges = _area_edges(DET, 500)
+        rows = _cell_laws(laws, DET, edges)
+        assert rows.shape == (3, edges.size)
+        for row, law in zip(rows, laws):
+            np.testing.assert_allclose(row, _cell_laws([law], DET, edges)[0], rtol=0, atol=1e-16)
+
+    def test_all_overflow_law_stays_drawable(self):
+        # about 68 pairs (90 detected counts) per gate, every area above
+        # adc_max: the overflow cell rounds to 1 + 1 ulp before the clip,
+        # which numpy's multinomial refuses
+        det = replace(DET, adc_max=25.0)
+        src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=300 * 0.2253)
+        (cells,) = _cell_laws([_detected_count_law(src, det)], det, _area_edges(det, 100))
+        assert cells.max() <= 1.0 and cells[-1] == 1.0
+        counts = np.random.default_rng(0).multinomial(10_000, cells)
+        assert counts[-1] == 10_000
+
+    def test_no_laws_give_no_rows(self):
+        edges = _area_edges(DET, 500)
+        assert _cell_laws([], DET, edges).shape == (0, edges.size)
+
+
 class TestAreaHistogramType:
     def test_edges_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -635,6 +708,12 @@ class TestPumpSweep:
         expected = gamma_under_loss(0.67)
         for _, rep in rows:
             assert abs(rep.gamma - expected) < 4 * rep.std_error
+
+    @pytest.mark.parametrize("n_gates", [0, 2**63])
+    def test_n_gates_outside_one_draw_rejected(self, n_gates):
+        pump = PumpModel(powers=(1.0,), pairs_per_uW=0.2)
+        with pytest.raises(ValueError, match="n_gates"):
+            pump_sweep(pump, DET, n_gates, seed=0, cutoff=10, bins=500)
 
     def test_dark_counts_pull_gamma_down_at_low_power(self):
         det = DetectorModel(eta=0.67, dark_mean=4e-4)

@@ -16,6 +16,8 @@ from photonstats.acquisition import (
     AreaHistogram,
     DetectorModel,
     PumpModel,
+    _area_edges,
+    _cell_laws,
     _detected_count_law,
     simulate_gate_counts,
     synthesize_histogram,
@@ -27,6 +29,7 @@ from photonstats.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_RUNTIME,
+    _SWEEP_STREAM,
     ConfigError,
     RunConfig,
     _analysis,
@@ -882,12 +885,40 @@ class TestSweepCommand:
         pump = PumpModel(powers=(0.01, 0.3, 1.0, 16.0), pairs_per_uW=0.2253)
         rows = pump_sweep(pump, det, 200_000, seed=4, cutoff=14, bins=400)
         assert [power for power, _ in rows] == list(pump.powers)
+        edges = _area_edges(det, 400)
         for i, (power, report) in enumerate(rows):
-            sub = np.random.SeedSequence([4, 2, i]).generate_state(2)
             source = SourceSpec(kind="pdc_pairs", cutoff=14, mean=pump.mean_pairs(power))
-            hist = synthesize_histogram(simulate_gate_counts(source, det, 200_000, int(sub[0])),
-                                        det, 400, int(sub[1]))
+            (cells,) = _cell_laws([_detected_count_law(source, det)], det, edges)
+            counts = np.random.default_rng([4, _SWEEP_STREAM, i]).multinomial(200_000, cells)
+            hist = AreaHistogram(edges, counts[:-1], 200_000, int(counts[-1]), det)
             assert report == analyze_histogram(hist).gamma_report
+
+    def test_each_power_depends_on_seed_and_index_alone(self):
+        det = DetectorModel(eta=0.67, dark_mean=4e-4)
+        three = pump_sweep(PumpModel(powers=(0.3, 1.0, 3.0)), det, 100_000, seed=8,
+                           cutoff=14, bins=500)
+        two = pump_sweep(PumpModel(powers=(0.3, 1.0)), det, 100_000, seed=8,
+                         cutoff=14, bins=500)
+        assert three[:2] == two
+
+    def test_draw_matches_the_two_stage_draw(self):
+        # 300 sweep replicates at 1 uW and 2e4 gates against 300 histograms
+        # drawn count law first and bins second; bounds fixed before the
+        # first run: the means of gamma within 4 standard errors of their
+        # difference, and the log of the ratio of the sds within 4 sqrt(1 / (n - 1))
+        det = DetectorModel(eta=0.67, dark_mean=4e-4)
+        n = 300
+        pump = PumpModel(powers=(1.0,) * n)
+        sweep = np.array([rep.gamma for _, rep in
+                          pump_sweep(pump, det, 20_000, seed=5, cutoff=14, bins=500)])
+        source = SourceSpec(kind="pdc_pairs", cutoff=14, mean=pump.mean_pairs(1.0))
+        hists = [synthesize_histogram(simulate_gate_counts(source, det, 20_000, seed), det, 500,
+                                      seed) for seed in range(n)]
+        two_stage = np.array([_analysis(fit).gamma_report.gamma for fit in _comb_fits(hists)])
+        sd_sweep, sd_two = sweep.std(ddof=1), two_stage.std(ddof=1)
+        z = (sweep.mean() - two_stage.mean()) / math.sqrt((sd_sweep**2 + sd_two**2) / n)
+        assert abs(z) <= 4.0
+        assert abs(math.log(sd_sweep / sd_two)) <= 4.0 * math.sqrt(1.0 / (n - 1))
 
     @pytest.mark.parametrize("case", ["law-too-wide", "empty-histogram"])
     def test_first_failing_power_decides(self, tmp_path, capsys, monkeypatch, case):
