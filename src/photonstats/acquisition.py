@@ -9,13 +9,14 @@ overflow rather than binned.
 Gates are independent and identically distributed, so the gates themselves
 are never drawn. ``simulate_gate_counts`` draws the detected-count
 frequencies as one multinomial over the detected-count law (the detector law
-of :mod:`photonstats.channel` applied to the source law), and
-``synthesize_histogram`` the areas of the gates with k counts as one
-multinomial over the bins; each of the two draws has its own stream seeded
-by (seed, stream tag). A caller that needs only the histogram draws it as
-one multinomial over the composed area law of one gate (``_cell_laws``),
-which has the same distribution. Either way the cost depends on the number
-of photon numbers and bins, not on the number of gates, and outputs are
+of :mod:`photonstats.channel` applied to the source law, cut where its upper
+tail falls below ``_TAIL_MASS``), and ``synthesize_histogram`` the areas of
+the gates with k counts as one multinomial over the bins (row k of
+``bin_mass``); each of the two draws has its own stream seeded by (seed,
+stream tag). A caller that needs only the histogram draws it as one
+multinomial over the composed area law of one gate (``_cell_laws``), which
+has the same distribution. Either way the cost depends on the number of
+photon numbers and bins, not on the number of gates, and outputs are
 bit-reproducible for a given seed.
 """
 
@@ -34,8 +35,8 @@ from .ioutil import SCHEMA_VERSION, csv_text, real_number, whole_number
 _COUNT_STREAM = 0
 _AREA_STREAM = 1
 # Photon-number windows tried, in order, for the detected-count law; the first
-# whose upper half holds less than _TAIL_MASS is used. They do not depend on
-# any run or reconstruction cutoff.
+# in whose lower half the law's cut falls (its upper half holds less than
+# _TAIL_MASS) is used. They do not depend on any run or reconstruction cutoff.
 _WINDOWS = (64, 128, 256, 512, 1024)
 _TAIL_MASS = 1e-15
 # Largest deviation, relative to the bin width, of a sidecar-less CSV's center
@@ -232,16 +233,19 @@ class PumpModel:
 
 def _detected_count_law(source: SourceSpec, det: DetectorModel) -> np.ndarray:
     """Probabilities of 0, 1, 2, ... detected counts in one gate: the detector
-    law applied to the source law on the first window wide enough that the
-    result is effectively untruncated."""
+    law applied to the source law, cut after the last count whose upper tail
+    holds at least ``_TAIL_MASS`` and renormalised. It is taken on the first
+    window in whose lower half that cut falls, so the law is effectively
+    untruncated and off the uncut law by at most about ``_TAIL_MASS``."""
     for window in _WINDOWS:
         try:
             p = _source_pmf(source, window)
         except ValueError:  # a Fock number above the window, or mass lost beyond it
             continue
         f = _detect(p, det.eta, det.dark_mean, det.dark_after_loss)
-        if f[window // 2 :].sum() < _TAIL_MASS:
-            return f / f.sum()
+        cut = np.count_nonzero(np.cumsum(f[::-1])[::-1] >= _TAIL_MASS)
+        if cut <= window // 2:
+            return f[:cut] / f[:cut].sum()
     raise ValueError(f"the detected-count law does not fit in {_WINDOWS[-1]} photons")
 
 
@@ -276,11 +280,11 @@ def simulate_gate_counts(
 
 @functools.lru_cache(maxsize=8)
 def _mass_block(gain: float, offset: float, sigma0: float, sigma_per_photon: float,
-                edges_bytes: bytes, size: int) -> np.ndarray:
-    """Rows 0..size-1 of ``bin_mass`` for one pulse-area response and one set
-    of bin edges (their float64 bytes), read-only. The last eight are kept."""
+                edges_bytes: bytes, n: int) -> np.ndarray:
+    """Rows 0..n-1 of ``bin_mass`` for one pulse-area response and one set of
+    bin edges (their float64 bytes), read-only. The last eight are kept."""
     edges = np.frombuffer(edges_bytes, dtype=np.float64)
-    k = np.arange(size)[:, None]
+    k = np.arange(n)[:, None]
     z = (edges - (offset + k * gain)) / np.sqrt(sigma0**2 + k * sigma_per_photon**2)
     cdf = _gaussian_cdf(z)
     cdf[:, 0] = 0.0  # areas below the range are clipped into the first bin
@@ -289,29 +293,25 @@ def _mass_block(gain: float, offset: float, sigma0: float, sigma_per_photon: flo
     return block
 
 
-def bin_mass(det: DetectorModel, edges: np.ndarray, ks) -> np.ndarray:
+def bin_mass(det: DetectorModel, edges: np.ndarray, n: int) -> np.ndarray:
     """Probability that a gate with k detected counts puts its pulse area in
-    each bin of ``edges``, one row per k of ``ks``, a 1-D sequence of
-    nonnegative integers.
+    each bin of ``edges``, one row for each k in 0..n-1, n a nonnegative
+    integer.
 
     Row k holds the Gaussian mass of each bin for peak k, with the mass below
     the range clipped into the first bin, and one last entry for the overflow
     above the last edge, so every row sums to one.
 
-    A row depends only on the pulse-area response (gain, offset, sigma0,
-    sigma_per_photon), the edges and k, so rows are computed in read-only
-    blocks of 0..2^m - 1, the smallest that holds the largest k, and the
-    blocks of the last eight responses, edge sets and sizes are kept. The
-    result is a new array.
+    The rows depend only on the pulse-area response (gain, offset, sigma0,
+    sigma_per_photon), the edges and n, so the result is the shared
+    read-only block kept for them, not a copy; the blocks of the last eight
+    are kept.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     edges = np.asarray(edges, dtype=np.float64)
-    ks = np.asarray(ks)
-    if ks.ndim != 1 or (ks.size and (ks.dtype.kind not in "iu" or ks.min() < 0)):
-        raise ValueError(f"ks must be a 1-D sequence of nonnegative integers, got {ks!r}")
-    size = 1 << int(ks.max(initial=0)).bit_length()
-    block = _mass_block(det.gain, det.offset, det.sigma0, det.sigma_per_photon,
-                        edges.tobytes(), size)
-    return block[ks.astype(np.intp)]
+    return _mass_block(det.gain, det.offset, det.sigma0, det.sigma_per_photon,
+                       edges.tobytes(), int(n))
 
 
 def _area_edges(det: DetectorModel, bins: int) -> np.ndarray:
@@ -327,25 +327,17 @@ def _cell_laws(laws, det: DetectorModel, edges: np.ndarray) -> np.ndarray:
     row each: the probability that the gate's pulse area falls in each bin
     of ``edges``, and last above them (the overflow).
 
-    Each law is cut after the last count whose upper tail holds at least
-    ``_TAIL_MASS``, the window rule's threshold, and renormalised, so a row
-    is off the uncut composition by at most about ``_TAIL_MASS`` and the
-    ``bin_mass`` block stays as small as the law's bulk. All rows come from
-    one ``bin_mass`` call and one matrix product. Gates are independent, so
-    one multinomial draw over a row has the distribution of the detected
-    counts drawn first and each count's gates split over the bins. No cell
-    exceeds 1, so a row whose mass rounds above 1 still passes numpy's
-    multinomial check.
+    The laws, cut as ``_detected_count_law`` cuts them, are stacked and
+    composed with the bin masses in one ``bin_mass`` call and one matrix
+    product. Gates are independent, so one multinomial draw over a row has
+    the distribution of the detected counts drawn first and each count's
+    gates split over the bins. No cell exceeds 1, so a row whose mass rounds
+    above 1 still passes numpy's multinomial check.
     """
-    cut = []
-    for law in laws:
-        tail = np.cumsum(law[::-1])[::-1]
-        head = law[: np.count_nonzero(tail >= _TAIL_MASS)]
-        cut.append(head / head.sum())
-    stacked = np.zeros((len(cut), max(map(len, cut), default=0)))
-    for row, head in zip(stacked, cut):
-        row[: head.size] = head
-    cells = stacked @ bin_mass(det, edges, np.arange(stacked.shape[1]))
+    stacked = np.zeros((len(laws), max(map(len, laws), default=0)))
+    for row, law in zip(stacked, laws):
+        row[: law.size] = law
+    cells = stacked @ bin_mass(det, edges, stacked.shape[1])
     return np.minimum(cells, 1.0, out=cells)
 
 
@@ -369,7 +361,8 @@ def synthesize_histogram(
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     frequencies = np.asarray(frequencies, dtype=np.int64)
     k = np.flatnonzero(frequencies)
+    mass = bin_mass(det, edges, k[-1] + 1 if k.size else 0)[k]
     rng = np.random.default_rng([seed, _AREA_STREAM])
-    draws = rng.multinomial(frequencies[k], bin_mass(det, edges, k)).sum(axis=0)
+    draws = rng.multinomial(frequencies[k], mass).sum(axis=0)
     return AreaHistogram(edges, draws[:-1], n_gates=int(frequencies.sum()),
                          overflow=int(draws[-1]), detector=det)

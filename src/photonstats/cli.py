@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from .acquisition import (
-    MAX_GATES,
     AreaHistogram,
     DetectorModel,
     PumpModel,
@@ -97,10 +96,7 @@ class RunConfig:
     bins: int = 500
 
     def __post_init__(self):
-        if self.n_gates < 1:
-            raise ConfigError(f"n_gates must be >= 1, got {self.n_gates}")
-        if self.n_gates > MAX_GATES:
-            raise ConfigError(f"n_gates must be at most {MAX_GATES}, got {self.n_gates}")
+        _check_gates(self.n_gates)
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.bins < 10:
@@ -239,7 +235,7 @@ def _comb_fits(hists: list[AreaHistogram]):
     if not hists:
         return
     det, edges = hists[0].detector, hists[0].bin_edges
-    teeth = np.arange(int((edges[-1] - det.offset) // det.gain) + 1)
+    teeth = max(int((edges[-1] - det.offset) // det.gain) + 1, 0)
     counts = np.array([h.counts for h in hists], dtype=np.float64)
     for row, fit in zip(counts, fit_comb(counts, bin_mass(det, edges, teeth)[:, :-1], det)):
         if not row.any():

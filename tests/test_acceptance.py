@@ -177,7 +177,7 @@ def test_criterion_8_fit_fidelity():
     # the expected counts of every tooth in range, rounded
     lam = np.array([height * width * math.sqrt(2 * math.pi) / bin_width
                     for height, _, width in truth])
-    mass = bin_mass(det, edges, range(7))[:, :-1]
+    mass = bin_mass(det, edges, 7)[:, :-1]
     counts = np.rint(np.pad(lam, (0, 4)) @ mass)
     offset, gain, sigma0, per_photon, converged = _fit_unknown_comb(
         AreaHistogram(edges, counts, n_gates=int(counts.sum()) + 1))

@@ -285,7 +285,7 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
         err = stderr_error(capsys)
         assert err["exit_code"] == EXIT_CONFIG
-        assert "n_gates" in err["error"]
+        assert "n_gates must be >= 1" in err["error"]
 
     def test_law_too_wide_is_runtime_error(self, tmp_path, capsys):
         # thermal pairs at 20 per gate leave more than 1e-15 of the detected
