@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel import _check_detector_law, _detect
-from .distributions import SourceSpec, _check_pair_statistics, _gaussian_cdf, _source_pmf
+from .distributions import (SourceSpec, _check_pair_statistics, _check_resolvable, _comb_cells,
+                            _source_pmf)
 from .ioutil import SCHEMA_VERSION, csv_text, real_number, whole_number
 
 _COUNT_STREAM = 0
@@ -92,13 +93,8 @@ class DetectorModel:
         return np.sqrt(self.sigma0**2 + np.asarray(k) * self.sigma_per_photon**2)
 
     def check_resolvable(self, cutoff: int) -> None:
-        """Require gain > 4x the widest peak up to ``cutoff`` so peaks separate."""
-        widest = float(self.peak_width(cutoff))
-        if self.gain <= 4.0 * widest:
-            raise ValueError(
-                f"peaks unresolvable: gain {self.gain} must exceed 4 x width "
-                f"{widest:.3f} at photon number {cutoff}"
-            )
+        """Require the peaks up to ``cutoff`` to separate (``_check_resolvable``)."""
+        _check_resolvable(self.gain, float(self.peak_width(cutoff)), cutoff)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,13 +278,11 @@ def simulate_gate_counts(
 def _mass_block(gain: float, offset: float, sigma0: float, sigma_per_photon: float,
                 edges_bytes: bytes, n: int) -> np.ndarray:
     """Rows 0..n-1 of ``bin_mass`` for one pulse-area response and one set of
-    bin edges (their float64 bytes), read-only. The last eight are kept."""
-    edges = np.frombuffer(edges_bytes, dtype=np.float64)
-    k = np.arange(n)[:, None]
-    z = (edges - (offset + k * gain)) / np.sqrt(sigma0**2 + k * sigma_per_photon**2)
-    cdf = _gaussian_cdf(z)
-    cdf[:, 0] = 0.0  # areas below the range are clipped into the first bin
-    block = np.diff(cdf, append=1.0)
+    bin edges (their float64 bytes), read-only: the masses of
+    ``_comb_cells`` for teeth 0..n-1. The last eight are kept."""
+    k = np.arange(n)
+    _, _, block = _comb_cells(offset + k * gain, np.sqrt(sigma0**2 + k * sigma_per_photon**2),
+                              np.frombuffer(edges_bytes, dtype=np.float64))
     block.setflags(write=False)
     return block
 
@@ -300,7 +294,8 @@ def bin_mass(det: DetectorModel, edges: np.ndarray, n: int) -> np.ndarray:
 
     Row k holds the Gaussian mass of each bin for peak k, with the mass below
     the range clipped into the first bin, and one last entry for the overflow
-    above the last edge, so every row sums to one.
+    above the last edge, so every row sums to one: the cell law of
+    ``_comb_cells``, which the fit of an unknown comb shares.
 
     The rows depend only on the pulse-area response (gain, offset, sigma0,
     sigma_per_photon), the edges and n, so the result is the shared

@@ -4,6 +4,10 @@ A distribution is a plain probability vector over photon number n = 0..cutoff.
 Sources are described declaratively by :class:`SourceSpec` and realized by
 :func:`make_distribution`; pair-emitting sources put mass only on even photon
 numbers (two photons per pair).
+
+The simulator and both comb fits take the binned cell law of a pulse-area
+comb (``_comb_cells``) and its resolvability rule (``_check_resolvable``)
+from here.
 """
 
 from __future__ import annotations
@@ -144,6 +148,26 @@ def _gaussian_cdf(z: np.ndarray) -> np.ndarray:
     out[band] = np.fromiter(map(math.erfc, inside.tolist()), np.float64, inside.size)
     with np.errstate(under="ignore"):
         return 0.5 * out
+
+
+def _comb_cells(center: np.ndarray, width: np.ndarray, edges: np.ndarray):
+    """The binned cell law of a pulse-area comb, one row per tooth with a
+    Gaussian area of mean ``center`` and standard deviation ``width``: z at
+    the upper edge of each bin of ``edges``, the first edge read as -inf so
+    that areas below the range fall in the first bin; the normal CDF at those
+    edges; and the tooth's mass in each bin, with the overflow above the last
+    edge last, so that each row sums to one. Returns (z, cdf, mass)."""
+    z = (edges[1:] - center[:, None]) / width[:, None]
+    cdf = _gaussian_cdf(z)
+    return z, cdf, np.diff(cdf, prepend=0.0, append=1.0)
+
+
+def _check_resolvable(gain: float, widest: float, photon_number: int) -> None:
+    """Require gain > 4 x ``widest``, the width of the widest peak, at photon
+    number ``photon_number``, so that neighbouring peaks separate."""
+    if gain <= 4.0 * widest:
+        raise ValueError(f"peaks unresolvable: gain {gain} must exceed 4 x width "
+                         f"{widest:.3f} at photon number {photon_number}")
 
 
 @functools.lru_cache(maxsize=8)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MIN_CUTOFF, PhotonDistribution, _gaussian_cdf
+from .distributions import MIN_CUTOFF, PhotonDistribution, _check_resolvable, _comb_cells
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 XTOL = 1e-8
@@ -67,20 +67,21 @@ def _comb_ecm(edges, y, k, lam, comb, floors):
     var0, v) and the start ``lam``.
 
     The E-step gives each tooth's expected events and their sums of z and
-    z^2, z = (area - center) / width, from the normal density and CDF at the
-    edges, with r_ik / mass_ik written as lam_k y_i / mu_i so that far tails
-    give no 0/0; a bin whose mu_i is so small that y_i / mu_i overflows
-    raises ValueError. Below the first edge is one more cell, which holds no
-    counts; above the last edge nothing is observed, so its areas enter at
-    their expected values. The CM-steps set lam to the expected events and
-    take the teeth holding at least one (ValueError when none does): offset
-    and gain are the weighted line of their mean areas on k (weights events /
-    width^2), then var0 and v take one Fisher-scoring step, the weighted line
-    of their mean squared deviations from the new centers on k (weights
-    events / width^4). ``floors`` bounds the gain and var0 from below, and v
-    stays at or above 0. The fit has converged once no comb parameter moves
-    by more than XTOL of the gain (of its square, for var0 and v); MAX_ITER
-    iterations are allowed.
+    z^2, z = (area - center) / width, from the cell law of ``_comb_cells``
+    and the normal density at the same edges, with r_ik / mass_ik written as
+    lam_k y_i / mu_i so that far tails give no 0/0; a bin whose mu_i is so
+    small that y_i / mu_i overflows raises ValueError. Areas below the first
+    edge fall in the first bin, as in ``bin_mass``; above the last edge
+    nothing is observed, so its areas enter at their expected values. The
+    CM-steps set lam to the expected events and take the teeth holding at
+    least one (ValueError when none does): offset and gain are the weighted
+    line of their mean areas on k (weights events / width^2), then var0 and
+    v take one Fisher-scoring step, the weighted line of their mean squared
+    deviations from the new centers on k (weights events / width^4).
+    ``floors`` bounds the gain and var0 from below, and v stays at or above
+    0. The fit has converged once no comb parameter moves by more than XTOL
+    of the gain (of its square, for var0 and v); MAX_ITER iterations are
+    allowed.
 
     Returns (comb, lam, converged).
     """
@@ -90,10 +91,9 @@ def _comb_ecm(edges, y, k, lam, comb, floors):
         for _ in range(MAX_ITER):
             offset, gain, var0, v = comb
             center, width = offset + k * gain, np.sqrt(var0 + k * v)
-            z = (edges - center[:, None]) / width[:, None]
-            cdf = _gaussian_cdf(z)
+            z, cdf, mass = _comb_cells(center, width, edges)
             pdf = np.exp(-0.5 * z * z) / SQRT_2PI
-            mu = lam @ np.diff(cdf)
+            mu = lam @ mass[:, :-1]
             with np.errstate(over="ignore"):  # refused just below
                 ratio = np.divide(y, mu, out=np.zeros(mu.shape), where=mu > 0.0)
             lost = np.isinf(ratio)
@@ -102,11 +102,11 @@ def _comb_ecm(edges, y, k, lam, comb, floors):
                 raise ValueError(f"cannot fit a comb: the bin at area "
                                  f"{0.5 * (edges[i] + edges[i + 1]):.6g} holds counts where "
                                  f"the comb expects only {mu[i]:.3g}")
-            # a cell's events per unit of a tooth's mass in it: none below the
-            # range, y / mu in it, and all of them above it
-            share = np.concatenate(([0.0], ratio, [1.0]))
+            # a cell's events per unit of a tooth's mass in it: y / mu in a
+            # bin, and all of them above the range
+            share = np.append(ratio, 1.0)
             # a tooth's sum over the cells of share x (F(upper) - F(lower)),
-            # summed by parts: F at the edges times step, plus F(inf)
+            # summed by parts: F at the upper edges times step, plus F(inf)
             step = share[:-1] - share[1:]
             sum_z, sum_z2 = -lam * (pdf @ step), lam * ((cdf - z * pdf) @ step + 1.0)
             lam = lam * (cdf @ step + 1.0)
@@ -131,7 +131,11 @@ def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
     """Poisson maximum-likelihood fit of the comb of an unknown detector to
     the histogram, on the model of ``fit_comb``: tooth k holds lam_k gates,
     each with a Gaussian area at offset + k gain and variance
-    sigma0^2 + k v, v = sigma_per_photon^2. ``_comb_ecm`` fits it.
+    sigma0^2 + k v, v = sigma_per_photon^2, and its areas below the range
+    clipped into the first bin, as ``bin_mass`` clips them. ``_comb_ecm``
+    fits it. Counts in fewer than three bins raise ValueError: two teeth
+    narrowed to the width floor, or a pedestal pushed below the range, match
+    any two bins exactly, so the comb is not identified.
 
     The fit starts with the gain at the first maximum of the counts'
     autocorrelation past its zero-lag lobe (the highest one sits at twice the
@@ -152,6 +156,9 @@ def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
     y = h.counts.astype(np.float64)
     if y.sum() == 0:
         raise ValueError("empty histogram: no counts to fit")
+    held = np.flatnonzero(y)
+    if held.size < 3:  # two teeth at the width floor, or below the range, match two bins
+        raise ValueError("too few counts to fit a comb: fewer than three bins hold counts")
     x = h.bin_centers
     bw = h.bin_width
     bottom, top = h.bin_edges[0], h.bin_edges[-1]
@@ -169,17 +176,13 @@ def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
     offset = tallest - gain * ((tallest - bottom) // gain)
     teeth = int((top - offset) // gain) + 1
     sigma0, per_photon = gain / 8.0, gain / 32.0
-    # the rule of DetectorModel.check_resolvable, gain > 4 x the widest width,
-    # held to the start comb over the gains the counts span (empty bins
-    # around them do not count): these start widths fail it from 48 gains
-    # on, which noise reaches and photon-number peaks do not, and the fit
-    # would spend seconds crowding such a comb
-    held = np.flatnonzero(y)
+    # the rule of DetectorModel.check_resolvable, held to the start comb
+    # over the gains the counts span (empty bins around them do not count):
+    # these start widths fail it from 48 gains on, which noise reaches and
+    # photon-number peaks do not, and the fit would spend seconds crowding
+    # such a comb
     spanned = int((x[held[-1]] - x[held[0]]) // gain)
-    widest = math.sqrt(sigma0**2 + spanned * per_photon**2)
-    if gain <= 4.0 * widest:
-        raise ValueError(f"peaks unresolvable: the start comb's gain {gain} must exceed "
-                         f"4 x width {widest:.3f} at photon number {spanned}")
+    _check_resolvable(gain, math.sqrt(sigma0**2 + spanned * per_photon**2), spanned)
 
     nearest = np.clip(np.rint((x - offset) / gain).astype(int), 0, teeth - 1)
     lam = np.bincount(nearest, weights=y, minlength=teeth)

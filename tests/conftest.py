@@ -52,6 +52,17 @@ def per_gate_histogram(counts, det, edges, rng):
     return np.histogram(kept, bins=edges)[0], int(over.sum())
 
 
+def padded_below(hist, pad):
+    """``hist`` as a CSV without a sidecar reads it, with ``pad`` empty bins
+    of its width added below its range."""
+    from photonstats.acquisition import AreaHistogram
+
+    edges = np.concatenate((hist.bin_edges[0] - hist.bin_width * np.arange(pad, 0, -1),
+                            hist.bin_edges))
+    padded = AreaHistogram(edges, np.pad(hist.counts, (pad, 0)), hist.n_gates)
+    return AreaHistogram.from_csv(padded.to_csv())
+
+
 def _gamma_of_poisson_terms(p1, p2, p3):
     """Elementwise gamma from the first three pmf terms; 0 where all vanish."""
     denom = p1 + p2 + p3

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import padded_below
 from photonstats import fitting
 from photonstats.acquisition import (
     DEFAULT_PAIRS_PER_UW,
@@ -471,25 +472,34 @@ class TestAnalyzeCommand:
 
     def test_padding_below_the_pedestal_changes_nothing(self):
         # sidecar-less CSVs at 1 uW: the comb starts at the lowest tooth
-        # holding an event, not at the first bin
+        # holding an event, not at the first bin. The areas below the range
+        # fall in the first bin, so empty bins padded below it take over that
+        # bin's mass below its lower edge: two paddings give the same
+        # analysis, and padding leaves that of a histogram whose first bin is
+        # empty
         det = DetectorModel(eta=0.67, dark_mean=4e-4)
         source = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2253)
+        empty_first_bin = 0
         for seed in range(5):
             hist = synthesize_histogram(simulate_gate_counts(source, det, 100_000, seed),
                                         det, 500, seed)
-            pad = 100  # 25 area units: the padded range starts 3 gains below the pedestal
-            edges = np.concatenate((hist.bin_edges[0] - hist.bin_width * np.arange(pad, 0, -1),
-                                    hist.bin_edges))
-            padded = AreaHistogram(edges, np.pad(hist.counts, (pad, 0)), hist.n_gates)
-            plain, wide = (analyze_histogram(AreaHistogram.from_csv(h.to_csv()))
-                           for h in (hist, padded))
-            for p, q in zip(wide.fit.peaks, plain.fit.peaks):
-                assert p.center == pytest.approx(q.center, abs=1e-6)
-            # a tooth holding one event sits on fit_comb's one-event reporting
-            # cut and can fall either side of it, which moves that event in or
-            # out of the normalization: 1e-5 of the 1e5 gates
-            np.testing.assert_allclose(wide.distribution.probs[:4],
-                                       plain.distribution.probs[:4], atol=1e-5)
+            # 25 and 100 area units: the padded ranges start 3 and 10 gains
+            # below the pedestal
+            plain, *wide = (analyze_histogram(padded_below(hist, pad)) for pad in (0, 100, 400))
+            pairs = [(wide[1], wide[0])]
+            if hist.counts[0] == 0:
+                empty_first_bin += 1
+                pairs.append((wide[0], plain))
+            for a, b in pairs:
+                for p, q in zip(a.fit.peaks, b.fit.peaks):
+                    assert p.center == pytest.approx(q.center, abs=1e-6)
+                # a tooth holding one event sits on fit_comb's one-event
+                # reporting cut and can fall either side of it, which moves
+                # that event in or out of the normalization: 1e-5 of the 1e5
+                # gates
+                np.testing.assert_allclose(a.distribution.probs[:4], b.distribution.probs[:4],
+                                           atol=1e-5)
+        assert 0 < empty_first_bin < 5
 
     @pytest.mark.parametrize("pad", [0, 2400], ids=["plain", "padded-60-gains"])
     def test_wide_range_without_sidecar_is_analyzed(self, tmp_path, pad):
