@@ -232,7 +232,10 @@ def _detected_count_law(source: SourceSpec, det: DetectorModel) -> np.ndarray:
     law applied to the source law, cut after the last count whose upper tail
     holds at least ``_TAIL_MASS`` and renormalised. It is taken on the first
     window in whose lower half that cut falls, so the law is effectively
-    untruncated and off the uncut law by at most about ``_TAIL_MASS``."""
+    untruncated and off the uncut law by at most about ``_TAIL_MASS``. A cut
+    at 0 means no count's tail reaches ``_TAIL_MASS`` in the window (the
+    dark counts alone can carry the law past it), so the next window is
+    tried."""
     for window in _WINDOWS:
         try:
             p = _source_pmf(source, window)
@@ -240,7 +243,7 @@ def _detected_count_law(source: SourceSpec, det: DetectorModel) -> np.ndarray:
             continue
         f = _detect(p, det.eta, det.dark_mean, det.dark_after_loss)
         cut = np.count_nonzero(np.cumsum(f[::-1])[::-1] >= _TAIL_MASS)
-        if cut <= window // 2:
+        if 0 < cut <= window // 2:
             return f[:cut] / f[:cut].sum()
     raise ValueError(f"the detected-count law does not fit in {_WINDOWS[-1]} photons")
 

@@ -111,9 +111,9 @@ class RunConfig:
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
         """The one config loader: each section is passed whole to its
-        dataclass, so a missing or unknown key is a ConfigError. An unknown
-        top-level key is one too; ``schema_version`` is accepted with any
-        value."""
+        dataclass, so a missing or unknown key is a ConfigError. Only an
+        omitted or null ``pump`` means no pump. An unknown top-level key is
+        a ConfigError too; ``schema_version`` is accepted with any value."""
         unknown = set(d) - {f.name for f in fields(cls)} - {"schema_version"}
         if unknown:
             raise ConfigError(f"invalid run config: unknown keys {sorted(unknown)}")
@@ -122,7 +122,7 @@ class RunConfig:
             return cls(
                 source=_source_spec(d["source"]),
                 detector=DetectorModel(**d["detector"]),
-                pump=PumpModel(**pump) if pump else None,
+                pump=None if pump is None else PumpModel(**pump),
                 n_gates=whole_number("n_gates", d["n_gates"]),
                 cutoff=whole_number("cutoff", d["cutoff"]),
                 seed=whole_number("seed", d["seed"]),

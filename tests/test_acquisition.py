@@ -286,6 +286,21 @@ class TestSimulateGateCounts:
         with pytest.raises(ValueError, match="does not fit"):
             simulate_gate_counts(src, DET, 1000, seed=0)
 
+    @pytest.mark.parametrize("dark_mean", [160.0, 300.0])
+    def test_dark_counts_alone_can_pass_the_first_window(self, dark_mean):
+        # from a dark mean of about 160 no count of the 64-photon window keeps
+        # an upper tail of _TAIL_MASS, so its cut is 0 and a wider window
+        # gives the law
+        src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2)
+        law = _detected_count_law(src, DetectorModel(eta=0.67, dark_mean=dark_mean))
+        assert np.arange(law.size) @ law == pytest.approx(2 * 0.67 * 0.2 + dark_mean, rel=2e-14)
+
+    @pytest.mark.parametrize("dark_mean", [450.0, 900.0, 1e300])
+    def test_dark_counts_wider_than_largest_window_rejected(self, dark_mean):
+        src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2)
+        with pytest.raises(ValueError, match="does not fit in 1024 photons"):
+            _detected_count_law(src, DetectorModel(eta=0.67, dark_mean=dark_mean))
+
     def test_cost_does_not_grow_with_gates(self):
         src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2253)
         freq = simulate_gate_counts(src, DET, 10**12, seed=11)

@@ -147,6 +147,18 @@ class TestRunConfig:
         if top is not None:
             assert "must be a JSON object" in err["error"]
 
+    @pytest.mark.parametrize("pump", [0, False, "", [], {}],
+                             ids=["zero", "false", "empty-string", "empty-array", "empty-object"])
+    def test_pump_given_is_passed_whole(self, tmp_path, capsys, pump):
+        # only an omitted or null pump means no pump; any other value goes
+        # to PumpModel as the other sections go to theirs
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, pump=pump)
+        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
+        err = stderr_error(capsys)
+        assert err["type"] == "ConfigError" and err["exit_code"] == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("edit, field, rule", [
         (lambda cfg: cfg["detector"].update(dark_mean=math.nan), "dark_mean", "finite"),
         (lambda cfg: cfg["detector"].update(gain=math.nan), "gain", "finite"),
@@ -295,6 +307,29 @@ class TestSimulateCommand:
         write_config(cfg_path, n_gates=1000, source={
             "kind": "pdc_pairs", "cutoff": 14, "mean": 20.0, "pair_statistics": "thermal"})
         assert main(["simulate", "--config", str(cfg_path)]) == EXIT_RUNTIME
+        err = stderr_error(capsys)
+        assert err["exit_code"] == EXIT_RUNTIME and err["type"] == "ValueError"
+        assert "does not fit in 1024 photons" in err["error"]
+
+    def test_dark_counts_past_the_first_window_are_simulated(self, tmp_path):
+        # at a dark mean of 300 no count of the 64-photon window keeps an
+        # upper tail of 1e-15, so the law is taken on a wider window
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, n_gates=100_000, detector={"eta": ANCHOR_ETA, "dark_mean": 300.0})
+        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "gate_counts.json").read_text())
+        freq = {int(k): v for k, v in summary["detected_count_frequencies"].items()}
+        mean = sum(k * v for k, v in freq.items()) / 100_000
+        assert sum(freq.values()) == 100_000
+        # within 5 standard errors of 2 eta mu + dark_mean
+        assert abs(mean - (2 * ANCHOR_ETA * ANCHOR_MEAN_PAIRS + 300.0)) < 5 * math.sqrt(300.0 / 1e5)
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_dark_mean_past_every_window_is_runtime_error(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, n_gates=10_000, detector={"eta": ANCHOR_ETA, "dark_mean": 900.0},
+                     pump={"powers": [1.0], "pairs_per_uW": 0.2253})
+        assert main([command, "--config", str(cfg_path)]) == EXIT_RUNTIME
         err = stderr_error(capsys)
         assert err["exit_code"] == EXIT_RUNTIME and err["type"] == "ValueError"
         assert "does not fit in 1024 photons" in err["error"]
@@ -843,6 +878,68 @@ class TestReconstructCommand:
                      "--config", str(cfg_path)]) == EXIT_OK
 
 
+@pytest.fixture(scope="module")
+def anchor_run(tmp_path_factory):
+    """One simulate and analyze at the in-model operating point, 1e5 gates,
+    seed 7 and 500 bins: the config path and the output directory."""
+    root = tmp_path_factory.mktemp("anchor")
+    cfg_path = root / "run.json"
+    write_config(cfg_path, n_gates=100_000, seed=7)
+    out = root / "out"
+    assert main(["simulate", "--config", str(cfg_path)]) == EXIT_OK
+    assert main(["analyze", "--histogram", str(out / "histogram.csv"),
+                 "--out", str(out)]) == EXIT_OK
+    return cfg_path, out
+
+
+class TestAnchorRun:
+    """Checks on the outputs of ``anchor_run``, each written to its own
+    directory."""
+
+    def test_fitted_comb_gives_the_sidecars_gamma(self, anchor_run, tmp_path):
+        # the same counts without a sidecar: the comb fitted to them gives
+        # the sidecar's gamma within one standard error
+        _, out = anchor_run
+        csv = tmp_path / "instrument.csv"
+        csv.write_bytes((out / "histogram.csv").read_bytes())
+        assert main(["analyze", "--histogram", str(csv), "--out", str(tmp_path)]) == EXIT_OK
+        side, bare = (json.loads((d / "analysis.json").read_text())["gamma_report"]
+                      for d in (out, tmp_path))
+        assert abs(bare["gamma"] - side["gamma"]) <= side["std_error"]
+
+    def test_csv_cut_below_the_pedestal_finds_the_pedestal(self, anchor_run, tmp_path):
+        # the counts cut one sigma0 below the pedestal, the 16 bins below
+        # -1.0 added into the first bin kept, without a sidecar: the fitted
+        # comb clips the areas below the range into that bin too
+        _, out = anchor_run
+        hist = AreaHistogram.load(out / "histogram.csv", out / "histogram.json")
+        assert hist.bin_edges[16] == -1.0
+        counts = hist.counts[16:].copy()
+        counts[0] += hist.counts[:16].sum()
+        csv = tmp_path / "instrument.csv"
+        csv.write_text(AreaHistogram(hist.bin_edges[16:], counts, hist.n_gates).to_csv())
+        assert main(["analyze", "--histogram", str(csv), "--out", str(tmp_path)]) == EXIT_OK
+        pedestal = json.loads((tmp_path / "analysis.json").read_text())["fit"]["peaks"][0]
+        assert abs(pedestal["center"]) < 0.02 and abs(pedestal["width"] - 1.0) < 0.03
+
+    @pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["plain", "strict"])
+    def test_zero_efficiency_is_runtime_error(self, anchor_run, tmp_path, capsys, strict):
+        # a detector that sees nothing cannot be inverted
+        cfg_path, out = anchor_run
+        cfg = json.loads(cfg_path.read_text())
+        cfg["detector"]["eta"] = 0.0
+        zero_eta = tmp_path / "zero_eta.json"
+        zero_eta.write_text(json.dumps(cfg))
+        code = main(["reconstruct", "--analysis", str(out / "analysis.json"),
+                     "--config", str(zero_eta), "--out", str(tmp_path / "out"), *strict])
+        assert code == EXIT_RUNTIME
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["exit_code"] == EXIT_RUNTIME and "zero efficiency" in err["error"]
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweepCommand:
     def test_sweep_csv_shape_and_trend(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -1091,6 +1188,8 @@ def test_every_failure_prints_one_json_line(tmp_path, capsys, monkeypatch, case,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["exit_code"] == code
+    if case == "one-count-csv":
+        assert "too few counts" in json.loads(lines[0])["error"]
     if case == "unconverged-analyze":  # the report of the fit is written first
         report = json.loads((tmp_path / "analysis.json").read_text())
         assert report["error"] == "peak fit did not converge" and not report["fit"]["converged"]

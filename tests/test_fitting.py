@@ -731,6 +731,20 @@ class TestUnknownCombRules:
                 ValueError, match="the bin at area 12.875 holds counts where the comb expects"):
             _fit_unknown_comb(AreaHistogram.from_csv(csv))
 
+    @pytest.mark.xfail(raises=RuntimeWarning, strict=True, reason="ROADMAP item 2")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_three_counts_are_refused_without_overflow(self):
+        # three counts in random bins: under the clipped cell law a tooth
+        # whose mass falls in the first bin can drift far below the range
+        # while its width grows, and at these seeds the CM-step overflows
+        # before the fit ends in the refusal
+        for seed in (723, 988, 1374, 1732, 1751, 1875, 1912):
+            counts = np.zeros(500, dtype=int)
+            np.add.at(counts, np.random.default_rng(seed).integers(0, 500, 3), 1)
+            csv = AreaHistogram(np.linspace(-5.0, 120.0, 501), counts, 3).to_csv()
+            with pytest.raises(ValueError, match="too few counts to fit a comb"):
+                analyze_histogram(AreaHistogram.from_csv(csv))
+
     def test_all_zero_csv_is_refused(self):
         csv = AreaHistogram(np.linspace(-5.0, 120.0, 501), np.zeros(500, dtype=int), 0).to_csv()
         with pytest.raises(ValueError, match="empty histogram"):
