@@ -9,7 +9,9 @@ all file writes are atomic.
 The analysis chain itself is written once here, as plain functions the
 commands and the tests share: ``analyze_histogram`` (histogram -> comb
 fit -> P_n -> gamma, parity and eta), ``reconstruct``
-(measured P_n -> detector-matrix inversion) and ``pump_sweep``.
+(measured P_n -> detector-matrix inversion) and ``pump_sweep``. Both fit
+stacks of bin counts (``_comb_fits``); ``AreaHistogram`` is only the
+CSV-plus-sidecar format that ``simulate`` writes and ``analyze`` reads.
 
 Exit codes, chosen by ``main`` alone from what a command raised, each
 nonzero one with one JSON line on stderr: 0 success, 2 config error, 3 fit
@@ -52,7 +54,7 @@ from .channel import (
     invert_channel,
     truncation_diagnostics,
 )
-from .distributions import PhotonDistribution, SourceSpec
+from .distributions import PhotonDistribution, SourceSpec, _teeth_in_range
 from .fitting import PeakFitResult, _fit_unknown_comb, areas_to_probabilities, fit_comb
 from .ioutil import SCHEMA_VERSION, csv_text, dumps_canonical, whole_number, write_text_atomic
 from .nonclassical import (
@@ -112,21 +114,25 @@ class RunConfig:
     def from_json_dict(cls, d: dict) -> "RunConfig":
         """The one config loader: each section is passed whole to its
         dataclass, so a missing or unknown key is a ConfigError. Only an
-        omitted or null ``pump`` means no pump. An unknown top-level key is
-        a ConfigError too; ``schema_version`` is accepted with any value."""
+        omitted or null ``pump`` means no pump. A section or mixture
+        component that is not a JSON object, a list field (pump powers,
+        mixture weights and components) that is not a list, and an
+        ``output_dir`` that is not a string are ConfigErrors that name the
+        field. An unknown top-level key is a ConfigError too;
+        ``schema_version`` is accepted with any value."""
         unknown = set(d) - {f.name for f in fields(cls)} - {"schema_version"}
         if unknown:
             raise ConfigError(f"invalid run config: unknown keys {sorted(unknown)}")
         try:
             pump = d.get("pump")
             return cls(
-                source=_source_spec(d["source"]),
-                detector=DetectorModel(**d["detector"]),
-                pump=None if pump is None else PumpModel(**pump),
+                source=_source_spec(d["source"], "source"),
+                detector=DetectorModel(**_section(d["detector"], "detector")),
+                pump=None if pump is None else PumpModel(**_section(pump, "pump", ("powers",))),
                 n_gates=whole_number("n_gates", d["n_gates"]),
                 cutoff=whole_number("cutoff", d["cutoff"]),
                 seed=whole_number("seed", d["seed"]),
-                output_dir=Path(d.get("output_dir", ".")),
+                output_dir=Path(_typed(d.get("output_dir", "."), str, "output_dir")),
                 bins=whole_number("bins", d.get("bins", cls.bins)),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -135,11 +141,36 @@ class RunConfig:
             raise ConfigError(f"invalid run config: {exc}") from exc
 
 
-def _source_spec(section: dict) -> SourceSpec:
+_JSON_TYPES = {dict: "a JSON object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` if it is a ``kind``, else a ConfigError that names the field
+    ``name`` and what it must be."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"invalid run config: {name} must be {_JSON_TYPES[kind]}, "
+                          f"got {type(value).__name__}")
+    return value
+
+
+def _section(section, name: str, lists: tuple[str, ...] = ()) -> dict:
+    """A config section or mixture component, which must be a JSON object.
+    Each of its fields named in ``lists`` must be a list, and is left out
+    when null."""
+    _typed(section, dict, name)
+    for key in lists:
+        if section.get(key) is not None:
+            _typed(section[key], list, f"{name} {key}")
+    return {key: value for key, value in section.items() if value is not None or key not in lists}
+
+
+def _source_spec(section, name: str) -> SourceSpec:
     """SourceSpec(**section), with a mixture's components built the same way."""
+    section = _section(section, name, ("weights", "components"))
     components = section.get("components")
     if components is not None:
-        section = dict(section, components=tuple(_source_spec(c) for c in components))
+        section = dict(section, components=tuple(
+            _source_spec(c, f"{name} components[{i}]") for i, c in enumerate(components)))
     return SourceSpec(**section)
 
 
@@ -185,25 +216,23 @@ def analyze_histogram(hist: AreaHistogram) -> Analysis:
     """Fit the histogram on its detector's comb, normalize the areas, and
     test classicality.
 
-    Every histogram is fitted by ``fit_comb``, as a stack of one, on every
-    tooth whose center lies in its range. A histogram that does not carry its
-    detector (instrument data with no detector echo) first has the comb
-    fitted to its counts (``_fit_unknown_comb``), with tooth 0 at the lowest
-    tooth holding an event; the fit has converged only if both fits have,
-    and a fitted comb whose teeth are not resolvable up to the last reported
-    one (noise, not photon-number peaks) raises ValueError. Warnings are
-    left to the caller.
+    The histogram is the CSV-plus-sidecar format; its counts are fitted by
+    ``_comb_fits``, as a stack of one, on the comb of the detector it
+    carries. A histogram that does not carry its detector (instrument data
+    with no detector echo) first has the comb fitted to its counts
+    (``_fit_unknown_comb``), with tooth 0 at the lowest tooth holding an
+    event; the fit has converged only if both fits have, and a fitted comb
+    whose teeth are not resolvable up to the last reported one (noise, not
+    photon-number peaks) raises ValueError. Warnings are left to the caller.
     """
-    converged = True
-    fitted = hist.detector is None
-    if fitted:
+    converged, det = True, hist.detector
+    if det is None:
         offset, gain, sigma0, per_photon, converged = _fit_unknown_comb(hist)
-        hist = replace(hist, detector=DetectorModel(
-            gain=gain, offset=offset, sigma0=sigma0, sigma_per_photon=per_photon,
-            adc_max=float(hist.bin_edges[-1])))
-    (fit,) = _comb_fits([hist])
-    if fitted:
-        hist.detector.check_resolvable(fit.peaks[-1].photon_number)
+        det = DetectorModel(gain=gain, offset=offset, sigma0=sigma0, sigma_per_photon=per_photon,
+                            adc_max=float(hist.bin_edges[-1]))
+    (fit,) = _comb_fits(hist.counts[None], det, hist.bin_edges)
+    if hist.detector is None:
+        det.check_resolvable(fit.peaks[-1].photon_number)
     return _analysis(fit if converged else replace(fit, converged=False))
 
 
@@ -226,18 +255,17 @@ def _analysis(fit: PeakFitResult) -> Analysis:
     )
 
 
-def _comb_fits(hists: list[AreaHistogram]):
-    """The comb fit of each histogram, in order, for histograms that carry
-    one detector and share their bin edges: their counts are fitted as one
-    stack by ``fit_comb``, on every tooth whose center lies in their range
-    (the overflow column dropped). Each fit is yielded in its turn, so an
-    empty histogram raises after the fits before it."""
-    if not hists:
+def _comb_fits(counts: np.ndarray, det: DetectorModel, edges: np.ndarray):
+    """The comb fit of each row of ``counts``, in order: a 2-D stack of
+    in-range bin counts on the bins of ``edges``, recorded on the comb of
+    ``det``. The stack is fitted whole by ``fit_comb``, on every tooth whose
+    center lies in the range. Each fit is yielded in its turn, so an empty
+    row raises after the fits before it; an empty stack yields nothing."""
+    counts = np.asarray(counts, dtype=np.float64)
+    if not len(counts):
         return
-    det, edges = hists[0].detector, hists[0].bin_edges
-    teeth = max(int((edges[-1] - det.offset) // det.gain) + 1, 0)
-    counts = np.array([h.counts for h in hists], dtype=np.float64)
-    for row, fit in zip(counts, fit_comb(counts, bin_mass(det, edges, teeth)[:, :-1], det)):
+    mass = bin_mass(det, edges, _teeth_in_range(edges[-1], det.offset, det.gain))[:, :-1]
+    for row, fit in zip(counts, fit_comb(counts, mass, det)):
         if not row.any():
             raise ValueError("empty histogram: no counts to fit")
         yield fit
@@ -278,12 +306,13 @@ def pump_sweep(
     """Run the full simulate-fit-analyze pipeline at each pump power.
 
     Returns one (power, GammaReport) row per entry of ``pump.powers``. Each
-    power's histogram is one multinomial draw of ``n_gates`` gates over the
+    power's counts are one multinomial draw of ``n_gates`` gates over the
     area law of one gate (``acquisition._cell_laws``), from its own stream
-    seeded by (seed, ``_SWEEP_STREAM``, index), so it depends on the seed and
-    its index alone. The detected-count laws are taken in power order up to
-    the first that raises, every histogram is drawn from them, and their
-    counts are fitted as one stack. The first power that fails, in power
+    seeded by (seed, ``_SWEEP_STREAM``, index), so they depend on the seed
+    and its index alone. The detected-count laws are taken in power order up
+    to the first that raises, every power's counts are drawn from them, and
+    the drawn rows, their overflow cell cut off, go to ``_comb_fits`` as one
+    stack; no histogram is built. The first power that fails, in power
     order, raises: FitError if its peak fit does not converge, else the
     error that stopped it.
     """
@@ -304,12 +333,12 @@ def pump_sweep(
             failure = exc
             break
     edges = _area_edges(det, bins)
-    hists = []
-    for i, cells in enumerate(_cell_laws(laws, det, edges)):
-        counts = np.random.default_rng([seed, _SWEEP_STREAM, i]).multinomial(n_gates, cells)
-        hists.append(AreaHistogram(edges, counts[:-1], n_gates, int(counts[-1]), det))
+    cells = _cell_laws(laws, det, edges)
+    counts = np.empty(cells.shape)
+    for i, row in enumerate(cells):
+        counts[i] = np.random.default_rng([seed, _SWEEP_STREAM, i]).multinomial(n_gates, row)
     rows: list[tuple[float, GammaReport]] = []
-    for power, fit in zip(pump.powers, _comb_fits(hists)):
+    for power, fit in zip(pump.powers, _comb_fits(counts[:, :-1], det, edges)):
         analysis = _analysis(fit)
         if analysis.gamma_report is None:
             raise FitError(f"peak fit did not converge at {power!r} uW")

@@ -6,7 +6,8 @@ Sources are described declaratively by :class:`SourceSpec` and realized by
 numbers (two photons per pair).
 
 The simulator and both comb fits take the binned cell law of a pulse-area
-comb (``_comb_cells``) and its resolvability rule (``_check_resolvable``)
+comb (``_comb_cells``), the count of its teeth in a range
+(``_teeth_in_range``) and its resolvability rule (``_check_resolvable``)
 from here.
 """
 
@@ -160,6 +161,12 @@ def _comb_cells(center: np.ndarray, width: np.ndarray, edges: np.ndarray):
     z = (edges[1:] - center[:, None]) / width[:, None]
     cdf = _gaussian_cdf(z)
     return z, cdf, np.diff(cdf, prepend=0.0, append=1.0)
+
+
+def _teeth_in_range(top: float, offset: float, gain: float) -> int:
+    """The number of comb teeth, at offset + k gain for k = 0, 1, ..., whose
+    centers lie at or below ``top``: none when the offset lies above it."""
+    return max(int((top - offset) // gain) + 1, 0)
 
 
 def _check_resolvable(gain: float, widest: float, photon_number: int) -> None:

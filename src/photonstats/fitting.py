@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MIN_CUTOFF, PhotonDistribution, _check_resolvable, _comb_cells
+from .distributions import (MIN_CUTOFF, PhotonDistribution, _check_resolvable, _comb_cells,
+                            _teeth_in_range)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 XTOL = 1e-8
@@ -174,7 +175,7 @@ def _fit_unknown_comb(h) -> tuple[float, float, float, float, bool]:
     gain = bw * lag
     tallest = x[np.argmax(y)]
     offset = tallest - gain * ((tallest - bottom) // gain)
-    teeth = int((top - offset) // gain) + 1
+    teeth = _teeth_in_range(top, offset, gain)
     sigma0, per_photon = gain / 8.0, gain / 32.0
     # the rule of DetectorModel.check_resolvable, held to the start comb
     # over the gains the counts span (empty bins around them do not count):

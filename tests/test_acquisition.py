@@ -295,8 +295,20 @@ class TestSimulateGateCounts:
         law = _detected_count_law(src, DetectorModel(eta=0.67, dark_mean=dark_mean))
         assert np.arange(law.size) @ law == pytest.approx(2 * 0.67 * 0.2 + dark_mean, rel=2e-14)
 
-    @pytest.mark.parametrize("dark_mean", [450.0, 900.0, 1e300])
+    @pytest.mark.xfail(raises=ValueError, strict=True, reason="ROADMAP item 8")
+    @pytest.mark.parametrize("dark_mean", [360.0, 450.0])
+    def test_dark_counts_cut_past_half_the_largest_window_give_the_law(self, dark_mean):
+        # the cut on the 1024-photon window is 522 at dark mean 360 and 630
+        # at 450: the law fits in that window, but the cut lies in its upper
+        # half, so it is refused as if it did not
+        src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2)
+        law = _detected_count_law(src, DetectorModel(eta=0.67, dark_mean=dark_mean))
+        assert np.arange(law.size) @ law == pytest.approx(2 * 0.67 * 0.2 + dark_mean, rel=2e-14)
+
+    @pytest.mark.parametrize("dark_mean", [800.0, 900.0, 1e300])
     def test_dark_counts_wider_than_largest_window_rejected(self, dark_mean):
+        # at dark mean 800 the cut on the 1024-photon window is 1025, its top,
+        # so the law does not fit in it
         src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2)
         with pytest.raises(ValueError, match="does not fit in 1024 photons"):
             _detected_count_law(src, DetectorModel(eta=0.67, dark_mean=dark_mean))

@@ -159,6 +159,31 @@ class TestRunConfig:
         assert err["type"] == "ConfigError" and err["exit_code"] == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides, field, rule", [
+        ({"source": 5}, "source", "a JSON object"),
+        ({"source": None}, "source", "a JSON object"),
+        ({"source": dict(MIXTURE, components=[5, MIXTURE["components"][1]])},
+         "source components[0]", "a JSON object"),
+        ({"source": dict(MIXTURE, components=5)}, "source components", "a list"),
+        ({"source": dict(MIXTURE, weights=1.0)}, "source weights", "a list"),
+        ({"detector": 3}, "detector", "a JSON object"),
+        ({"detector": None}, "detector", "a JSON object"),
+        ({"pump": [1]}, "pump", "a JSON object"),
+        ({"pump": {"powers": 1.0}}, "pump powers", "a list"),
+        ({"output_dir": 5}, "output_dir", "a string"),
+        ({"output_dir": None}, "output_dir", "a string"),
+    ], ids=["int-source", "null-source", "int-component", "int-components", "float-weights",
+            "int-detector", "null-detector", "array-pump", "float-powers", "int-output-dir",
+            "null-output-dir"])
+    def test_field_of_the_wrong_json_type_is_named(self, tmp_path, capsys, overrides, field,
+                                                   rule):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, **overrides)
+        assert main(["simulate", "--config", str(cfg_path)]) == EXIT_CONFIG
+        err = stderr_error(capsys)
+        assert err["type"] == "ConfigError"
+        assert f"{field} must be {rule}" in err["error"]
+
     @pytest.mark.parametrize("edit, field, rule", [
         (lambda cfg: cfg["detector"].update(dark_mean=math.nan), "dark_mean", "finite"),
         (lambda cfg: cfg["detector"].update(gain=math.nan), "gain", "finite"),
@@ -732,10 +757,10 @@ class TestGammaErrorBarCoverage:
         law = _detected_count_law(source, det)
         gamma = law[2] / law[1:4].sum()
         seeds = range(20_000, 21_000)
-        hists = [synthesize_histogram(simulate_gate_counts(source, det, n_gates, seed),
-                                      det, 500, seed) for seed in seeds]
+        counts = [synthesize_histogram(simulate_gate_counts(source, det, n_gates, seed),
+                                       det, 500, seed).counts for seed in seeds]
         z, unconverged = [], []
-        for seed, fit in zip(seeds, _comb_fits(hists)):
+        for seed, fit in zip(seeds, _comb_fits(counts, det, _area_edges(det, 500))):
             report = _analysis(fit).gamma_report
             if report is None:
                 unconverged.append(seed)
@@ -1019,9 +1044,10 @@ class TestSweepCommand:
         sweep = np.array([rep.gamma for _, rep in
                           pump_sweep(pump, det, 20_000, seed=5, cutoff=14, bins=500)])
         source = SourceSpec(kind="pdc_pairs", cutoff=14, mean=pump.mean_pairs(1.0))
-        hists = [synthesize_histogram(simulate_gate_counts(source, det, 20_000, seed), det, 500,
-                                      seed) for seed in range(n)]
-        two_stage = np.array([_analysis(fit).gamma_report.gamma for fit in _comb_fits(hists)])
+        counts = [synthesize_histogram(simulate_gate_counts(source, det, 20_000, seed), det, 500,
+                                       seed).counts for seed in range(n)]
+        two_stage = np.array([_analysis(fit).gamma_report.gamma
+                              for fit in _comb_fits(counts, det, _area_edges(det, 500))])
         sd_sweep, sd_two = sweep.std(ddof=1), two_stage.std(ddof=1)
         z = (sweep.mean() - two_stage.mean()) / math.sqrt((sd_sweep**2 + sd_two**2) / n)
         assert abs(z) <= 4.0
