@@ -33,8 +33,10 @@ from .distributions import (SourceSpec, _check_pair_statistics, _check_resolvabl
                             _source_pmf)
 from .ioutil import SCHEMA_VERSION, csv_text, real_number, whole_number
 
+# One tag per draw: each seeds its own stream from (seed, tag, ...).
 _COUNT_STREAM = 0
 _AREA_STREAM = 1
+_SWEEP_STREAM = 2
 # Photon-number windows tried, in order, for the detected-count law; the first
 # in whose lower half the law's cut falls (its upper half holds less than
 # _TAIL_MASS) is used. They do not depend on any run or reconstruction cutoff.
@@ -256,6 +258,12 @@ def _check_gates(n_gates: int) -> None:
         raise ValueError(f"n_gates must be at most {MAX_GATES}, got {n_gates}")
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that cannot seed a random stream."""
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+
+
 def simulate_gate_counts(
     source: SourceSpec,
     det: DetectorModel,
@@ -271,8 +279,7 @@ def simulate_gate_counts(
     ``n_gates``.
     """
     _check_gates(n_gates)
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    _check_seed(seed)
     rng = np.random.default_rng([seed, _COUNT_STREAM])
     return rng.multinomial(n_gates, _detected_count_law(source, det))
 
@@ -355,8 +362,7 @@ def synthesize_histogram(
     The histogram carries ``det`` as its detector.
     """
     edges = _area_edges(det, bins)
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    _check_seed(seed)
     frequencies = np.asarray(frequencies, dtype=np.int64)
     k = np.flatnonzero(frequencies)
     mass = bin_mass(det, edges, k[-1] + 1 if k.size else 0)[k]

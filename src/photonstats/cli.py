@@ -39,9 +39,11 @@ from .acquisition import (
     AreaHistogram,
     DetectorModel,
     PumpModel,
+    _SWEEP_STREAM,
     _area_edges,
     _cell_laws,
     _check_gates,
+    _check_seed,
     _detected_count_law,
     bin_mass,
     simulate_gate_counts,
@@ -72,8 +74,6 @@ EXIT_NUMERIC = 4
 EXIT_IO = 5
 EXIT_RUNTIME = 6
 
-_SWEEP_STREAM = 2
-
 
 class ConfigError(ValueError):
     """Run configuration is missing, malformed, or inconsistent."""
@@ -99,8 +99,7 @@ class RunConfig:
 
     def __post_init__(self):
         _check_gates(self.n_gates)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
+        _check_seed(self.seed)
         if self.bins < 10:
             raise ConfigError(f"bins must be >= 10, got {self.bins}")
         if self.source.cutoff != self.cutoff:
@@ -259,11 +258,10 @@ def _comb_fits(counts: np.ndarray, det: DetectorModel, edges: np.ndarray):
     """The comb fit of each row of ``counts``, in order: a 2-D stack of
     in-range bin counts on the bins of ``edges``, recorded on the comb of
     ``det``. The stack is fitted whole by ``fit_comb``, on every tooth whose
-    center lies in the range. Each fit is yielded in its turn, so an empty
-    row raises after the fits before it; an empty stack yields nothing."""
+    center lies in the range, with each row's Fisher errors. Each fit is
+    yielded in its turn, so an empty row raises after the fits before it; a
+    stack of no rows takes no EM iteration and yields nothing."""
     counts = np.asarray(counts, dtype=np.float64)
-    if not len(counts):
-        return
     mass = bin_mass(det, edges, _teeth_in_range(edges[-1], det.offset, det.gain))[:, :-1]
     for row, fit in zip(counts, fit_comb(counts, mass, det)):
         if not row.any():
@@ -318,6 +316,7 @@ def pump_sweep(
     """
     det.check_resolvable(cutoff)
     _check_gates(n_gates)
+    _check_seed(seed)
     laws: list[np.ndarray] = []
     failure = None
     for power in pump.powers:

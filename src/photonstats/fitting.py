@@ -7,7 +7,8 @@ the areas by their total yields the probability per gate.
 ``fit_comb`` fits the expected gate count at each tooth of the detector's
 comb (offset + k gain) by Poisson maximum likelihood, in ``_poisson_em``, the
 EM kernel on a design matrix, so tooth k is photon number k by construction.
-It fits a stack of histograms at once; a lone histogram is a stack of one.
+It fits a stack of histograms at once (a lone histogram is a stack of one)
+and builds each row's Fisher errors as it reports the row.
 When the detector's pulse-area response is not known, ``_fit_unknown_comb``
 first fits the comb itself to the counts, by the same Poisson likelihood on
 the same model, with the comb free (``_comb_ecm``). The module needs no scipy.
@@ -205,14 +206,17 @@ def fit_comb(y: np.ndarray, mass: np.ndarray, det) -> list[PeakFitResult]:
     lands in each bin, where ``det`` places tooth k at ``peak_center(k)``
     with width ``peak_width(k)``. The expected bin counts of a row are
     lam @ mass, and lam is fitted by ``_poisson_em`` with ``mass`` as its
-    design. An empty row fits to no events. The matrix products group their
-    sums by the stack's shape, so a row's areas can differ from those of a
-    stack of one in the last digits.
+    design. An empty row fits to no events, and a stack of no rows to an
+    empty list, with no EM iteration. The matrix products group their sums
+    by the stack's shape, so a row's areas can differ from those of a stack
+    of one in the last digits.
 
     Returns one PeakFitResult per row, whose peak k is photon number k, with
     area lam_k and standard error the larger of its Fisher-information error
-    and sqrt(max(lam_k, 1)). Teeth 0 up to the last with at least one fitted
-    event are reported. ``residual_norm`` is the norm of the residuals
+    and sqrt(max(lam_k, 1)); the loop that reports a row builds and inverts
+    its Fisher information, and only an exactly singular one by its
+    pseudo-inverse. Teeth 0 up to the last with at least one fitted event
+    are reported. ``residual_norm`` is the norm of the residuals
     (count - expected) / sqrt(max(count, 1)), with Neyman weights. A count
     in a bin where every tooth's mass is 0 raises ValueError.
     """
@@ -222,21 +226,33 @@ def fit_comb(y: np.ndarray, mass: np.ndarray, det) -> list[PeakFitResult]:
     if unreachable.any():
         raise ValueError(f"bin {unreachable.argmax()} holds counts that no tooth of the "
                          "detector comb reaches")
-    lam, cov, converged = _poisson_em(y, mass)
-    # a near-empty tooth's variance underflows to zero, which is its right value
-    with np.errstate(under="ignore"):
-        std = np.sqrt(np.maximum(lam * cov.diagonal(0, 1, 2), np.maximum(lam, 1.0)))
-        resid = (y - lam @ mass) / np.sqrt(np.maximum(y, 1.0))
-
+    lam, converged = _poisson_em(y, mass)
     teeth = np.arange(mass.shape[0])
     centers, widths = det.peak_center(teeth).tolist(), det.peak_width(teeth).tolist()
     fits = []
-    for lam_p, std_p, resid_p, converged_p in zip(lam, std, resid, converged.tolist()):
-        fitted = (lam_p >= 1.0).nonzero()[0]
-        n = fitted[-1] + 1 if fitted.size else 1
-        peaks = tuple(map(FittedPeak, range(n), centers[:n], widths[:n],
-                          lam_p[:n].tolist(), std_p[:n].tolist()))
-        fits.append(PeakFitResult(peaks, float(np.linalg.norm(resid_p)), converged_p))
+    # far tails and a near-empty tooth's variance underflow to zero, their right value
+    with np.errstate(under="ignore"):
+        mu = lam @ mass
+        resid = (y - mu) / np.sqrt(np.maximum(y, 1.0))
+        for lam_p, mu_p, resid_p, converged_p in zip(lam, mu, resid, converged.tolist()):
+            # Fisher information sum_i mass_ji mass_ki / mu_i, scaled by
+            # sqrt(lam_j lam_k) before the division so that every entry lies in
+            # [0, 1] and lam_j has variance lam_j cov_jj; a tooth whose diagonal
+            # is zero or subnormal gets a unit diagonal: a variance of about lam_j
+            scaled = mass * np.sqrt(lam_p)[:, None]
+            info = np.divide(scaled, mu_p, out=np.zeros(scaled.shape), where=mu_p > 0.0) @ scaled.T
+            empty = (info.diagonal() < np.finfo(np.float64).tiny).nonzero()[0]
+            info[empty, empty] = 1.0
+            try:
+                cov = np.linalg.inv(info)
+            except np.linalg.LinAlgError:  # exactly singular: two teeth, one bin mass
+                cov = np.linalg.pinv(info)
+            std = np.sqrt(np.maximum(lam_p * cov.diagonal(), np.maximum(lam_p, 1.0)))
+            fitted = (lam_p >= 1.0).nonzero()[0]
+            n = fitted[-1] + 1 if fitted.size else 1
+            peaks = tuple(map(FittedPeak, range(n), centers[:n], widths[:n],
+                              lam_p[:n].tolist(), std[:n].tolist()))
+            fits.append(PeakFitResult(peaks, float(np.linalg.norm(resid_p)), converged_p))
     return fits
 
 
@@ -249,62 +265,40 @@ def _poisson_em(y: np.ndarray, design: np.ndarray):
     it soak up the wrong mass. Expectation-maximisation,
     lam <- lam * design (y / lam design) / design 1 (Richardson, JOSA 62, 55,
     1972; Shepp & Vardi, IEEE TMI 1, 113, 1982), runs over the columns where
-    any row holds counts, from each row's total spread equally. A row has
-    converged, and keeps its lam, once no weight moves by more than
-    XTOL * max(lam_j, 1); MAX_ITER iterations are allowed. An all-zero row
-    stays at lam = 0.
+    any row holds counts, from each row's total spread equally. Each
+    iteration steps only the rows still moving; a row has converged, and
+    drops out with its lam, once no weight moves by more than
+    XTOL * max(lam_j, 1). MAX_ITER iterations are allowed, and a stack of no
+    rows takes none. An all-zero row stays at lam = 0. The kernel gives no
+    errors: ``fit_comb`` builds each row's Fisher information.
 
-    Returns (lam, cov, converged): cov[p] inverts row p's Fisher information
-    scaled by sqrt(lam_j lam_k), so lam_j has variance lam_j cov_jj, and a
-    weight whose scaled diagonal is zero or subnormal gets a unit diagonal,
-    so its variance is about lam_j: none. Each row's information is built
-    and inverted on its own, and only an exactly singular one by its
-    pseudo-inverse.
+    Returns (lam, converged).
     """
     totals = y.sum(axis=1)
     # one row, so that a stack of one divides by it without broadcasting
     reach = design.sum(axis=1)[None, :]
     held = np.logical_or.reduce(y, axis=0).nonzero()[0]
-    held_design = design[:, held]
+    held_design, counts = design[:, held], y[:, held]
     held_design_t = held_design.T
     lam = np.empty((totals.size, reach.size))
     lam[:] = (totals / reach.size)[:, None]
-    converged = np.zeros(totals.size, dtype=bool)
-    # the rows still iterating, with their lam and their counts in the held columns
-    rows, part, counts = np.arange(totals.size), lam, y[:, held]
+    live = np.arange(totals.size)
     # tails far from every weight's mass underflow to zero, their right value
     with np.errstate(under="ignore"):
         for _ in range(MAX_ITER):
+            if not live.size:
+                break
+            part = lam.take(live, axis=0)
             mu = part @ held_design
-            ratio = np.divide(counts, mu, out=np.zeros(mu.shape), where=mu > 0.0)
+            ratio = np.divide(counts.take(live, axis=0), mu, out=np.zeros(mu.shape),
+                              where=mu > 0.0)
             step = part * (ratio @ held_design_t) / reach - part
-            part = part + step
+            lam[live] = part = part + step
             going = np.logical_or.reduce(np.abs(step) > XTOL * np.maximum(part, 1.0), axis=1)
-            left = np.count_nonzero(going)
-            if left < rows.size:  # some rows have met the rule: freeze them
-                lam[rows] = part
-                if not left:
-                    converged[rows] = True
-                    break
-                converged[rows[~going]] = True
-                rows, part, counts = rows[going], part[going], counts[going]
-        else:
-            lam[rows] = part
-        # Fisher information of each row's lam, sum_i design_ji design_ki / mu_i,
-        # scaled by sqrt(lam_j lam_k) before the division so that every entry
-        # lies in [0, 1]; a weight whose diagonal is zero or subnormal (its
-        # lam underflows the scaling) gets a unit diagonal
-        cov = np.empty((totals.size, reach.size, reach.size))
-        for p, (lam_p, mu_p) in enumerate(zip(lam, lam @ design)):
-            scaled = design * np.sqrt(lam_p)[:, None]
-            info = np.divide(scaled, mu_p, out=np.zeros(scaled.shape), where=mu_p > 0.0) @ scaled.T
-            empty = (info.diagonal() < np.finfo(np.float64).tiny).nonzero()[0]
-            info[empty, empty] = 1.0
-            try:
-                cov[p] = np.linalg.inv(info)
-            except np.linalg.LinAlgError:  # exactly singular: two weights, one design row
-                cov[p] = np.linalg.pinv(info)
-    return lam, cov, converged
+            live = live[going]
+    converged = np.ones(totals.size, dtype=bool)
+    converged[live] = False
+    return lam, converged
 
 
 def areas_to_probabilities(fit: PeakFitResult):

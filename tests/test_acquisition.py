@@ -24,6 +24,7 @@ from photonstats.acquisition import (
     simulate_gate_counts,
     synthesize_histogram,
 )
+import photonstats.acquisition as acquisition
 from photonstats.channel import detector_matrix
 from photonstats.cli import pump_sweep
 from photonstats.distributions import (
@@ -39,6 +40,14 @@ from photonstats.ioutil import dumps_canonical
 from photonstats.nonclassical import classical_gamma_bound, gamma_under_loss
 
 DET = DetectorModel(eta=0.67, dark_mean=4e-4)
+
+
+def test_stream_tags_are_distinct():
+    # each draw seeds its own stream from (seed, tag, ...), so two draws
+    # that shared a tag would share their random numbers
+    tags = {name: value for name, value in vars(acquisition).items() if name.endswith("_STREAM")}
+    assert {"_COUNT_STREAM", "_AREA_STREAM", "_SWEEP_STREAM"} <= tags.keys()
+    assert len(set(tags.values())) == len(tags)
 
 
 class TestDetectorModel:
@@ -771,6 +780,11 @@ class TestPumpSweep:
         pump = PumpModel(powers=(1.0,), pairs_per_uW=0.2)
         with pytest.raises(ValueError, match="n_gates"):
             pump_sweep(pump, DET, n_gates, seed=0, cutoff=10, bins=500)
+
+    def test_negative_seed_rejected(self):
+        pump = PumpModel(powers=(1.0,), pairs_per_uW=0.2)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            pump_sweep(pump, DET, 1000, seed=-1, cutoff=10, bins=500)
 
     def test_dark_counts_pull_gamma_down_at_low_power(self):
         det = DetectorModel(eta=0.67, dark_mean=4e-4)

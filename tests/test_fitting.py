@@ -567,6 +567,20 @@ class TestFitCombStack:
             next(fits)
 
 
+def test_stack_of_no_rows_takes_no_iteration(monkeypatch):
+    # the kernel divides once per EM iteration and the report once per row
+    calls = []
+    divide = np.divide
+    monkeypatch.setattr(np, "divide", lambda *a, **k: calls.append(a) or divide(*a, **k))
+    _, mass = noiseless_comb(np.zeros(13))
+    y = np.zeros((0, mass.shape[1]))
+    assert fit_comb(y, mass, DET) == []
+    assert not calls
+    lam, converged = _poisson_em(y, mass)
+    assert lam.shape == (0, mass.shape[0]) and converged.shape == (0,)
+    assert not calls
+
+
 class TestPoissonEM:
     """The kernel on the source design: the expected bin counts of a source
     law p over N gates are N p @ (M^T B), with M the detector matrix and B
