@@ -8,16 +8,15 @@ overflow rather than binned.
 
 Gates are independent and identically distributed, so the gates themselves
 are never drawn. ``simulate_gate_counts`` draws the detected-count
-frequencies as one multinomial over the detected-count law (the detector law
-of :mod:`photonstats.channel` applied to the source law, cut where its upper
-tail falls below ``_TAIL_MASS``), and ``synthesize_histogram`` the areas of
-the gates with k counts as one multinomial over the bins (row k of
-``bin_mass``); each of the two draws has its own stream seeded by (seed,
-stream tag). A caller that needs only the histogram draws it as one
-multinomial over the composed area law of one gate (``_cell_laws``), which
-has the same distribution. Either way the cost depends on the number of
-photon numbers and bins, not on the number of gates, and outputs are
-bit-reproducible for a given seed.
+frequencies as one multinomial over the detected-count law (Panjer's
+recursion in :mod:`photonstats.distributions`, cut where its upper tail falls
+below ``_TAIL_MASS``), and ``synthesize_histogram`` the areas of the gates
+with k counts as one multinomial over the bins (row k of ``bin_mass``), each
+draw from its own stream seeded by (seed, stream tag). A caller that needs
+only the histogram draws one multinomial over the area law of one gate
+(``_cell_laws``), which has the same distribution. Either way the cost does
+not grow with the number of gates, and outputs are bit-reproducible for a
+given seed.
 """
 
 from __future__ import annotations
@@ -28,20 +27,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import _check_detector_law, _detect
+from .channel import _check_detector_law
 from .distributions import (SourceSpec, _check_pair_statistics, _check_resolvable, _comb_cells,
-                            _source_pmf)
+                            _count_law, _photon_mean)
 from .ioutil import SCHEMA_VERSION, csv_text, real_number, whole_number
 
 # One tag per draw: each seeds its own stream from (seed, tag, ...).
 _COUNT_STREAM = 0
 _AREA_STREAM = 1
 _SWEEP_STREAM = 2
-# Photon-number windows tried, in order, for the detected-count law; the first
-# in whose lower half the law's cut falls (its upper half holds less than
-# _TAIL_MASS) is used. They do not depend on any run or reconstruction cutoff.
-_WINDOWS = (64, 128, 256, 512, 1024)
+# The detected-count law is cut where its upper tail falls below _TAIL_MASS and refused
+# past _MAX_COUNTS counts; its terms stop at _STOP_MASS of their sum, far below _TAIL_MASS.
 _TAIL_MASS = 1e-15
+_MAX_COUNTS = 1025
+_STOP_MASS = 1e-21
 # Largest deviation, relative to the bin width, of a sidecar-less CSV's center
 # spacings from its first one, and of a CSV's centers from its sidecar's midpoints.
 UNIFORM_BIN_RTOL = 1e-6
@@ -230,24 +229,18 @@ class PumpModel:
 
 
 def _detected_count_law(source: SourceSpec, det: DetectorModel) -> np.ndarray:
-    """Probabilities of 0, 1, 2, ... detected counts in one gate: the detector
-    law applied to the source law, cut after the last count whose upper tail
-    holds at least ``_TAIL_MASS`` and renormalised. It is taken on the first
-    window in whose lower half that cut falls, so the law is effectively
-    untruncated and off the uncut law by at most about ``_TAIL_MASS``. A cut
-    at 0 means no count's tail reaches ``_TAIL_MASS`` in the window (the
-    dark counts alone can carry the law past it), so the next window is
-    tried."""
-    for window in _WINDOWS:
-        try:
-            p = _source_pmf(source, window)
-        except ValueError:  # a Fock number above the window, or mass lost beyond it
-            continue
-        f = _detect(p, det.eta, det.dark_mean, det.dark_after_loss)
-        cut = np.count_nonzero(np.cumsum(f[::-1])[::-1] >= _TAIL_MASS)
-        if 0 < cut <= window // 2:
-            return f[:cut] / f[:cut].sum()
-    raise ValueError(f"the detected-count law does not fit in {_WINDOWS[-1]} photons")
+    """Probabilities of 0, 1, 2, ... detected counts in one gate: the source law
+    through the detector (``distributions._count_law``; dark counts before the
+    loss are thinned too), cut after the last count whose upper tail holds at
+    least ``_TAIL_MASS`` and renormalised. A law whose mean (checked first) or
+    cut passes ``_MAX_COUNTS``, or that runs on past twice that, is refused."""
+    dark = det.dark_mean if det.dark_after_loss else det.eta * det.dark_mean
+    if det.eta * _photon_mean(source) + dark <= _MAX_COUNTS:
+        law = _count_law(source, det.eta, dark, 2 * _MAX_COUNTS, _STOP_MASS)
+        cut = np.count_nonzero(np.cumsum(law[::-1])[::-1] >= _TAIL_MASS * law.sum())
+        if cut <= _MAX_COUNTS and law.size < 2 * _MAX_COUNTS:
+            return law[:cut] / law[:cut].sum()
+    raise ValueError(f"the detected-count law does not fit in {_MAX_COUNTS - 1} photons")
 
 
 def _check_gates(n_gates: int) -> None:

@@ -1,13 +1,14 @@
 """The detector law, its transfer matrix, and the matrix's inversion.
 
 The forward model maps a source distribution p to a detected distribution
-f = M p. Loss acts as independent survival of each photon with probability
-eta (binomial thinning); dark counts add a Poisson-distributed number of
-extra counts per gate. Both are written once, in ``_detect``: the sampler in
-:mod:`photonstats.acquisition` applies it to a source law, and
-:func:`detector_matrix` applies it to each column of the identity.
-Reconstruction solves the truncated linear system directly; negative entries
-in the solution are preserved and reported, not clipped.
+f = M p on photon numbers 0..cutoff. Loss acts as independent survival of
+each photon with probability eta (binomial thinning); dark counts add a
+Poisson-distributed number of extra counts per gate, and those pushed past
+the cutoff leave it. ``_detect`` applies both to one vector, and
+:func:`detector_matrix` to each column of the identity; the sampler's
+uncut law is ``distributions._count_law``. Reconstruction solves the
+truncated linear system directly; negative entries in the solution are
+preserved and reported, not clipped.
 """
 
 from __future__ import annotations
@@ -65,13 +66,11 @@ def _check_detector_law(eta: float, dark_mean: float) -> None:
 @functools.lru_cache(maxsize=4)
 def _loss_matrix(eta: float, n: int) -> np.ndarray:
     """Binomial thinning on photon numbers 0..n-1: entry (i, j) = C(j, i)
-    eta^i (1-eta)^(j-i).
+    eta^i (1-eta)^(j-i), from cumulative log-factorials.
 
     Upper triangular (a detector cannot see more photons than arrived); each
-    column sums to 1, and the diagonal is eta^j. Binomial coefficients are
-    formed from cumulative log-factorials so the construction stays accurate
-    through cutoffs of order 64. Every power of a sweep asks for the same
-    matrix, so the last four are kept, read-only.
+    column sums to 1, and the diagonal is eta^j. ``detector_matrix`` asks for
+    one matrix once per column, so the last four are kept, read-only.
     """
     if eta == 1.0:
         m = np.eye(n)

@@ -321,12 +321,8 @@ def pump_sweep(
     failure = None
     for power in pump.powers:
         try:
-            source = SourceSpec(
-                kind="pdc_pairs",
-                cutoff=cutoff,
-                mean=pump.mean_pairs(power),
-                pair_statistics=pump.pair_statistics,
-            )
+            source = SourceSpec(kind="pdc_pairs", cutoff=cutoff, mean=pump.mean_pairs(power),
+                                pair_statistics=pump.pair_statistics)
             laws.append(_detected_count_law(source, det))
         except ValueError as exc:  # raised after the powers before it
             failure = exc

@@ -179,8 +179,8 @@ def _check_resolvable(gain: float, widest: float, photon_number: int) -> None:
 
 @functools.lru_cache(maxsize=8)
 def _log_factorials(n: int) -> np.ndarray:
-    """log(k!) for k = 0..n-1, as cumulative sums of logs. Every power of a
-    sweep asks for the same sizes, so the last eight are kept, read-only."""
+    """log(k!) for k = 0..n-1, as cumulative sums of logs. ``detector_matrix``
+    asks for one size once per column, so the last eight are kept, read-only."""
     logfact = np.zeros(n)
     logfact[1:] = np.cumsum(np.log(np.arange(1, n, dtype=np.float64)))
     logfact.setflags(write=False)
@@ -190,67 +190,79 @@ def _log_factorials(n: int) -> np.ndarray:
 def _poisson_pmf(mean: float, size: int) -> np.ndarray:
     """Poisson(mean) probabilities of 0..size-1, not renormalized:
     exp(k log(mean) - mean - log(k!)), a point mass at 0 for mean 0."""
-    if mean == 0.0:
-        p = np.zeros(size)
-        p[0] = 1.0
-        return p
     k = np.arange(size)
+    if mean == 0.0:
+        return (k == 0).astype(float)
     return np.exp(k * math.log(mean) - mean - _log_factorials(size))
 
 
-def _pair_number_pmf(mean: float, statistics: str, max_pairs: int) -> np.ndarray:
-    """Pair-count pmf over 0..max_pairs, not renormalized."""
-    if statistics == "poissonian":
-        return _poisson_pmf(mean, max_pairs + 1)
-    k = np.arange(max_pairs + 1)
-    # Bose-Einstein occupation: P(k) = mean^k / (1 + mean)^(k + 1)
-    return np.exp(k * np.log(mean) - (k + 1) * np.log1p(mean)) if mean > 0 else (k == 0).astype(float)
+def _panjer(a: tuple, b: tuple, log_p0: float, size: int, floor: float) -> np.ndarray:
+    """Panjer's (a, b, 0) recursion (Panjer, ASTIN Bulletin 12, 22, 1981) on
+    0..size-1: p_n = ((a_1 n + b_1) p_{n-1} + (a_2 n + b_2) p_{n-2}) / n from
+    p_0 = exp(``log_p0``), a form in which a binomial's terms past its top are
+    0. The terms run from p_0 = 1, divided by any that passes 1e250 so that
+    none underflows or overflows, and stop once two in a row (a pair law's odd
+    terms vanish at unit efficiency) fall below ``floor`` times their sum."""
+    p, total = [0.0, 1.0], 1.0  # p_{-1} = 0, then p_0 scaled to 1
+    for n in range(1, size):
+        t = ((a[0] * n + b[0]) * p[-1] + (a[1] * n + b[1]) * p[-2]) / n
+        if t > 1e250:
+            p, total, log_p0 = [x / t for x in p], total / t, log_p0 + math.log(t)
+            t = 1.0
+        p.append(t)
+        total += t
+        if t + p[-2] < floor * total:
+            break
+    return np.array(p[1:]) * math.exp(log_p0)
+
+
+def _count_law(spec: SourceSpec, eta: float, dark: float, size: int, floor: float) -> np.ndarray:
+    """The law of counts 0..size-1, not renormalised, when each photon of
+    ``spec`` survives with probability ``eta`` and Poisson(``dark``) counts
+    are added, from ``_panjer`` with ``floor``. A pair gives 0, 1 or 2 counts
+    with probabilities ((1-eta)^2, 2 eta (1-eta), eta^2). Poisson light and
+    Poissonian pairs, with the dark counts, are one compound Poisson law;
+    thermal pairs (compound geometric) and a Fock state (binomial) are
+    convolved with the dark counts; a mixture sums its weighted components."""
+    if spec.kind == "mixture":
+        laws = [w * _count_law(c, eta, dark, size, floor)
+                for w, c in zip(spec.weights, spec.components)]
+        n = max(map(len, laws))
+        return sum(np.pad(law, (0, n - law.size)) for law in laws)
+    dark_law = functools.partial(_panjer, (0.0, 0.0), (dark, 0.0), -dark)
+    if spec.kind == "fock" and eta == 1.0:  # a point mass, so the dark law shifted
+        point = np.arange(min(spec.n + 1, size)) == spec.n
+        return np.convolve(point, dark_law(size, floor))[:size]
+    if spec.kind == "fock":
+        r = eta / (1.0 - eta)
+        a, b, log_p0 = (-r, 0.0), ((spec.n + 1) * r, 0.0), spec.n * math.log1p(-eta)
+    else:
+        pairs = spec.mean if spec.kind == "pdc_pairs" else 0.0
+        one, two = (spec.mean - pairs) * eta + 2.0 * pairs * eta * (1.0 - eta), pairs * eta**2
+        if spec.kind == "poisson" or spec.pair_statistics == "poissonian":
+            return _panjer((0.0, 0.0), (one + dark, 2.0 * two), -(one + dark + two), size, floor)
+        d = 1.0 + one + two
+        a, b, log_p0 = (one / d, two / d), (0.0, 0.0), -math.log(d)
+    # The terms either factor leaves out below floor would reach counts the
+    # other one spans, so both are rerun without it, to their convolution's length.
+    n = min(len(_panjer(a, b, log_p0, size, floor)) + len(dark_law(size, floor)) - 1, size)
+    return np.convolve(_panjer(a, b, log_p0, n, 0.0), dark_law(n, 0.0))[:n]
+
+
+def _photon_mean(spec: SourceSpec) -> float:
+    """The mean photon number of ``spec``, uncut."""
+    if spec.kind == "mixture":
+        return sum(w * _photon_mean(c) for w, c in zip(spec.weights, spec.components))
+    return spec.n if spec.kind == "fock" else spec.mean * (2 if spec.kind == "pdc_pairs" else 1)
 
 
 def make_distribution(spec: SourceSpec) -> PhotonDistribution:
-    """Realize a source spec as a normalized, physical distribution.
-
-    The distribution is truncated at ``spec.cutoff`` and silently renormalized
-    only when the mass lost to truncation is below LOST_MASS_TOL; otherwise a
-    :class:`TruncationLossError` is raised.
-    """
-    return PhotonDistribution(_source_pmf(spec, spec.cutoff))
-
-
-def _source_pmf(spec: SourceSpec, cutoff: int) -> np.ndarray:
-    """The law of ``spec`` on photon numbers 0..``cutoff``, whatever
-    ``spec.cutoff`` says: the one place each source law is written, for
-    ``make_distribution`` and for the sampler, which widens the window
-    until the law fits.
-
-    Raises ValueError for a Fock number above ``cutoff``, and
-    TruncationLossError when more than LOST_MASS_TOL of the law lies beyond
-    it; otherwise the law is renormalized on the window.
-    """
-    size = cutoff + 1
-    if spec.kind == "fock":
-        if spec.n > cutoff:
-            raise ValueError(f"fock n={spec.n} exceeds cutoff {cutoff}")
-        p = np.zeros(size)
-        p[spec.n] = 1.0
-        return p
-
-    if spec.kind == "mixture":
-        w = np.asarray(spec.weights)
-        w = w / w.sum()
-        p = np.zeros(size)
-        for wi, component in zip(w, spec.components):
-            p += wi * _source_pmf(component, cutoff)
-        return p
-
-    if spec.kind == "poisson":
-        raw = _poisson_pmf(spec.mean, size)
-    else:  # pdc_pairs: photon number = 2 * pair number
-        raw = np.zeros(size)
-        pair_pmf = _pair_number_pmf(spec.mean, spec.pair_statistics, cutoff // 2)
-        raw[0 : 2 * (cutoff // 2) + 1 : 2] = pair_pmf
-
+    """Realize a source spec as a normalized, physical distribution: its law
+    (``_count_law`` with no loss and no dark counts) on 0..``spec.cutoff``,
+    renormalized there unless more than LOST_MASS_TOL of it lies beyond,
+    which raises :class:`TruncationLossError`."""
+    raw = _count_law(spec, 1.0, 0.0, spec.cutoff + 1, 0.0)
     lost = 1.0 - raw.sum()
     if lost > LOST_MASS_TOL:
-        raise TruncationLossError(lost, context=f"{spec.kind} source at cutoff {cutoff}")
-    return raw / raw.sum()
+        raise TruncationLossError(lost, context=f"{spec.kind} source at cutoff {spec.cutoff}")
+    return PhotonDistribution(raw / raw.sum())

@@ -1,8 +1,8 @@
 import json
 import math
-import re
 import warnings
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from photonstats.acquisition import (
     DetectorModel,
     PumpModel,
     _TAIL_MASS,
-    _WINDOWS,
     _area_edges,
     _cell_laws,
     _detected_count_law,
@@ -25,6 +24,7 @@ from photonstats.acquisition import (
     synthesize_histogram,
 )
 import photonstats.acquisition as acquisition
+import photonstats.channel as channel
 from photonstats.channel import detector_matrix
 from photonstats.cli import pump_sweep
 from photonstats.distributions import (
@@ -33,7 +33,6 @@ from photonstats.distributions import (
     SourceSpec,
     TruncationLossError,
     _gaussian_cdf,
-    _source_pmf,
     make_distribution,
 )
 from photonstats.ioutil import dumps_canonical
@@ -113,13 +112,16 @@ ORACLE_SOURCES = {
 }
 
 
-# Sources whose laws need windows from 64 up to 1024 photons.
-WINDOW_SOURCES = {
-    "poisson": SourceSpec(kind="poisson", cutoff=10, mean=60.0),
+# One source of each kind, and thermal pairs out to 8 per gate, whose laws
+# reach about 400 counts.
+EXACT_SOURCES = {
+    "poisson": SourceSpec(kind="poisson", cutoff=10, mean=1.3),
     "pairs": SourceSpec(kind="pdc_pairs", cutoff=10, mean=0.4),
-    "wide_pairs": SourceSpec(kind="pdc_pairs", cutoff=10, mean=90.0),
-    "thermal_pairs": SourceSpec(kind="pdc_pairs", cutoff=14, mean=8.0, pair_statistics="thermal"),
-    "fock": SourceSpec(kind="fock", cutoff=200, n=200),
+    "16-uW": SourceSpec(kind="pdc_pairs", cutoff=14, mean=16.0 * DEFAULT_PAIRS_PER_UW),
+    "thermal-0.5": SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.5, pair_statistics="thermal"),
+    "thermal-3": SourceSpec(kind="pdc_pairs", cutoff=14, mean=3.0, pair_statistics="thermal"),
+    "thermal-8": SourceSpec(kind="pdc_pairs", cutoff=14, mean=8.0, pair_statistics="thermal"),
+    "fock": SourceSpec(kind="fock", cutoff=40, n=40),
     "mixture": SourceSpec(
         kind="mixture",
         cutoff=10,
@@ -130,6 +132,62 @@ WINDOW_SOURCES = {
         ),
     ),
 }
+
+
+def exact_source_law(src: SourceSpec, floor: Decimal) -> list:
+    """The photon-number law of ``src`` in decimal arithmetic, its terms
+    written out one by one (e^-m m^k / k!, m^k / (1 + m)^(k + 1), a point
+    mass, a weighted sum with the weights rescaled to sum to 1), up to the
+    first term past the mean below ``floor``."""
+    if src.kind == "fock":
+        return [Decimal(0)] * src.n + [Decimal(1)]
+    if src.kind == "mixture":
+        parts = [exact_source_law(c, floor) for c in src.components]
+        law = [Decimal(0)] * max(map(len, parts))
+        total = sum(map(Decimal, src.weights))
+        for w, part in zip(src.weights, parts):
+            for n, x in enumerate(part):
+                law[n] += Decimal(w) / total * x
+        return law
+    m, step = Decimal(src.mean), 2 if src.kind == "pdc_pairs" else 1
+    law, k = [], 0
+    while True:
+        if src.pair_statistics == "thermal" and step == 2:
+            x = m**k / (1 + m) ** (k + 1)
+        else:
+            x = (-m).exp() * m**k / math.factorial(k)
+        law += [Decimal(0)] * (step * k - len(law)) + [x]
+        if k > m and x < floor:
+            return law
+        k += 1
+
+
+def exact_count_law(src: SourceSpec, det: DetectorModel, size: int) -> list:
+    """The detected-count law on 0..size-1 in 50-digit decimal arithmetic: the
+    source law thinned row by row through Pascal's rule, with the
+    Poisson(dark_mean) law convolved in before or after the thinning."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        floor, eta, nu = Decimal("1e-45"), Decimal(det.eta), Decimal(det.dark_mean)
+        dark = [(-nu).exp()]
+        while len(dark) <= nu or dark[-1] >= floor:
+            dark.append(dark[-1] * nu / len(dark))
+
+        def add_dark(law):
+            return [sum(law[k - j] * dark[j] for j in range(len(dark)) if 0 <= k - j < len(law))
+                    for k in range(len(law) + len(dark) - 1)]
+
+        def thin(law):
+            out, row = [Decimal(0)] * size, [Decimal(1)]  # row: Binomial(n, eta) on 0..size-1
+            for x in law:
+                for i, b in enumerate(row):
+                    out[i] += x * b
+                row = [(1 - eta) * b + eta * a for a, b in zip([Decimal(0)] + row, row + [0])]
+                del row[size:]
+            return out
+
+        law = exact_source_law(src, floor)
+        return add_dark(thin(law)) if det.dark_after_loss else thin(add_dark(law))
 
 
 def recut(spec: SourceSpec, cutoff: int) -> SourceSpec:
@@ -256,39 +314,20 @@ class TestSimulateGateCounts:
         assert 0.5 * np.abs(first(freq, 81) / n - f).sum() < 3.0 / math.sqrt(n)
 
     @pytest.mark.parametrize("dark_after_loss", [True, False])
-    @pytest.mark.parametrize("mean", [0.5, 3.0, 8.0])
-    def test_law_matches_composed_detector_matrix(self, mean, dark_after_loss):
-        # thermal pairs at 3 and 8 per gate need windows of 512 and 1024 photons
+    @pytest.mark.parametrize("name", sorted(EXACT_SOURCES))
+    def test_law_matches_exact_oracle(self, name, dark_after_loss):
+        # The oracle is the law written out term by term in 50-digit decimal
+        # arithmetic; the law must be its cut at the same count, to the
+        # relative error a double recursion of about 400 terms leaves. The
+        # bound was fixed before the first run.
         det = DetectorModel(eta=0.6, dark_mean=0.05, dark_after_loss=dark_after_loss)
-        src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=mean, pair_statistics="thermal")
-        law = _detected_count_law(src, det)
-        # the first window whose source law exists and whose upper half holds
-        # less than _TAIL_MASS; the law is cut after the last count whose
-        # upper tail holds at least _TAIL_MASS, and renormalised
-        for window in _WINDOWS:
-            try:
-                f = composed_law(src, det, window)
-            except ValueError:
-                continue
-            if f[window // 2 :].sum() < _TAIL_MASS:
-                break
-        head = f[: np.count_nonzero(np.cumsum(f[::-1])[::-1] >= _TAIL_MASS)]
-        np.testing.assert_allclose(law, head / head.sum(), rtol=1e-13, atol=0)
-
-    @pytest.mark.parametrize("window", _WINDOWS)
-    @pytest.mark.parametrize("name", sorted(WINDOW_SOURCES))
-    def test_window_law_is_the_spec_recut_at_the_window(self, name, window):
-        # the sampler takes the source law at each window it tries without
-        # building a SourceSpec and a PhotonDistribution for it; the law, or
-        # the error, is the one the spec re-cut at that window gives
-        src = WINDOW_SOURCES[name]
-        try:
-            want = make_distribution(recut(src, window)).probs
-        except ValueError as exc:
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                _source_pmf(src, window)
-        else:
-            assert np.array_equal(_source_pmf(src, window), want)
+        law = _detected_count_law(EXACT_SOURCES[name], det)
+        exact = exact_count_law(EXACT_SOURCES[name], det, law.size + 1)
+        tail = [1 - sum(exact[:k]) for k in (law.size - 1, law.size)]
+        assert tail[1] < Decimal(_TAIL_MASS) <= tail[0]
+        head = exact[: law.size]
+        want = np.array([float(x / sum(head)) for x in head])
+        np.testing.assert_allclose(law, want, rtol=1e-13, atol=0)
 
     def test_law_wider_than_largest_window_rejected(self):
         src = SourceSpec(kind="fock", cutoff=2000, n=2000)
@@ -297,30 +336,52 @@ class TestSimulateGateCounts:
 
     @pytest.mark.parametrize("dark_mean", [160.0, 300.0])
     def test_dark_counts_alone_can_pass_the_first_window(self, dark_mean):
-        # from a dark mean of about 160 no count of the 64-photon window keeps
-        # an upper tail of _TAIL_MASS, so its cut is 0 and a wider window
-        # gives the law
+        # laws of 272 and 449 counts, made almost wholly of dark counts
         src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2)
         law = _detected_count_law(src, DetectorModel(eta=0.67, dark_mean=dark_mean))
         assert np.arange(law.size) @ law == pytest.approx(2 * 0.67 * 0.2 + dark_mean, rel=2e-14)
 
-    @pytest.mark.xfail(raises=ValueError, strict=True, reason="ROADMAP item 8")
     @pytest.mark.parametrize("dark_mean", [360.0, 450.0])
-    def test_dark_counts_cut_past_half_the_largest_window_give_the_law(self, dark_mean):
-        # the cut on the 1024-photon window is 522 at dark mean 360 and 630
-        # at 450: the law fits in that window, but the cut lies in its upper
-        # half, so it is refused as if it did not
+    def test_dark_counts_cut_below_the_length_limit_give_the_law(self, dark_mean):
+        # the cut is 522 at dark mean 360 and 630 at 450: inside the limit of
+        # 1025 counts, but more than half of it
         src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2)
         law = _detected_count_law(src, DetectorModel(eta=0.67, dark_mean=dark_mean))
         assert np.arange(law.size) @ law == pytest.approx(2 * 0.67 * 0.2 + dark_mean, rel=2e-14)
 
     @pytest.mark.parametrize("dark_mean", [800.0, 900.0, 1e300])
     def test_dark_counts_wider_than_largest_window_rejected(self, dark_mean):
-        # at dark mean 800 the cut on the 1024-photon window is 1025, its top,
-        # so the law does not fit in it
+        # at dark mean 800 the cut is 1036, past the limit of 1025 counts;
+        # 1e300 is refused by its mean, before any term is computed
         src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2)
         with pytest.raises(ValueError, match="does not fit in 1024 photons"):
             _detected_count_law(src, DetectorModel(eta=0.67, dark_mean=dark_mean))
+
+    def test_thermal_pairs_at_20_per_gate_are_simulated(self):
+        # a law of 954 counts; the tail cut off below 1e-15, at about 1000
+        # counts, moves the mean by under 1e-13 of itself
+        src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=20.0, pair_statistics="thermal")
+        law = _detected_count_law(src, DET)
+        assert law.size == 954
+        assert np.arange(law.size) @ law == pytest.approx(2 * 0.67 * 20.0 + 4e-4, rel=1e-13)
+        assert simulate_gate_counts(src, DET, 10**6, seed=12).sum() == 10**6
+
+    def test_sampler_builds_no_loss_matrix(self, monkeypatch):
+        # the laws come from the recursion, so neither a wide law (dark mean
+        # 300) nor a six-power sweep builds a photon-number loss matrix
+        channel._loss_matrix.cache_clear()
+        built = []
+
+        def counting(eta, n):
+            built.append(n)
+            return channel._loss_matrix.__wrapped__(eta, n)
+
+        monkeypatch.setattr(channel, "_loss_matrix", counting)
+        src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2)
+        simulate_gate_counts(src, DetectorModel(eta=0.67, dark_mean=300.0), 1000, seed=0)
+        pump_sweep(PumpModel(powers=(0.01, 0.03, 0.3, 1.0, 3.0, 16.0)), DET, 2_000_000, 0,
+                   cutoff=10, bins=500)
+        assert built == []
 
     def test_cost_does_not_grow_with_gates(self):
         src = SourceSpec(kind="pdc_pairs", cutoff=14, mean=0.2253)
@@ -547,7 +608,7 @@ class TestCellLaws:
         if name == "16-uW":
             assert law.size == 44
         edges = _area_edges(det, 500)
-        # the law uncut, on the 128-photon window that holds every one of them
+        # the law uncut, on photon numbers 0..128, which hold every one of them
         full = composed_law(src, det, 128)
         uncut = full @ bin_mass(det, edges, full.size)
         asked = []

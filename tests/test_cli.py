@@ -326,19 +326,18 @@ class TestSimulateCommand:
         assert "n_gates must be >= 1" in err["error"]
 
     def test_law_too_wide_is_runtime_error(self, tmp_path, capsys):
-        # thermal pairs at 20 per gate leave more than 1e-15 of the detected
-        # law above 512 counts: a valid config whose run fails
+        # thermal pairs at 24 per gate leave more than 1e-15 of the detected
+        # law above 1024 counts: a valid config whose run fails
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, n_gates=1000, source={
-            "kind": "pdc_pairs", "cutoff": 14, "mean": 20.0, "pair_statistics": "thermal"})
+            "kind": "pdc_pairs", "cutoff": 14, "mean": 24.0, "pair_statistics": "thermal"})
         assert main(["simulate", "--config", str(cfg_path)]) == EXIT_RUNTIME
         err = stderr_error(capsys)
         assert err["exit_code"] == EXIT_RUNTIME and err["type"] == "ValueError"
         assert "does not fit in 1024 photons" in err["error"]
 
     def test_dark_counts_past_the_first_window_are_simulated(self, tmp_path):
-        # at a dark mean of 300 no count of the 64-photon window keeps an
-        # upper tail of 1e-15, so the law is taken on a wider window
+        # at a dark mean of 300 the detected-count law runs to 449 counts
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, n_gates=100_000, detector={"eta": ANCHOR_ETA, "dark_mean": 300.0})
         assert main(["simulate", "--config", str(cfg_path)]) == EXIT_OK
@@ -1058,9 +1057,9 @@ class TestSweepCommand:
         # the second power fails on its own (exit 6); once the first power's
         # fit cannot converge, that failure comes first (exit 3)
         cfg_path = tmp_path / "run.json"
-        if case == "law-too-wide":  # thermal pairs at 20 per gate
+        if case == "law-too-wide":  # thermal pairs at 24 per gate
             write_config(cfg_path, n_gates=100_000, pump={
-                "powers": [0.1, 100.0], "pairs_per_uW": 0.2, "pair_statistics": "thermal"})
+                "powers": [0.1, 120.0], "pairs_per_uW": 0.2, "pair_statistics": "thermal"})
             message = "does not fit in 1024 photons"
         else:  # about 68 pairs per gate: every area lies above adc_max
             write_config(cfg_path, n_gates=10_000, bins=100,
@@ -1076,11 +1075,11 @@ class TestSweepCommand:
         assert err["type"] == "FitError" and "at 0.1 uW" in err["error"]
 
     def test_first_power_failing_writes_no_sweep(self, tmp_path, capsys):
-        # thermal pairs at 20 per gate fail before any histogram is drawn, so
+        # thermal pairs at 24 per gate fail before any histogram is drawn, so
         # the stack to fit is empty
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, n_gates=100_000, pump={
-            "powers": [100.0, 0.1], "pairs_per_uW": 0.2, "pair_statistics": "thermal"})
+            "powers": [120.0, 0.1], "pairs_per_uW": 0.2, "pair_statistics": "thermal"})
         assert main(["sweep", "--config", str(cfg_path)]) == EXIT_RUNTIME
         assert "does not fit in 1024 photons" in stderr_error(capsys)["error"]
         assert not (tmp_path / "out" / "sweep.csv").exists()

@@ -140,9 +140,8 @@ class TestPoissonPmf:
         k = np.arange(200)
         ours, oracle = _poisson_pmf(mean, k.size), poisson.pmf(k, mean)
         np.testing.assert_array_equal(ours[oracle == 0.0], 0.0)
-        # Below k = 64 (the smallest simulation window) and above 1e-100, each
-        # term of the exponent is under 256, so its rounding stays under 1e-13
-        # of the pmf. Out to k = 199, log(k!) reaches 860 and its rounding
+        # Below k = 64 and above 1e-100, each term of the exponent is under
+        # 256, so its rounding stays under 1e-13 of the pmf. Out to k = 199, log(k!) reaches 860 and its rounding
         # alone reaches 3e-13. Subnormal entries carry fewer digits.
         head = (k < 64) & (oracle > 1e-100)
         np.testing.assert_allclose(ours[head], oracle[head], rtol=1e-13, atol=0)
