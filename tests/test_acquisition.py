@@ -30,6 +30,7 @@ from photonstats.cli import pump_sweep
 from photonstats.distributions import (
     _ERFC_TWO,
     _ERFC_ZERO,
+    LOST_MASS_TOL,
     SourceSpec,
     TruncationLossError,
     _gaussian_cdf,
@@ -204,6 +205,31 @@ def composed_law(src: SourceSpec, det: DetectorModel, window: int) -> np.ndarray
     return f / f.sum()
 
 
+class TestMakeDistributionOracle:
+    @pytest.mark.parametrize("cutoff", [None, 256], ids=["own-cutoff", "cutoff-256"])
+    @pytest.mark.parametrize("name", sorted(EXACT_SOURCES))
+    def test_law_or_lost_mass_matches_exact_oracle(self, name, cutoff):
+        # make_distribution takes the sampler's recursion at no loss and no
+        # dark counts: its law is the exact one cut at the cutoff and
+        # renormalised, or, when more than LOST_MASS_TOL lies past the cutoff,
+        # its error carries that mass. Entries below 1e-300, where doubles
+        # near underflow, are compared absolutely. The bounds were fixed
+        # before the first run.
+        src = EXACT_SOURCES[name] if cutoff is None else recut(EXACT_SOURCES[name], cutoff)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = exact_source_law(src, Decimal("1e-320"))
+            head = (exact + [Decimal(0)] * src.cutoff)[: src.cutoff + 1]
+            lost = 1 - sum(head)
+            want = np.array([float(x / sum(head)) for x in head])
+        if lost > LOST_MASS_TOL:
+            with pytest.raises(TruncationLossError) as info:
+                make_distribution(src)
+            assert info.value.lost_mass == pytest.approx(float(lost), rel=0, abs=1e-14)
+        else:
+            np.testing.assert_allclose(make_distribution(src).probs, want, rtol=1e-13, atol=1e-300)
+
+
 def first(freq: np.ndarray, n: int) -> np.ndarray:
     """Entries 0..n-1 of ``freq``, zero past its end."""
     return np.pad(freq, (0, max(n - freq.size, 0)))[:n]
@@ -313,21 +339,36 @@ class TestSimulateGateCounts:
         assert freq.sum() == n
         assert 0.5 * np.abs(first(freq, 81) / n - f).sum() < 3.0 / math.sqrt(n)
 
-    @pytest.mark.parametrize("dark_after_loss", [True, False])
-    @pytest.mark.parametrize("name", sorted(EXACT_SOURCES))
-    def test_law_matches_exact_oracle(self, name, dark_after_loss):
+    @staticmethod
+    def assert_law_matches_exact_oracle(src, det):
         # The oracle is the law written out term by term in 50-digit decimal
         # arithmetic; the law must be its cut at the same count, to the
         # relative error a double recursion of about 400 terms leaves. The
         # bound was fixed before the first run.
-        det = DetectorModel(eta=0.6, dark_mean=0.05, dark_after_loss=dark_after_loss)
-        law = _detected_count_law(EXACT_SOURCES[name], det)
-        exact = exact_count_law(EXACT_SOURCES[name], det, law.size + 1)
+        law = _detected_count_law(src, det)
+        exact = exact_count_law(src, det, law.size + 1)
         tail = [1 - sum(exact[:k]) for k in (law.size - 1, law.size)]
         assert tail[1] < Decimal(_TAIL_MASS) <= tail[0]
         head = exact[: law.size]
         want = np.array([float(x / sum(head)) for x in head])
         np.testing.assert_allclose(law, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("dark_after_loss", [True, False])
+    @pytest.mark.parametrize("name", sorted(EXACT_SOURCES))
+    def test_law_matches_exact_oracle(self, name, dark_after_loss):
+        det = DetectorModel(eta=0.6, dark_mean=0.05, dark_after_loss=dark_after_loss)
+        self.assert_law_matches_exact_oracle(EXACT_SOURCES[name], det)
+
+    @pytest.mark.parametrize(
+        "det",
+        [DetectorModel(eta=1.0, dark_mean=0.0), DetectorModel(eta=0.9, dark_mean=3.0, dark_after_loss=False)],
+        ids=["perfect", "dark-3-before-loss"],
+    )
+    @pytest.mark.parametrize("name", sorted(EXACT_SOURCES))
+    def test_law_at_edge_detectors_matches_exact_oracle(self, name, det):
+        # at unit efficiency a pair law's odd counts are all 0, and a dark
+        # mean of 3 before the loss spreads every source law over the dark one
+        self.assert_law_matches_exact_oracle(EXACT_SOURCES[name], det)
 
     def test_law_wider_than_largest_window_rejected(self):
         src = SourceSpec(kind="fock", cutoff=2000, n=2000)
